@@ -9,26 +9,19 @@ error, 4 guard refusal.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from .config import RunConfig, default_config, load_config
 from .decomposition import (
-    MAX_ENUMERATED_USERS,
+    DecompositionTable,
+    all_orderings,
     decompose,
     joint_key_rate,
     sample_orderings,
 )
-from .errors import (
-    ConfigError,
-    CVQNetError,
-    GuardRefusalError,
-    ValidationError,
-)
+from .errors import ConfigError, CVQNetError, GuardRefusalError, ValidationError
 from .keyrates import TrustModel, derive_worst_case, key_rate
 from .network import NetworkParams, UserLink
 from .simulate import (
@@ -54,22 +47,6 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CVQNET_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"CVQNET_THREADS must be an integer, got {raw!r}") from None
-
-
-def _ordered_map(fn, items):
-    threads = _thread_count()
-    if threads == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _load(args) -> RunConfig:
     return load_config(args.config) if args.config else default_config()
 
@@ -84,10 +61,7 @@ def _cmd_keyrate(args) -> int:
     trusts = list(TRUST_ORDER) if args.trust == "all" else [TrustModel(args.trust)]
     worst = derive_worst_case(params) if args.worst_case == "model" and args.mode == "finite" else None
 
-    def row(k: int):
-        return [key_rate(params, t, k, mode=args.mode, worst_case=worst) for t in trusts]
-
-    rows = _ordered_map(row, users)
+    rows = [[key_rate(params, t, k, mode=args.mode, worst_case=worst) for t in trusts] for k in users]
     if args.format == "json":
         payload = [
             {
@@ -151,28 +125,14 @@ def _cmd_decompose(args) -> int:
     params = cfg.params
     kind, detail = _parse_orders(args.orders, params.n_users)
     if kind == "all":
-        if params.n_users > MAX_ENUMERATED_USERS:
-            raise GuardRefusalError(
-                f"{params.n_users}! orderings is too many to enumerate "
-                f"(cap {MAX_ENUMERATED_USERS}); use --orders sample:K instead"
-            )
-        # rows are independent; grid order is fixed regardless of workers
-        orders = list(itertools.permutations(range(params.n_users)))
-        rows = tuple(
-            _ordered_map(lambda order: decompose(params, order, mode=args.mode), orders)
-        )
-        joint = joint_key_rate(params, mode=args.mode).rate
-        spread = max(abs(r.row_sum - joint) for r in rows)
+        table = all_orderings(params, mode=args.mode)
     elif kind == "sample":
         table = sample_orderings(params, detail, seed=args.seed, mode=args.mode)
-        rows = table.rows
-        joint = table.joint_rate
-        spread = table.max_row_spread
     else:
         row = decompose(params, detail, mode=args.mode)
-        rows = (row,)
         joint = joint_key_rate(params, mode=args.mode).rate
-        spread = abs(row.row_sum - joint)
+        table = DecompositionTable((row,), joint, abs(row.row_sum - joint))
+    rows, joint, spread = table.rows, table.joint_rate, table.max_row_spread
 
     if args.format == "json":
         payload = {
@@ -263,30 +223,21 @@ def _cmd_sweep(args) -> int:
     values = _sweep_values(args)
     trusts = list(TRUST_ORDER) if args.trust == "all" else [TrustModel(args.trust)]
 
-    def step(value: float):
+    results = []
+    for value in values:
         p = _apply_sweep_value(params, args.param, value, n_users)
-        out = []
         for k in range(p.n_users):
-            for t in trusts:
-                r = key_rate(p, t, k, mode=args.mode)
-                out.append((value, k, t, r.rate))
-        return out
-
-    results = _ordered_map(step, values)
+            results += [(value, k, t, key_rate(p, t, k, mode=args.mode).rate) for t in trusts]
     if args.format == "json":
         payload = [
             {"param": args.param, "value": v, "user": k + 1, "trust": t.value, "rate": rate}
-            for chunk in results
-            for (v, k, t, rate) in chunk
+            for (v, k, t, rate) in results
         ]
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     else:
         lines = ["param,value,user,trust,mode,rate"]
-        for chunk in results:
-            for (v, k, t, rate) in chunk:
-                lines.append(
-                    f"{args.param},{_fmt(v)},{k + 1},{t.value},{args.mode},{_fmt(rate)}"
-                )
+        for (v, k, t, rate) in results:
+            lines.append(f"{args.param},{_fmt(v)},{k + 1},{t.value},{args.mode},{_fmt(rate)}")
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -1,29 +1,27 @@
 """Joint network key rate and its exact chain-rule split into per-user parts.
 
-The joint rate beta * I(A : B1..BM) - chi(B1..BM : E) - M * Delta(N) is
-decomposed along an ordering of the users: user at position k contributes
-
-    K_k = beta * I(A : B_k | y_first..y_(k-1))
-          - [S(sigma_(k-1)) - S(sigma_k)] - Delta(N)
-
-where sigma_k is the retained system (Alice, the not-yet-measured users and
-the trusted-receiver ancillae of the measured ones) conditioned on the first
-k outcomes.  The mutual-information chain and the entropy telescope both
-collapse exactly, so every ordering sums to the same joint rate; the first
-user's contribution coincides with that user's trusted-protocol rate.
+Both are views of one set function on coalitions S of users,
+v(S) = beta * I(A : y_S) - [S(sigma_0) - S(sigma_S)], where y_S are the
+outcomes of the users in S and sigma_S is the retained system (Alice, the
+users outside S and the trusted-receiver ancillae of those in S) conditioned
+on y_S.  Along an ordering, the user k joining the earlier users S adds
+K_k = v(S + {k}) - v(S) - Delta(N), so every ordering sums to the joint rate
+v(all) - M * Delta(N) and the first user's share is its trusted rate.
+Gaussian conditioning commutes, so sigma_S depends on the set S only:
+`CoalitionValues` evaluates v once per coalition and a row is M lookups.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import GuardRefusalError, ValidationError
-from .gaussian import CovarianceMatrix, von_neumann_entropy
-from .keyrates import delta_fs, measure_reference_user, mutual_information
+from .gaussian import von_neumann_entropy
+from .keyrates import delta_fs, measure_reference_user
 from .network import NetworkParams, build_channel_output_cm, classical_outcome_cov, user_label
 
 MAX_ENUMERATED_USERS = 8
@@ -38,35 +36,80 @@ def _check_ordering(params: NetworkParams, order: Sequence[int]) -> tuple[int, .
     return order
 
 
-def _conditional_entropies(params: NetworkParams, order: Sequence[int]) -> list[float]:
-    """Entropies S(sigma_0), ..., S(sigma_M) along a conditioning order."""
-    cm = build_channel_output_cm(params)
-    entropies = [von_neumann_entropy(cm)]
-    for k in order:
-        cm = measure_reference_user(
-            cm, user_label(k), params.detector_efficiency, params.trusted_noise(k)
-        )
-        entropies.append(von_neumann_entropy(cm))
-    return entropies
+def _outcome_information(cov: np.ndarray, users: Iterable[int]) -> float:
+    """I(A : y_users) in bits per use: log2 det(Sigma_yy) / det(Sigma_yy|s)."""
+    idx = [k + 1 for k in sorted(users)]
+    syy = cov[np.ix_(idx, idx)]
+    sys_ = cov[idx, :1]
+    det_y = np.linalg.det(syy)
+    det_y_given_s = np.linalg.det(syy - sys_ @ sys_.T / cov[0, 0])
+    if det_y <= 0 or det_y_given_s <= 0:
+        raise ValidationError("degenerate joint outcome covariance")
+    return float(np.log2(det_y / det_y_given_s))
+
+
+class CoalitionValues:
+    """The set function v(S) of one network, memoised per coalition.
+
+    Coalitions are filled lazily as orderings are walked: S + {k} is
+    conditioned from the cached state of S with one `measure_reference_user`
+    step.  `terms` maps each coalition seen to (I(A : y_S), S(sigma_S)).
+    Keep one instance per table: it holds a state per coalition.
+    """
+
+    def __init__(self, params: NetworkParams):
+        self.params = params
+        self._outcome_cov = classical_outcome_cov(params)
+        state = build_channel_output_cm(params)
+        self._states = {frozenset(): state}
+        self.terms = {frozenset(): (0.0, von_neumann_entropy(state))}
+
+    def prefixes(self, order: Sequence[int]) -> list[frozenset]:
+        """Coalitions of the first 0, 1, ..., len(order) users of `order`."""
+        chain = [frozenset()]
+        for k in order:
+            parent = chain[-1]
+            grown = parent | {k}
+            if grown not in self.terms:
+                p = self.params
+                state = measure_reference_user(
+                    self._states[parent], user_label(k), p.detector_efficiency, p.trusted_noise(k)
+                )
+                if len(grown) < p.n_users:  # the full coalition is nobody's parent
+                    self._states[grown] = state
+                info = _outcome_information(self._outcome_cov, grown)
+                self.terms[grown] = (info, von_neumann_entropy(state))
+            chain.append(grown)
+        return chain
+
+    def value(self, coalition: frozenset) -> float:
+        """v(S) = beta * I(A : y_S) - [S(sigma_0) - S(sigma_S)]."""
+        info, entropy = self.terms[coalition]
+        return self.params.beta * info - (self.terms[frozenset()][1] - entropy)
+
+
+def _step_terms(params: NetworkParams, order: Sequence[int], position: int):
+    """`terms` of the coalitions before and after the user at `position` joins."""
+    order = _check_ordering(params, order)
+    if not 0 <= position < len(order):
+        raise ValidationError(f"position {position} out of range")
+    coalitions = CoalitionValues(params)
+    *_, before, after = coalitions.prefixes(order[: position + 1])
+    return coalitions.terms[before], coalitions.terms[after]
 
 
 def chain_mutual_information_term(
     params: NetworkParams, order: Sequence[int], position: int
 ) -> float:
     """I(A : B_{order[position]} | earlier users in the order), bits/use."""
-    order = _check_ordering(params, order)
-    if not 0 <= position < len(order):
-        raise ValidationError(f"position {position} out of range")
-    return mutual_information(params, order[position], order[:position])
+    (info_before, _), (info_after, _) = _step_terms(params, order, position)
+    return info_after - info_before
 
 
 def telescopic_holevo_term(params: NetworkParams, order: Sequence[int], position: int) -> float:
     """S(sigma_(position)) - S(sigma_(position+1)) along the given order."""
-    order = _check_ordering(params, order)
-    if not 0 <= position < len(order):
-        raise ValidationError(f"position {position} out of range")
-    entropies = _conditional_entropies(params, order[: position + 1])
-    return entropies[position] - entropies[position + 1]
+    (_, entropy_before), (_, entropy_after) = _step_terms(params, order, position)
+    return entropy_before - entropy_after
 
 
 @dataclass(frozen=True)
@@ -79,23 +122,32 @@ class DecompositionRow:
         return self.contributions[self.order.index(k)]
 
 
-def decompose(params: NetworkParams, order: Sequence[int], mode: str = "finite") -> DecompositionRow:
+def decompose(
+    params: NetworkParams,
+    order: Sequence[int],
+    mode: str = "finite",
+    coalitions: CoalitionValues | None = None,
+) -> DecompositionRow:
     """Per-user contributions along one conditioning order.
 
     In finite mode one Delta(N) share is charged per user so the row sums to
-    the joint finite-size rate, which carries M * Delta(N).
+    the joint finite-size rate, which carries M * Delta(N).  Pass the
+    table's `coalitions` to reuse the coalitions earlier rows filled.
     """
     order = _check_ordering(params, order)
     if mode not in ("finite", "asymptotic"):
         raise ValidationError(f"mode must be 'finite' or 'asymptotic', got {mode!r}")
+    if coalitions is None:
+        coalitions = CoalitionValues(params)
+    elif coalitions.params != params:
+        raise ValidationError("coalition values belong to a different network")
     delta = delta_fs(params.block_size) if mode == "finite" else 0.0
-    entropies = _conditional_entropies(params, order)
-    contributions = []
-    for pos, k in enumerate(order):
-        info = mutual_information(params, k, order[:pos])
-        holevo_step = entropies[pos] - entropies[pos + 1]
-        contributions.append(params.beta * info - holevo_step - delta)
-    return DecompositionRow(order, tuple(contributions), float(sum(contributions)))
+    chain = coalitions.prefixes(order)
+    contributions = tuple(
+        coalitions.value(after) - coalitions.value(before) - delta
+        for before, after in zip(chain, chain[1:])
+    )
+    return DecompositionRow(order, contributions, float(sum(contributions)))
 
 
 @dataclass(frozen=True)
@@ -103,6 +155,15 @@ class DecompositionTable:
     rows: tuple[DecompositionRow, ...]
     joint_rate: float
     max_row_spread: float  # max |row_sum - joint_rate| over rows
+
+
+def _table(params: NetworkParams, orders: Iterable[Sequence[int]], mode: str) -> DecompositionTable:
+    """Rows share one `CoalitionValues`; the joint rate is evaluated apart."""
+    coalitions = CoalitionValues(params)
+    rows = tuple(decompose(params, order, mode, coalitions) for order in orders)
+    joint = joint_key_rate(params, mode).rate
+    spread = max(abs(r.row_sum - joint) for r in rows)
+    return DecompositionTable(rows, joint, spread)
 
 
 def all_orderings(params: NetworkParams, mode: str = "finite") -> DecompositionTable:
@@ -115,14 +176,9 @@ def all_orderings(params: NetworkParams, mode: str = "finite") -> DecompositionT
     if m > MAX_ENUMERATED_USERS:
         raise GuardRefusalError(
             f"{m}! orderings is too many to enumerate (cap {MAX_ENUMERATED_USERS}); "
-            "use sample_orderings(params, count, seed) instead"
+            "sample orderings instead (sample_orderings, or --orders sample:K)"
         )
-    rows = tuple(
-        decompose(params, order, mode) for order in itertools.permutations(range(m))
-    )
-    joint = joint_key_rate(params, mode).rate
-    spread = max(abs(r.row_sum - joint) for r in rows)
-    return DecompositionTable(rows, joint, spread)
+    return _table(params, itertools.permutations(range(m)), mode)
 
 
 def sample_orderings(
@@ -132,27 +188,12 @@ def sample_orderings(
     if count < 1:
         raise ValidationError("need at least one sampled ordering")
     rng = np.random.default_rng(seed)
-    m = params.n_users
-    rows = tuple(
-        decompose(params, tuple(rng.permutation(m)), mode) for _ in range(count)
-    )
-    joint = joint_key_rate(params, mode).rate
-    spread = max(abs(r.row_sum - joint) for r in rows)
-    return DecompositionTable(rows, joint, spread)
+    return _table(params, (rng.permutation(params.n_users) for _ in range(count)), mode)
 
 
 def joint_mutual_information(params: NetworkParams) -> float:
     """I(A : y_1, ..., y_M) in bits per channel use, from the determinant form."""
-    cov = classical_outcome_cov(params)
-    m = params.n_users
-    syy = cov[1:, 1:]
-    sys_ = cov[1:, :1]
-    conditional = syy - sys_ @ sys_.T / cov[0, 0]
-    sign1, logdet1 = np.linalg.slogdet(syy)
-    sign2, logdet2 = np.linalg.slogdet(conditional)
-    if sign1 <= 0 or sign2 <= 0:
-        raise ValidationError("degenerate joint outcome covariance")
-    return float((logdet1 - logdet2) / np.log(2.0))
+    return _outcome_information(classical_outcome_cov(params), range(params.n_users))
 
 
 @dataclass(frozen=True)
@@ -161,7 +202,6 @@ class JointKeyRate:
     mutual_information: float
     holevo: float
     delta_total: float
-    rate_via_decomposition: float  # identity-order row sum, for cross-checking
 
 
 def joint_key_rate(params: NetworkParams, mode: str = "finite") -> JointKeyRate:
@@ -169,9 +209,8 @@ def joint_key_rate(params: NetworkParams, mode: str = "finite") -> JointKeyRate:
 
     chi is computed in one shot: S(global) minus the entropy of Alice plus
     all trusted-receiver ancillae after jointly conditioning on every user's
-    measurement.  The decomposition-sum variant is returned alongside; the
-    telescoped and direct evaluations agree because sequential and joint
-    Gaussian conditioning coincide.
+    measurement.  It equals the sum of every decomposition row because
+    sequential and joint Gaussian conditioning coincide.
     """
     if mode not in ("finite", "asymptotic"):
         raise ValidationError(f"mode must be 'finite' or 'asymptotic', got {mode!r}")
@@ -193,5 +232,4 @@ def joint_key_rate(params: NetworkParams, mode: str = "finite") -> JointKeyRate:
     info = joint_mutual_information(params)
     delta_total = m * delta_fs(params.block_size) if mode == "finite" else 0.0
     rate = params.beta * info - chi - delta_total
-    via_rows = decompose(params, tuple(range(m)), mode).row_sum
-    return JointKeyRate(float(rate), info, float(chi), delta_total, via_rows)
+    return JointKeyRate(float(rate), info, float(chi), delta_total)

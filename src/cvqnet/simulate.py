@@ -13,7 +13,7 @@ same block bit for bit.
 
 from __future__ import annotations
 
-import csv
+import os
 import statistics
 import struct
 from dataclasses import dataclass
@@ -283,6 +283,7 @@ def worst_case_params(params: NetworkParams, report: EstimateReport) -> NetworkP
 # columns in declared order: alice_x, alice_p, y_x per user, y_p per user.
 
 _HEADER = struct.Struct("<4sHQHQ")
+CSV_CHUNK_ROWS = 4096
 
 
 def write_block(block: SymbolBlock, path: str) -> None:
@@ -312,11 +313,12 @@ def read_block(path: str) -> SymbolBlock:
         if version != FORMAT_VERSION:
             raise CorruptInputError(f"{path}: unsupported version {version}")
         want = (2 + 2 * m) * n * 8
-        body = fh.read(want + 1)
-        if len(body) != want:
+        have = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if have != want:
             raise CorruptInputError(
-                f"{path}: expected {want} payload bytes for n={n}, M={m}, got {len(body)}"
+                f"{path}: expected {want} payload bytes for n={n}, M={m}, got {have}"
             )
+        body = fh.read(want)
     flat = np.frombuffer(body, dtype="<f8")
     cols = flat.reshape(2 + 2 * m, n)
     return SymbolBlock(
@@ -331,12 +333,14 @@ def read_block(path: str) -> SymbolBlock:
 
 
 def write_block_csv(block: SymbolBlock, path: str) -> None:
+    """CSV copy of a block, one `%.17g` row per symbol; one `%` call per chunk."""
     header = ["alice_x", "alice_p"]
     header += [f"y_x_{k + 1}" for k in range(block.n_users)]
     header += [f"y_p_{k + 1}" for k in range(block.n_users)]
+    cols = list(_columns(block))
+    row = ",".join(["%.17g"] * len(cols)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        cols = list(_columns(block))
-        for i in range(block.n):
-            writer.writerow([f"{col[i]:.17g}" for col in cols])
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, block.n, CSV_CHUNK_ROWS):
+            chunk = np.column_stack([col[start : start + CSV_CHUNK_ROWS] for col in cols])
+            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))

@@ -11,7 +11,6 @@ the documented model cannot produce them from this calibration (see the
 comment on the PAPER_* constants).
 """
 
-import itertools
 import time
 
 import numpy as np
@@ -38,7 +37,6 @@ import dataclasses
 from conftest import random_params
 from oracles import (
     brute_force_network_cm,
-    epr_cm,
     lodewyck_untrusted_rate,
     oracle_decomposition,
     oracle_rates,

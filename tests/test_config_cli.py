@@ -216,6 +216,13 @@ class TestCLI:
         block_path.write_bytes(raw[: len(raw) - 100])
         assert main(["estimate", "--in", str(block_path)]) == 2
 
+    def test_estimate_header_larger_than_file_exits_2(self, tmp_path):
+        from cvqnet.simulate import _HEADER, FORMAT_VERSION, MAGIC
+
+        block_path = tmp_path / "huge.cvnb"
+        block_path.write_bytes(_HEADER.pack(MAGIC, FORMAT_VERSION, 2**60, 4, 0) + b"\x00" * 64)
+        assert main(["estimate", "--in", str(block_path)]) == 2
+
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense = 1\n")

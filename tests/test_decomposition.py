@@ -3,21 +3,29 @@ import itertools
 import numpy as np
 import pytest
 
+import cvqnet.gaussian
+import cvqnet.keyrates
 from cvqnet import (
     NetworkParams,
     TrustModel,
     UserLink,
     all_orderings,
+    build_channel_output_cm,
     chain_mutual_information_term,
     decompose,
+    delta_fs,
     joint_key_rate,
     joint_mutual_information,
     key_rate,
     mutual_information,
     sample_orderings,
     telescopic_holevo_term,
+    user_label,
+    von_neumann_entropy,
 )
+from cvqnet.decomposition import CoalitionValues
 from cvqnet.errors import GuardRefusalError, ValidationError
+from cvqnet.keyrates import measure_reference_user
 
 from conftest import random_params
 
@@ -162,7 +170,7 @@ class TestAllOrderings:
 class TestJointRate:
     def test_direct_equals_decomposition_sum(self, table1):
         jr = joint_key_rate(table1)
-        assert jr.rate == pytest.approx(jr.rate_via_decomposition, abs=1e-9)
+        assert jr.rate == pytest.approx(decompose(table1, (0, 1, 2, 3)).row_sum, abs=1e-9)
 
     def test_single_user_equals_trusted(self):
         params = NetworkParams(
@@ -213,3 +221,83 @@ class TestJointRate:
         asym = joint_key_rate(table1, mode="asymptotic")
         assert fin.delta_total == pytest.approx(4 * delta_fs(table1.block_size), rel=1e-12)
         assert asym.rate - fin.rate == pytest.approx(fin.delta_total, abs=1e-12)
+
+
+def rebuilt_row(params, order):
+    """Finite-mode contributions from a per-order rebuild: condition the
+    channel output along `order` from scratch and take each mutual
+    information term as a Schur complement."""
+    cm = build_channel_output_cm(params)
+    entropies = [von_neumann_entropy(cm)]
+    for k in order:
+        cm = measure_reference_user(
+            cm, user_label(k), params.detector_efficiency, params.trusted_noise(k)
+        )
+        entropies.append(von_neumann_entropy(cm))
+    delta = delta_fs(params.block_size)
+    return [
+        params.beta * mutual_information(params, k, order[:pos])
+        - (entropies[pos] - entropies[pos + 1])
+        - delta
+        for pos, k in enumerate(order)
+    ]
+
+
+class TestCoalitionValues:
+    def test_information_step_is_conditional_mi(self, table1):
+        rng = np.random.default_rng(43)
+        cases = [table1] + [random_params(rng, max_users=6) for _ in range(6)]
+        for params in cases:
+            coalitions = CoalitionValues(params)
+            m = params.n_users
+            for size in range(m):
+                for earlier in itertools.combinations(range(m), size):
+                    for k in set(range(m)) - set(earlier):
+                        *_, before, after = coalitions.prefixes(earlier + (k,))
+                        step = coalitions.terms[after][0] - coalitions.terms[before][0]
+                        assert step == pytest.approx(
+                            mutual_information(params, k, earlier), abs=1e-12
+                        )
+
+    def test_rows_match_per_order_rebuild(self, table1):
+        rng = np.random.default_rng(44)
+        for params in [table1] + [random_params(rng) for _ in range(4)]:
+            for row in all_orderings(params).rows:
+                expected = rebuilt_row(params, row.order)
+                assert row.contributions == pytest.approx(expected, abs=1e-12)
+        for params in [random_params(rng, max_users=7) for _ in range(3)]:
+            for row in sample_orderings(params, 10, seed=3).rows:
+                expected = rebuilt_row(params, row.order)
+                assert row.contributions == pytest.approx(expected, abs=1e-12)
+
+    def test_each_coalition_conditioned_once(self, monkeypatch):
+        measured_sizes = []
+        real = cvqnet.gaussian.condition_on_heterodyne
+
+        def counting(cm, measured):
+            measured_sizes.append(len(measured))
+            return real(cm, measured)
+
+        # measure_reference_user conditions through the keyrates binding;
+        # joint_key_rate's one-shot conditioning goes through cvqnet.gaussian
+        monkeypatch.setattr(cvqnet.keyrates, "condition_on_heterodyne", counting)
+        monkeypatch.setattr(cvqnet.gaussian, "condition_on_heterodyne", counting)
+        users = tuple(
+            UserLink(transmittance=0.05 + 0.03 * k, excess_noise=0.004, trusted_noise=0.05)
+            for k in range(5)
+        )
+        params = NetworkParams(modulation_variance=5.0, users=users)
+        table = all_orderings(params)
+        assert len(table.rows) == 120
+        # one step per non-empty coalition, plus the direct joint rate
+        assert sorted(measured_sizes) == [1] * (2**5 - 1) + [5]
+
+        measured_sizes.clear()
+        table = sample_orderings(params, 6, seed=5)
+        prefixes = {frozenset(r.order[:i]) for r in table.rows for i in range(1, 6)}
+        assert sorted(measured_sizes) == [1] * len(prefixes) + [5]
+
+    def test_engine_rejects_other_network(self, table1):
+        other = table1.with_links([(0.1, 0.004)] * 4)
+        with pytest.raises(ValidationError):
+            decompose(table1, (0, 1, 2, 3), coalitions=CoalitionValues(other))

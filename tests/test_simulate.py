@@ -1,3 +1,4 @@
+import csv
 import hashlib
 
 import numpy as np
@@ -20,7 +21,7 @@ from cvqnet import (
     write_block_csv,
 )
 from cvqnet.errors import CorruptInputError, ValidationError
-from cvqnet.simulate import SymbolBlock, Z_EPS_PE_1E10
+from cvqnet.simulate import _HEADER, FORMAT_VERSION, MAGIC, SymbolBlock, Z_EPS_PE_1E10
 
 Z_ORACLE = 6.46695108724051617  # high-precision inverse-normal evaluation at 5e-11
 
@@ -216,6 +217,26 @@ class TestBlockFiles:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(CorruptInputError):
             read_block(str(path))
+
+    def test_header_larger_than_file_rejected(self, tmp_path):
+        path = tmp_path / "huge.cvnb"
+        path.write_bytes(_HEADER.pack(MAGIC, FORMAT_VERSION, 2**60, 4, 0) + b"\x00" * 64)
+        with pytest.raises(CorruptInputError, match="payload bytes"):
+            read_block(str(path))
+
+    def test_csv_matches_row_writer(self, table1, tmp_path):
+        # a chunk boundary, and values whose 17-digit forms are unusual
+        block = simulate(table1, 4100, seed=11)
+        block.alice_x[:5] = [-0.0, 5e-324, 1e300, np.inf, np.nan]
+        path, reference = tmp_path / "block.csv", tmp_path / "reference.csv"
+        write_block_csv(block, str(path))
+        cols = [block.alice_x, block.alice_p, *block.y_x.T, *block.y_p.T]
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(path.read_text().splitlines()[0].split(","))
+            for i in range(block.n):
+                writer.writerow([f"{col[i]:.17g}" for col in cols])
+        assert path.read_bytes() == reference.read_bytes()
 
     def test_csv_export(self, table1, tmp_path):
         block = simulate(table1, 50, seed=1)
