@@ -8,6 +8,7 @@ from .decomposition import (
     all_orderings,
     chain_mutual_information_term,
     decompose,
+    decomposition_table,
     joint_key_rate,
     joint_mutual_information,
     sample_orderings,
@@ -16,7 +17,6 @@ from .decomposition import (
 from .gaussian import (
     CovarianceMatrix,
     PhysicalityReport,
-    SymplecticSpectrum,
     check_physicality,
     condition_on_heterodyne,
     g_function,
@@ -37,7 +37,6 @@ from .keyrates import (
     rate_table,
 )
 from .network import (
-    ModeMap,
     NetworkParams,
     OutcomeModel,
     UserLink,
@@ -45,7 +44,6 @@ from .network import (
     build_channel_output_cm,
     classical_outcome_cov,
     measured_outcome_model,
-    outcome_variance,
     user_label,
 )
 from .simulate import (

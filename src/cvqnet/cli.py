@@ -14,15 +14,9 @@ import sys
 from dataclasses import replace
 
 from .config import RunConfig, default_config, load_config
-from .decomposition import (
-    DecompositionTable,
-    all_orderings,
-    decompose,
-    joint_key_rate,
-    sample_orderings,
-)
+from .decomposition import all_orderings, decomposition_table, sample_orderings
 from .errors import ConfigError, CVQNetError, GuardRefusalError, ValidationError
-from .keyrates import TrustModel, derive_worst_case, key_rate
+from .keyrates import TrustModel, derive_worst_case, rate_table
 from .network import NetworkParams, UserLink
 from .simulate import (
     estimate_report,
@@ -61,7 +55,7 @@ def _cmd_keyrate(args) -> int:
     trusts = list(TRUST_ORDER) if args.trust == "all" else [TrustModel(args.trust)]
     worst = derive_worst_case(params) if args.worst_case == "model" and args.mode == "finite" else None
 
-    rows = [[key_rate(params, t, k, mode=args.mode, worst_case=worst) for t in trusts] for k in users]
+    reports = rate_table(params, trusts, users, args.mode, worst)
     if args.format == "json":
         payload = [
             {
@@ -76,15 +70,14 @@ def _cmd_keyrate(args) -> int:
                 "params_source": r.params_source,
                 "params_used": [list(p) for p in r.params_used],
             }
-            for per_user in rows
-            for r in per_user
+            for r in reports
         ]
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     else:
         header = "user," + ",".join(f"K_{t.value}" for t in trusts)
         lines = [header]
-        for k, per_user in zip(users, rows):
-            lines.append(f"{k + 1}," + ",".join(_fmt(r.rate) for r in per_user))
+        for k in users:
+            lines.append(f"{k + 1}," + ",".join(_fmt(r.rate) for r in reports if r.user == k))
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -129,9 +122,7 @@ def _cmd_decompose(args) -> int:
     elif kind == "sample":
         table = sample_orderings(params, detail, seed=args.seed, mode=args.mode)
     else:
-        row = decompose(params, detail, mode=args.mode)
-        joint = joint_key_rate(params, mode=args.mode).rate
-        table = DecompositionTable((row,), joint, abs(row.row_sum - joint))
+        table = decomposition_table(params, [detail], mode=args.mode)
     rows, joint, spread = table.rows, table.joint_rate, table.max_row_spread
 
     if args.format == "json":
@@ -226,18 +217,20 @@ def _cmd_sweep(args) -> int:
     results = []
     for value in values:
         p = _apply_sweep_value(params, args.param, value, n_users)
-        for k in range(p.n_users):
-            results += [(value, k, t, key_rate(p, t, k, mode=args.mode).rate) for t in trusts]
+        results += [(value, r) for r in rate_table(p, trusts, mode=args.mode)]
     if args.format == "json":
         payload = [
-            {"param": args.param, "value": v, "user": k + 1, "trust": t.value, "rate": rate}
-            for (v, k, t, rate) in results
+            {"param": args.param, "value": v, "user": r.user + 1, "trust": r.trust.value,
+             "rate": r.rate}
+            for (v, r) in results
         ]
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     else:
         lines = ["param,value,user,trust,mode,rate"]
-        for (v, k, t, rate) in results:
-            lines.append(f"{args.param},{_fmt(v)},{k + 1},{t.value},{args.mode},{_fmt(rate)}")
+        for (v, r) in results:
+            lines.append(
+                f"{args.param},{_fmt(v)},{r.user + 1},{r.trust.value},{args.mode},{_fmt(r.rate)}"
+            )
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -20,9 +20,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import GuardRefusalError, ValidationError
-from .gaussian import von_neumann_entropy
-from .keyrates import delta_fs, measure_reference_user
-from .network import NetworkParams, build_channel_output_cm, classical_outcome_cov, user_label
+from .gaussian import condition_on_heterodyne, von_neumann_entropy
+from .keyrates import _mode_delta, _outcome_information, measure_reference_user
+from .network import (
+    NetworkParams,
+    attach_trusted_detector,
+    build_channel_output_cm,
+    classical_outcome_cov,
+    user_label,
+)
 
 MAX_ENUMERATED_USERS = 8
 
@@ -34,18 +40,6 @@ def _check_ordering(params: NetworkParams, order: Sequence[int]) -> tuple[int, .
             f"ordering must be a permutation of 0..{params.n_users - 1}, got {order}"
         )
     return order
-
-
-def _outcome_information(cov: np.ndarray, users: Iterable[int]) -> float:
-    """I(A : y_users) in bits per use: log2 det(Sigma_yy) / det(Sigma_yy|s)."""
-    idx = [k + 1 for k in sorted(users)]
-    syy = cov[np.ix_(idx, idx)]
-    sys_ = cov[idx, :1]
-    det_y = np.linalg.det(syy)
-    det_y_given_s = np.linalg.det(syy - sys_ @ sys_.T / cov[0, 0])
-    if det_y <= 0 or det_y_given_s <= 0:
-        raise ValidationError("degenerate joint outcome covariance")
-    return float(np.log2(det_y / det_y_given_s))
 
 
 class CoalitionValues:
@@ -135,13 +129,11 @@ def decompose(
     table's `coalitions` to reuse the coalitions earlier rows filled.
     """
     order = _check_ordering(params, order)
-    if mode not in ("finite", "asymptotic"):
-        raise ValidationError(f"mode must be 'finite' or 'asymptotic', got {mode!r}")
+    delta = _mode_delta(params, mode)
     if coalitions is None:
         coalitions = CoalitionValues(params)
     elif coalitions.params != params:
         raise ValidationError("coalition values belong to a different network")
-    delta = delta_fs(params.block_size) if mode == "finite" else 0.0
     chain = coalitions.prefixes(order)
     contributions = tuple(
         coalitions.value(after) - coalitions.value(before) - delta
@@ -157,10 +149,15 @@ class DecompositionTable:
     max_row_spread: float  # max |row_sum - joint_rate| over rows
 
 
-def _table(params: NetworkParams, orders: Iterable[Sequence[int]], mode: str) -> DecompositionTable:
-    """Rows share one `CoalitionValues`; the joint rate is evaluated apart."""
+def decomposition_table(
+    params: NetworkParams, orders: Iterable[Sequence[int]], mode: str = "finite"
+) -> DecompositionTable:
+    """Decomposition rows of the given orderings and the directly evaluated
+    joint rate.  The rows share one `CoalitionValues`."""
     coalitions = CoalitionValues(params)
     rows = tuple(decompose(params, order, mode, coalitions) for order in orders)
+    if not rows:
+        raise ValidationError("need at least one ordering")
     joint = joint_key_rate(params, mode).rate
     spread = max(abs(r.row_sum - joint) for r in rows)
     return DecompositionTable(rows, joint, spread)
@@ -178,17 +175,16 @@ def all_orderings(params: NetworkParams, mode: str = "finite") -> DecompositionT
             f"{m}! orderings is too many to enumerate (cap {MAX_ENUMERATED_USERS}); "
             "sample orderings instead (sample_orderings, or --orders sample:K)"
         )
-    return _table(params, itertools.permutations(range(m)), mode)
+    return decomposition_table(params, itertools.permutations(range(m)), mode)
 
 
 def sample_orderings(
     params: NetworkParams, count: int, seed: int = 0, mode: str = "finite"
 ) -> DecompositionTable:
     """Decomposition over `count` random orderings (fixed-seed sampling)."""
-    if count < 1:
-        raise ValidationError("need at least one sampled ordering")
     rng = np.random.default_rng(seed)
-    return _table(params, (rng.permutation(params.n_users) for _ in range(count)), mode)
+    orders = (rng.permutation(params.n_users) for _ in range(count))
+    return decomposition_table(params, orders, mode)
 
 
 def joint_mutual_information(params: NetworkParams) -> float:
@@ -212,24 +208,19 @@ def joint_key_rate(params: NetworkParams, mode: str = "finite") -> JointKeyRate:
     measurement.  It equals the sum of every decomposition row because
     sequential and joint Gaussian conditioning coincide.
     """
-    if mode not in ("finite", "asymptotic"):
-        raise ValidationError(f"mode must be 'finite' or 'asymptotic', got {mode!r}")
     m = params.n_users
+    delta_total = m * _mode_delta(params, mode)
     cm = build_channel_output_cm(params)
     s_global = von_neumann_entropy(cm)
 
-    from .network import attach_trusted_detector
-    from .gaussian import condition_on_heterodyne
-
     extended = cm
     for k in range(m):
-        extended, _ = attach_trusted_detector(
+        extended = attach_trusted_detector(
             extended, user_label(k), params.detector_efficiency, params.trusted_noise(k)
         )
     conditioned = condition_on_heterodyne(extended, [user_label(k) for k in range(m)])
     chi = s_global - von_neumann_entropy(conditioned)
 
     info = joint_mutual_information(params)
-    delta_total = m * delta_fs(params.block_size) if mode == "finite" else 0.0
     rate = params.beta * info - chi - delta_total
     return JointKeyRate(float(rate), info, float(chi), delta_total)

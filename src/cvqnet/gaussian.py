@@ -99,33 +99,9 @@ def symplectic_form(n: int) -> np.ndarray:
     return omega
 
 
-@dataclass(frozen=True)
-class SymplecticSpectrum:
-    """Symplectic eigenvalues, one per mode, sorted descending."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
-        if any(v < 0 for v in vals):
-            raise ValidationError("symplectic eigenvalues must be non-negative")
-        if list(vals) != sorted(vals, reverse=True):
-            raise ValidationError("symplectic eigenvalues must be sorted descending")
-        object.__setattr__(self, "values", vals)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def min(self) -> float:
-        return self.values[-1]
-
-
-def symplectic_eigenvalues(cm: CovarianceMatrix) -> SymplecticSpectrum:
-    """Symplectic spectrum of a positive-definite covariance matrix.
+def symplectic_eigenvalues(cm: CovarianceMatrix) -> np.ndarray:
+    """Symplectic spectrum of a positive-definite covariance matrix, one
+    value per mode, sorted descending.
 
     Uses the real eigenproblem of Omega @ Gamma, whose eigenvalues come in
     pairs +/- i*nu_j; the spectrum is the absolute imaginary parts, one per
@@ -145,8 +121,7 @@ def symplectic_eigenvalues(cm: CovarianceMatrix) -> SymplecticSpectrum:
         raise NumericalError(
             f"eigensolver failed on {2 * cm.dim_modes}x{2 * cm.dim_modes} matrix:\n{gamma}"
         ) from exc
-    nus = np.sort(np.abs(ev.imag))[::-1][::2]
-    return SymplecticSpectrum(tuple(float(v) for v in nus))
+    return np.sort(np.abs(ev.imag))[::-1][::2]
 
 
 def g_function(x: float) -> float:
@@ -168,7 +143,7 @@ def von_neumann_entropy(cm: CovarianceMatrix) -> float:
     drift from long conditioning chains); anything lower raises.
     """
     total = 0.0
-    for nu in symplectic_eigenvalues(cm):
+    for nu in symplectic_eigenvalues(cm).tolist():
         if nu < 1.0 - PHYSICALITY_TOL:
             raise UnphysicalStateError(
                 f"symplectic eigenvalue {nu!r} below 1 beyond tolerance; state is unphysical"
@@ -217,5 +192,5 @@ class PhysicalityReport:
 
 def check_physicality(cm: CovarianceMatrix) -> PhysicalityReport:
     """Check the uncertainty relation Gamma + i Omega >= 0 via min(nu) >= 1."""
-    nu_min = symplectic_eigenvalues(cm).min
+    nu_min = float(symplectic_eigenvalues(cm)[-1])
     return PhysicalityReport(nu_min >= 1.0 - PHYSICALITY_TOL, nu_min)

@@ -33,8 +33,10 @@ from .network import (
     attach_trusted_detector,
     build_channel_output_cm,
     classical_outcome_cov,
+    measured_outcome_model,
     user_label,
 )
+from .simulate import confidence_region
 
 
 class TrustModel(Enum):
@@ -56,15 +58,34 @@ def delta_fs(block_size: float) -> float:
     return 7.0 * math.sqrt(math.log2(2e10) / block_size)
 
 
+def _mode_delta(params: NetworkParams, mode: str) -> float:
+    """Delta(N) of one user in "finite" mode, 0 in "asymptotic" mode."""
+    if mode not in ("finite", "asymptotic"):
+        raise ValidationError(f"mode must be 'finite' or 'asymptotic', got {mode!r}")
+    return delta_fs(params.block_size) if mode == "finite" else 0.0
+
+
+def _outcome_information(cov: np.ndarray, users: Iterable[int]) -> float:
+    """I(A : y_users) in bits per use: log2 det(Sigma_yy) / det(Sigma_yy|s).
+
+    `cov` is the classical outcome covariance of (s, y_1, ..., y_M); the two
+    quadratures contribute identical halves, so one quadrature's
+    determinant ratio is the information per channel use.
+    """
+    idx = [k + 1 for k in sorted(users)]
+    syy = cov[np.ix_(idx, idx)]
+    sys_ = cov[idx, :1]
+    det_y = np.linalg.det(syy)
+    det_y_given_s = np.linalg.det(syy - sys_ @ sys_.T / cov[0, 0])
+    if det_y <= 0 or det_y_given_s <= 0:
+        raise ModelError("degenerate joint outcome covariance")
+    return float(np.log2(det_y / det_y_given_s))
+
+
 def mutual_information(
     params: NetworkParams, k: int, conditioned_on: Iterable[int] = ()
 ) -> float:
-    """I(A : y_k | y_cond) in bits per channel use (both quadratures).
-
-    Built from the joint classical outcome covariance; conditioning is a
-    classical Schur complement.  The two quadratures contribute identical
-    halves, so the result is log2 of one variance ratio.
-    """
+    """I(A : y_k | y_cond) = I(A : y_cond + {k}) - I(A : y_cond), bits per use."""
     cond = sorted(set(int(j) for j in conditioned_on))
     if k in cond:
         raise ValidationError(f"user {k} cannot condition on itself")
@@ -72,22 +93,8 @@ def mutual_information(
         if not 0 <= j < params.n_users:
             raise ValidationError(f"user index {j} out of range")
     cov = classical_outcome_cov(params)
-    keep = [0, k + 1]
-    if cond:
-        cidx = [j + 1 for j in cond]
-        a = cov[np.ix_(keep, keep)]
-        b = cov[np.ix_(cidx, cidx)]
-        x = cov[np.ix_(keep, cidx)]
-        joint = a - x @ np.linalg.solve(b, x.T)
-    else:
-        joint = cov[np.ix_(keep, keep)]
-    var_s, var_y = joint[0, 0], joint[1, 1]
-    if var_y <= 0 or var_s <= 0:
-        raise ModelError("degenerate outcome variance in mutual information")
-    var_y_given_s = var_y - joint[0, 1] ** 2 / var_s
-    if var_y_given_s <= 0:
-        raise ModelError("non-positive conditional variance in mutual information")
-    return float(np.log2(var_y / var_y_given_s))
+    info = _outcome_information(cov, cond + [k])
+    return info - _outcome_information(cov, cond) if cond else info
 
 
 def measure_reference_user(
@@ -98,7 +105,7 @@ def measure_reference_user(
     Attaches the trusted-receiver purification to `label`, heterodynes the
     detected mode, and keeps all other modes plus the two ancillae.
     """
-    extended, _ = attach_trusted_detector(cm, label, detector_efficiency, electronic_noise)
+    extended = attach_trusted_detector(cm, label, detector_efficiency, electronic_noise)
     return condition_on_heterodyne(extended, [label])
 
 
@@ -126,25 +133,23 @@ def apply_assisting_detector(
     return CovarianceMatrix(out, cm.mode_labels)
 
 
+def _reference_holevo(cm: CovarianceMatrix, params: NetworkParams, k: int) -> float:
+    """S(rho) - S(rho after the reference user k's trusted measurement)."""
+    conditional = measure_reference_user(
+        cm, user_label(k), params.detector_efficiency, params.trusted_noise(k)
+    )
+    return von_neumann_entropy(cm) - von_neumann_entropy(conditional)
+
+
 def holevo_untrusted(params: NetworkParams, k: int) -> float:
     """Holevo bound with all other users assigned to the eavesdropper."""
     cm = build_channel_output_cm(params)
-    reduced = cm.reduce([ALICE_LABEL, user_label(k)])
-    s_before = von_neumann_entropy(reduced)
-    conditional = measure_reference_user(
-        reduced, user_label(k), params.detector_efficiency, params.trusted_noise(k)
-    )
-    return s_before - von_neumann_entropy(conditional)
+    return _reference_holevo(cm.reduce([ALICE_LABEL, user_label(k)]), params, k)
 
 
 def holevo_trusted(params: NetworkParams, k: int) -> float:
     """Holevo bound with all other users excluded from the eavesdropper."""
-    cm = build_channel_output_cm(params)
-    s_before = von_neumann_entropy(cm)
-    conditional = measure_reference_user(
-        cm, user_label(k), params.detector_efficiency, params.trusted_noise(k)
-    )
-    return s_before - von_neumann_entropy(conditional)
+    return _reference_holevo(build_channel_output_cm(params), params, k)
 
 
 def holevo_collaborative(params: NetworkParams, k: int) -> float:
@@ -164,11 +169,7 @@ def holevo_collaborative(params: NetworkParams, k: int) -> float:
             cm, user_label(j), params.detector_efficiency, params.trusted_noise(j)
         )
     conditional_ab = condition_on_heterodyne(cm, [user_label(j) for j in others])
-    s_before = von_neumann_entropy(conditional_ab)
-    conditional = measure_reference_user(
-        conditional_ab, user_label(k), params.detector_efficiency, params.trusted_noise(k)
-    )
-    return s_before - von_neumann_entropy(conditional)
+    return _reference_holevo(conditional_ab, params, k)
 
 
 _HOLEVO = {
@@ -199,7 +200,6 @@ def key_rate(
     k: int,
     mode: str = "finite",
     worst_case: NetworkParams | None = None,
-    beta: float | None = None,
 ) -> KeyRateReport:
     """Secret key rate K = max(0, beta * I - chi - Delta(N)) for user k.
 
@@ -209,24 +209,20 @@ def key_rate(
     already-chosen security evaluation point).  mode "asymptotic": Delta = 0
     and the given params are used directly (maximum-likelihood reading).
     """
-    if mode not in ("finite", "asymptotic"):
-        raise ValidationError(f"mode must be 'finite' or 'asymptotic', got {mode!r}")
+    delta = _mode_delta(params, mode)
     if not 0 <= k < params.n_users:
         raise ValidationError(f"user index {k} out of range")
     if mode == "asymptotic":
         eval_params = params
         source = "ml-asymptotic"
-        delta = 0.0
+    elif worst_case is not None:
+        if worst_case.n_users != params.n_users:
+            raise ValidationError("worst-case params must describe the same users")
+        eval_params = worst_case
+        source = "interval-corner"
     else:
-        if worst_case is not None:
-            if worst_case.n_users != params.n_users:
-                raise ValidationError("worst-case params must describe the same users")
-            eval_params = worst_case
-            source = "interval-corner"
-        else:
-            eval_params = params
-            source = "as-given"
-        delta = delta_fs(params.block_size)
+        eval_params = params
+        source = "as-given"
 
     if trust is TrustModel.COLLABORATIVE:
         conditioned = [j for j in range(eval_params.n_users) if j != k]
@@ -234,8 +230,7 @@ def key_rate(
         conditioned = []
     info = mutual_information(eval_params, k, conditioned)
     chi = _HOLEVO[trust](eval_params, k)
-    b = params.beta if beta is None else beta
-    raw = b * info - chi - delta
+    raw = params.beta * info - chi - delta
     return KeyRateReport(
         user=k,
         trust=trust,
@@ -257,9 +252,6 @@ def derive_worst_case(params: NetworkParams, n: float | None = None) -> NetworkP
     estimation-theory corner back through the outcome model.  Used when no
     measured confidence region is available.
     """
-    from .network import measured_outcome_model
-    from .simulate import confidence_region  # deferred: simulate imports network too
-
     n_eff = float(params.block_size if n is None else n)
     links = []
     for k in range(params.n_users):

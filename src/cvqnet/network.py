@@ -9,7 +9,7 @@ through a beamsplitter in front of an ideal heterodyne detector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -111,25 +111,6 @@ def user_label(k: int) -> str:
     return f"B{k + 1}"
 
 
-@dataclass(frozen=True)
-class ModeMap:
-    """Role bookkeeping for matrices produced by this module."""
-
-    alice: str = ALICE_LABEL
-    channel_outputs: tuple[str, ...] = ()
-    detector_ancillae: tuple[tuple[str, str, str], ...] = ()  # (detected, D1, D2)
-    notes: tuple[str, ...] = ()
-
-    def with_detector(self, detected: str, d1: str, d2: str, note: str | None = None) -> "ModeMap":
-        notes = self.notes + (note,) if note else self.notes
-        return ModeMap(
-            self.alice,
-            self.channel_outputs,
-            self.detector_ancillae + ((detected, d1, d2),),
-            notes,
-        )
-
-
 def build_channel_output_cm(params: NetworkParams) -> CovarianceMatrix:
     """Joint covariance of Alice and all channel outputs B1..BM.
 
@@ -175,8 +156,7 @@ def attach_trusted_detector(
     mode: str,
     detector_efficiency: float,
     electronic_noise: float,
-    mode_map: ModeMap | None = None,
-) -> tuple[CovarianceMatrix, ModeMap]:
+) -> CovarianceMatrix:
     """Couple `mode` to a trusted-receiver purification.
 
     Appends an EPR pair (D1, D2) of variance v_d = 1 + nu_el / (1 - eta_d)
@@ -189,19 +169,10 @@ def attach_trusted_detector(
         raise ValidationError("detector efficiency must be in (0, 1]")
     if electronic_noise < 0.0:
         raise ValidationError("electronic noise must be >= 0")
-    note = None
     eta_d = detector_efficiency
-    if electronic_noise == 0.0:
-        v_d = 1.0
-    elif eta_d == 1.0:
+    if electronic_noise > 0.0 and eta_d == 1.0:
         eta_d = 1.0 - UNIT_EFFICIENCY_DETUNING
-        v_d = 1.0 + electronic_noise / (1.0 - eta_d)
-        note = (
-            f"detector on {mode}: unit efficiency with nonzero electronic noise, "
-            f"beamsplitter detuned to {eta_d}"
-        )
-    else:
-        v_d = 1.0 + electronic_noise / (1.0 - eta_d)
+    v_d = 1.0 + electronic_noise / (1.0 - eta_d) if electronic_noise > 0.0 else 1.0
 
     idx = cm.mode_index(mode)
     n = cm.dim_modes
@@ -227,9 +198,7 @@ def attach_trusted_detector(
     s[i1 : i1 + 2, mm : mm + 2] = -r * I2
     s[i1 : i1 + 2, i1 : i1 + 2] = t * I2
 
-    out = CovarianceMatrix(s @ ext @ s.T, cm.mode_labels + (d1, d2))
-    mode_map = mode_map or ModeMap(channel_outputs=tuple(l for l in cm.mode_labels if l != ALICE_LABEL))
-    return out, mode_map.with_detector(mode, d1, d2, note)
+    return CovarianceMatrix(s @ ext @ s.T, cm.mode_labels + (d1, d2))
 
 
 class OutcomeModel(NamedTuple):
@@ -255,12 +224,6 @@ def measured_outcome_model(params: NetworkParams, k: int) -> OutcomeModel:
     gain = np.sqrt(user.transmittance * eta_d / 2.0)
     noise = (eta_d * (1.0 + user.excess_noise) + (1.0 - eta_d) + nu + 1.0) / 2.0
     return OutcomeModel(float(gain), float(noise))
-
-
-def outcome_variance(params: NetworkParams, k: int) -> float:
-    """Total per-quadrature variance of user k's heterodyne outcome."""
-    model = measured_outcome_model(params, k)
-    return model.gain**2 * params.modulation_variance + model.noise_variance
 
 
 def classical_outcome_cov(params: NetworkParams) -> np.ndarray:

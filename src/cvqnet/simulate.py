@@ -31,7 +31,6 @@ CHUNK = 1 << 19
 # confidence level for eps_pe = 1e-10 split over two tails.  Frozen from a
 # high-precision evaluation; the test suite holds a regression check.
 Z_EPS_PE_1E10 = 6.46695108724051617
-_Z_CACHE: dict[float, float] = {1e-10: Z_EPS_PE_1E10}
 
 
 def one_sided_quantile(eps_pe: float) -> float:
@@ -39,12 +38,14 @@ def one_sided_quantile(eps_pe: float) -> float:
 
     Evaluated on the lower tail (-inv_cdf(eps/2)) so the tiny tail
     probability is never formed as 1 - p, which would shed ~8 digits.
+    At the default 1e-10 it returns the frozen Z_EPS_PE_1E10; inv_cdf is
+    1 ulp below it there.
     """
     if not 0.0 < eps_pe < 0.5:
         raise ValidationError(f"eps_pe must be in (0, 0.5), got {eps_pe}")
-    if eps_pe not in _Z_CACHE:
-        _Z_CACHE[eps_pe] = -statistics.NormalDist().inv_cdf(eps_pe / 2.0)
-    return _Z_CACHE[eps_pe]
+    if eps_pe == 1e-10:
+        return Z_EPS_PE_1E10
+    return -statistics.NormalDist().inv_cdf(eps_pe / 2.0)
 
 
 @dataclass(frozen=True)
@@ -253,8 +254,6 @@ def estimate_report(block: SymbolBlock, params: NetworkParams | None = None) -> 
             detector_efficiency=p.detector_efficiency,
             electronic_noise=p.trusted_noise(k),
         )
-        # a mildly negative estimate is ordinary estimator noise; flag only
-        flagged = eps_hat < -3.0 * (region.eps_max - eps_hat)
         users.append(
             UserEstimate(
                 user=k,
@@ -266,7 +265,7 @@ def estimate_report(block: SymbolBlock, params: NetworkParams | None = None) -> 
                 delta_sigma2=region.delta_sigma2,
                 eta_min=region.eta_min,
                 eps_max=region.eps_max,
-                negative_excess_flagged=bool(flagged or eps_hat < 0),
+                negative_excess_flagged=eps_hat < 0,
             )
         )
     return EstimateReport(n=block.n, eps_pe=p.eps_pe, users=tuple(users))

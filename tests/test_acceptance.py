@@ -244,7 +244,7 @@ def test_criterion_6_gaussian_core_properties():
     min_nu = np.inf
     for _ in range(1000):
         gamma = build_channel_output_cm(random_params(rng))
-        min_nu = min(min_nu, symplectic_eigenvalues(gamma).min)
+        min_nu = min(min_nu, symplectic_eigenvalues(gamma).min())
     eigen_ok = min_nu >= 1.0 - 1e-9
 
     pure_worst = max(

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import cvqnet.decomposition
 import cvqnet.gaussian
 import cvqnet.keyrates
 from cvqnet import (
@@ -28,12 +29,19 @@ from cvqnet.errors import GuardRefusalError, ValidationError
 from cvqnet.keyrates import measure_reference_user
 
 from conftest import random_params
+from oracles import _outcome_information
 
 
 class TestChainRule:
     def test_first_position_is_plain_mi(self, table1):
-        order = (2, 0, 3, 1)
-        assert chain_mutual_information_term(table1, order, 0) == mutual_information(table1, 2)
+        rng = np.random.default_rng(0)
+        cases = [table1] + [random_params(rng) for _ in range(300)]
+        for params in cases:
+            m = params.n_users
+            for k in range(m):
+                order = (k,) + tuple(j for j in range(m) if j != k)
+                first = chain_mutual_information_term(params, order, 0)
+                assert first == pytest.approx(_outcome_information(params, k, []), abs=1e-12)
 
     def test_chain_sums_to_joint_mi(self, table1):
         rng = np.random.default_rng(41)
@@ -256,7 +264,7 @@ class TestCoalitionValues:
                         *_, before, after = coalitions.prefixes(earlier + (k,))
                         step = coalitions.terms[after][0] - coalitions.terms[before][0]
                         assert step == pytest.approx(
-                            mutual_information(params, k, earlier), abs=1e-12
+                            _outcome_information(params, k, list(earlier)), abs=1e-12
                         )
 
     def test_rows_match_per_order_rebuild(self, table1):
@@ -279,9 +287,9 @@ class TestCoalitionValues:
             return real(cm, measured)
 
         # measure_reference_user conditions through the keyrates binding;
-        # joint_key_rate's one-shot conditioning goes through cvqnet.gaussian
+        # joint_key_rate's one-shot conditioning through the decomposition one
         monkeypatch.setattr(cvqnet.keyrates, "condition_on_heterodyne", counting)
-        monkeypatch.setattr(cvqnet.gaussian, "condition_on_heterodyne", counting)
+        monkeypatch.setattr(cvqnet.decomposition, "condition_on_heterodyne", counting)
         users = tuple(
             UserLink(transmittance=0.05 + 0.03 * k, excess_noise=0.004, trusted_noise=0.05)
             for k in range(5)

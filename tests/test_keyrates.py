@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -145,7 +147,7 @@ class TestKeyRate:
         assert report.params_source == "as-given"
 
     def test_zero_beta_flags_non_positive(self, table1):
-        report = key_rate(table1, TrustModel.TRUSTED, 0, beta=1e-9)
+        report = key_rate(dataclasses.replace(table1, beta=1e-9), TrustModel.TRUSTED, 0)
         assert report.non_positive
         assert report.rate == 0.0
 
@@ -168,8 +170,6 @@ class TestKeyRate:
             [(u.transmittance * 1.05, u.excess_noise) for u in table1.users]
         )
         assert key_rate(better_eta, TrustModel.TRUSTED, 0, mode="asymptotic").rate > base
-
-        import dataclasses
 
         noisier = dataclasses.replace(
             table1,

@@ -9,7 +9,6 @@ from cvqnet import (
     check_physicality,
     classical_outcome_cov,
     measured_outcome_model,
-    outcome_variance,
 )
 from cvqnet.errors import ValidationError
 
@@ -108,16 +107,15 @@ class TestBuilder:
 class TestTrustedDetector:
     def test_identity_detector_leaves_state_alone(self):
         gamma = build_channel_output_cm(single_user())
-        extended, mode_map = attach_trusted_detector(gamma, "B1", 1.0, 0.0)
+        extended = attach_trusted_detector(gamma, "B1", 1.0, 0.0)
         assert extended.mode_labels == ("A", "B1", "D1_B1", "D2_B1")
         assert np.allclose(extended.block(["A", "B1"], ["A", "B1"]), gamma.matrix, atol=1e-12)
         assert np.allclose(extended.block(["A", "B1"], ["D1_B1", "D2_B1"]), 0.0, atol=1e-12)
         assert np.allclose(extended.block(["D1_B1"], ["D1_B1"]), np.eye(2))
-        assert mode_map.detector_ancillae == (("B1", "D1_B1", "D2_B1"),)
 
     def test_detected_variance_on_vacuum(self):
         vacuum = build_channel_output_cm(single_user(v_mod=1e-12)).reduce(["B1"])
-        extended, _ = attach_trusted_detector(vacuum, "B1", 0.68, 0.06)
+        extended = attach_trusted_detector(vacuum, "B1", 0.68, 0.06)
         detected = extended.block(["B1"], ["B1"])
         assert detected[0, 0] == pytest.approx(1.06, abs=1e-9)
         assert detected[1, 1] == pytest.approx(1.06, abs=1e-9)
@@ -126,7 +124,7 @@ class TestTrustedDetector:
         gamma = build_channel_output_cm(table1)
         for k, user in enumerate(table1.users):
             label = f"B{k + 1}"
-            extended, _ = attach_trusted_detector(
+            extended = attach_trusted_detector(
                 gamma, label, table1.detector_efficiency, table1.trusted_noise(k)
             )
             w = user.transmittance * table1.modulation_variance + 1.0 + user.excess_noise
@@ -140,15 +138,14 @@ class TestTrustedDetector:
 
     def test_unit_efficiency_with_noise_detunes(self):
         gamma = build_channel_output_cm(single_user())
-        extended, mode_map = attach_trusted_detector(gamma, "B1", 1.0, 0.05)
-        assert mode_map.notes  # detuning documented
+        extended = attach_trusted_detector(gamma, "B1", 1.0, 0.05)
         assert check_physicality(extended).physical
         # detected variance still reproduces the calibrated receiver to ~delta
         assert extended.block(["B1"], ["B1"])[0, 0] == pytest.approx(6.0 + 0.05, rel=2e-4)
 
     def test_double_attach_rejected(self):
         gamma = build_channel_output_cm(single_user())
-        extended, _ = attach_trusted_detector(gamma, "B1", 0.9, 0.01)
+        extended = attach_trusted_detector(gamma, "B1", 0.9, 0.01)
         with pytest.raises(ValidationError):
             attach_trusted_detector(extended, "B1", 0.9, 0.01)
 
@@ -159,7 +156,8 @@ class TestOutcomeModel:
         model = measured_outcome_model(params, 0)
         assert model.gain == pytest.approx(np.sqrt(0.5))
         assert model.gain * params.modulation_variance == pytest.approx(5.0 / np.sqrt(2.0))
-        assert outcome_variance(params, 0) == pytest.approx(3.5)
+        variance = model.gain**2 * params.modulation_variance + model.noise_variance
+        assert variance == pytest.approx(3.5)
         assert model.noise_variance == pytest.approx(1.0)
 
     def test_vanishing_transmittance(self):
@@ -173,7 +171,8 @@ class TestOutcomeModel:
         assert cov[0, 0] == table1.modulation_variance
         for k in range(table1.n_users):
             model = measured_outcome_model(table1, k)
-            assert cov[k + 1, k + 1] == pytest.approx(outcome_variance(table1, k), rel=1e-12)
+            variance = model.gain**2 * table1.modulation_variance + model.noise_variance
+            assert cov[k + 1, k + 1] == pytest.approx(variance, rel=1e-12)
             assert cov[0, k + 1] == pytest.approx(model.gain * table1.modulation_variance)
 
     def test_outcomes_conditionally_independent_given_symbol(self, table1):

@@ -33,6 +33,9 @@ class TestQuantile:
     def test_runtime_quantile_matches_frozen_constant(self):
         assert one_sided_quantile(1e-10) == pytest.approx(Z_ORACLE, rel=1e-9)
 
+    def test_default_level_returns_frozen_constant(self):
+        assert one_sided_quantile(1e-10) == Z_EPS_PE_1E10
+
     def test_scipy_cross_check(self):
         scipy_special = pytest.importorskip("scipy.special")
         # lower-tail evaluation: forming 1 - 5e-11 first would shed ~8 digits
@@ -139,6 +142,31 @@ class TestEstimate:
             _, _, eps_hat = estimate(block, 0)
             negatives += eps_hat < 0
         assert negatives > 0  # unbiased estimator noise crosses zero
+
+    def test_negative_excess_estimate_is_flagged(self):
+        # residual variances 0.2 SNU of excess noise below and above zero,
+        # about nine estimator standard deviations at n = 20000
+        params = NetworkParams(
+            modulation_variance=5.0,
+            users=(UserLink(transmittance=0.3, excess_noise=0.0, trusted_noise=0.05),) * 2,
+            detector_efficiency=0.68,
+        )
+        n = 20_000
+        rng = np.random.default_rng(3)
+        s_x, s_p = rng.normal(0.0, np.sqrt(5.0), (2, n))
+        sigma2 = np.array([(0.68 * (1.0 + eps) + 0.32 + 0.05 + 1.0) / 2.0 for eps in (-0.2, 0.2)])
+        noise_x, noise_p = np.sqrt(sigma2) * rng.standard_normal((2, n, 2))
+        block = SymbolBlock(
+            n=n,
+            alice_x=s_x,
+            alice_p=s_p,
+            y_x=0.3 * s_x[:, None] + noise_x,
+            y_p=0.3 * s_p[:, None] + noise_p,
+            seed=0,
+        )
+        users = estimate_report(block, params).users
+        assert [u.eps_hat < 0 for u in users] == [True, False]
+        assert [u.negative_excess_flagged for u in users] == [True, False]
 
     def test_minimum_sample_guard(self, table1):
         block = simulate(table1, 500, seed=1)
