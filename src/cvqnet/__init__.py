@@ -6,17 +6,13 @@ from .decomposition import (
     DecompositionTable,
     JointKeyRate,
     all_orderings,
-    chain_mutual_information_term,
     decompose,
     decomposition_table,
     joint_key_rate,
-    joint_mutual_information,
     sample_orderings,
-    telescopic_holevo_term,
 )
 from .gaussian import (
     CovarianceMatrix,
-    PhysicalityReport,
     check_physicality,
     condition_on_heterodyne,
     g_function,

@@ -103,6 +103,8 @@ def _parse_orders(raw: str, n_users: int):
             count = int(raw.split(":", 1)[1])
         except ValueError:
             raise ConfigError(f"--orders sample:K needs an integer K, got {raw!r}") from None
+        if count < 1:
+            raise ConfigError(f"--orders sample:K needs K >= 1, got {raw!r}")
         return ("sample", count)
     try:
         order = tuple(int(tok) - 1 for tok in raw.split(","))

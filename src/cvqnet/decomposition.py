@@ -8,7 +8,8 @@ on y_S.  Along an ordering, the user k joining the earlier users S adds
 K_k = v(S + {k}) - v(S) - Delta(N), so every ordering sums to the joint rate
 v(all) - M * Delta(N) and the first user's share is its trusted rate.
 Gaussian conditioning commutes, so sigma_S depends on the set S only:
-`CoalitionValues` evaluates v once per coalition and a row is M lookups.
+`CoalitionValues` evaluates v once per coalition, a row is M lookups and
+the joint rate is the lookup of v(all).
 """
 
 from __future__ import annotations
@@ -20,15 +21,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import GuardRefusalError, ValidationError
-from .gaussian import condition_on_heterodyne, von_neumann_entropy
+from .gaussian import von_neumann_entropy
 from .keyrates import _mode_delta, _outcome_information, measure_reference_user
-from .network import (
-    NetworkParams,
-    attach_trusted_detector,
-    build_channel_output_cm,
-    classical_outcome_cov,
-    user_label,
-)
+from .network import NetworkParams, build_channel_output_cm, classical_outcome_cov, user_label
+from .simulate import check_seed
 
 MAX_ENUMERATED_USERS = 8
 
@@ -82,30 +78,6 @@ class CoalitionValues:
         return self.params.beta * info - (self.terms[frozenset()][1] - entropy)
 
 
-def _step_terms(params: NetworkParams, order: Sequence[int], position: int):
-    """`terms` of the coalitions before and after the user at `position` joins."""
-    order = _check_ordering(params, order)
-    if not 0 <= position < len(order):
-        raise ValidationError(f"position {position} out of range")
-    coalitions = CoalitionValues(params)
-    *_, before, after = coalitions.prefixes(order[: position + 1])
-    return coalitions.terms[before], coalitions.terms[after]
-
-
-def chain_mutual_information_term(
-    params: NetworkParams, order: Sequence[int], position: int
-) -> float:
-    """I(A : B_{order[position]} | earlier users in the order), bits/use."""
-    (info_before, _), (info_after, _) = _step_terms(params, order, position)
-    return info_after - info_before
-
-
-def telescopic_holevo_term(params: NetworkParams, order: Sequence[int], position: int) -> float:
-    """S(sigma_(position)) - S(sigma_(position+1)) along the given order."""
-    (_, entropy_before), (_, entropy_after) = _step_terms(params, order, position)
-    return entropy_before - entropy_after
-
-
 @dataclass(frozen=True)
 class DecompositionRow:
     order: tuple[int, ...]  # 0-based user indices
@@ -152,13 +124,13 @@ class DecompositionTable:
 def decomposition_table(
     params: NetworkParams, orders: Iterable[Sequence[int]], mode: str = "finite"
 ) -> DecompositionTable:
-    """Decomposition rows of the given orderings and the directly evaluated
-    joint rate.  The rows share one `CoalitionValues`."""
+    """Decomposition rows of the given orderings and the joint rate.  The rows
+    share one `CoalitionValues`, whose v(all) every row ends on."""
     coalitions = CoalitionValues(params)
     rows = tuple(decompose(params, order, mode, coalitions) for order in orders)
     if not rows:
         raise ValidationError("need at least one ordering")
-    joint = joint_key_rate(params, mode).rate
+    joint = _joint_rate(coalitions, mode).rate
     spread = max(abs(r.row_sum - joint) for r in rows)
     return DecompositionTable(rows, joint, spread)
 
@@ -182,14 +154,9 @@ def sample_orderings(
     params: NetworkParams, count: int, seed: int = 0, mode: str = "finite"
 ) -> DecompositionTable:
     """Decomposition over `count` random orderings (fixed-seed sampling)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     orders = (rng.permutation(params.n_users) for _ in range(count))
     return decomposition_table(params, orders, mode)
-
-
-def joint_mutual_information(params: NetworkParams) -> float:
-    """I(A : y_1, ..., y_M) in bits per channel use, from the determinant form."""
-    return _outcome_information(classical_outcome_cov(params), range(params.n_users))
 
 
 @dataclass(frozen=True)
@@ -200,27 +167,23 @@ class JointKeyRate:
     delta_total: float
 
 
+def _joint_rate(coalitions: CoalitionValues, mode: str) -> JointKeyRate:
+    """v(all) - M * Delta(N) with its parts read from the memo."""
+    p = coalitions.params
+    delta_total = p.n_users * _mode_delta(p, mode)
+    full = frozenset(range(p.n_users))
+    if full not in coalitions.terms:
+        coalitions.prefixes(range(p.n_users))
+    info, entropy = coalitions.terms[full]
+    chi = coalitions.terms[frozenset()][1] - entropy
+    return JointKeyRate(p.beta * info - chi - delta_total, info, chi, delta_total)
+
+
 def joint_key_rate(params: NetworkParams, mode: str = "finite") -> JointKeyRate:
-    """Joint rate beta * I(A:all) - chi(all:E) - M * Delta(N), evaluated directly.
+    """Joint rate beta * I(A:all) - chi(all:E) - M * Delta(N).
 
-    chi is computed in one shot: S(global) minus the entropy of Alice plus
-    all trusted-receiver ancillae after jointly conditioning on every user's
-    measurement.  It equals the sum of every decomposition row because
-    sequential and joint Gaussian conditioning coincide.
+    chi = S(sigma_0) - S(sigma_all), the retained system conditioned on every
+    user in turn; sequential and joint Gaussian conditioning coincide, so it
+    is the value every decomposition row sums to.
     """
-    m = params.n_users
-    delta_total = m * _mode_delta(params, mode)
-    cm = build_channel_output_cm(params)
-    s_global = von_neumann_entropy(cm)
-
-    extended = cm
-    for k in range(m):
-        extended = attach_trusted_detector(
-            extended, user_label(k), params.detector_efficiency, params.trusted_noise(k)
-        )
-    conditioned = condition_on_heterodyne(extended, [user_label(k) for k in range(m)])
-    chi = s_global - von_neumann_entropy(conditioned)
-
-    info = joint_mutual_information(params)
-    rate = params.beta * info - chi - delta_total
-    return JointKeyRate(float(rate), info, float(chi), delta_total)
+    return _joint_rate(CoalitionValues(params), mode)

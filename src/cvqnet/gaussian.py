@@ -181,16 +181,6 @@ def condition_on_heterodyne(cm: CovarianceMatrix, measured: Iterable[str]) -> Co
     return CovarianceMatrix(cond, tuple(retained))
 
 
-@dataclass(frozen=True)
-class PhysicalityReport:
-    physical: bool
-    min_symplectic_eigenvalue: float
-
-    def __bool__(self) -> bool:
-        return self.physical
-
-
-def check_physicality(cm: CovarianceMatrix) -> PhysicalityReport:
+def check_physicality(cm: CovarianceMatrix) -> bool:
     """Check the uncertainty relation Gamma + i Omega >= 0 via min(nu) >= 1."""
-    nu_min = float(symplectic_eigenvalues(cm)[-1])
-    return PhysicalityReport(nu_min >= 1.0 - PHYSICALITY_TOL, nu_min)
+    return bool(symplectic_eigenvalues(cm)[-1] >= 1.0 - PHYSICALITY_TOL)

@@ -109,19 +109,16 @@ def measure_reference_user(
     return condition_on_heterodyne(extended, [label])
 
 
-def apply_assisting_detector(
+def _apply_assisting_detector(
     cm: CovarianceMatrix, label: str, detector_efficiency: float, electronic_noise: float
 ) -> CovarianceMatrix:
     """Fold an untrusted receiver onto `label` in place (no ancillae).
 
     Loss eta_d plus added classical noise; heterodyning the transformed
     mode then reproduces the assisting user's disclosed outcome statistics
-    without granting their noise purification to anyone.
+    without granting their noise purification to anyone.  The caller passes
+    a validated network's eta_d and nu_el.
     """
-    if not 0.0 < detector_efficiency <= 1.0:
-        raise ValidationError("detector efficiency must be in (0, 1]")
-    if electronic_noise < 0.0:
-        raise ValidationError("electronic noise must be >= 0")
     idx = cm.mode_index(label)
     n = cm.dim_modes
     scale = np.eye(2 * n)
@@ -165,7 +162,7 @@ def holevo_collaborative(params: NetworkParams, k: int) -> float:
     cm = build_channel_output_cm(params)
     others = [j for j in range(params.n_users) if j != k]
     for j in others:
-        cm = apply_assisting_detector(
+        cm = _apply_assisting_detector(
             cm, user_label(j), params.detector_efficiency, params.trusted_noise(j)
         )
     conditional_ab = condition_on_heterodyne(cm, [user_label(j) for j in others])

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ModelError, ValidationError
-from .gaussian import CovarianceMatrix, check_physicality
+from .gaussian import CovarianceMatrix, check_physicality, symplectic_eigenvalues
 
 I2 = np.eye(2)
 SIGMA_Z = np.diag([1.0, -1.0])
@@ -142,10 +142,9 @@ def build_channel_output_cm(params: NetworkParams) -> CovarianceMatrix:
             gamma[jj : jj + 2, i : i + 2] = shared
     labels = (ALICE_LABEL,) + tuple(user_label(k) for k in range(m))
     cm = CovarianceMatrix(gamma, labels)
-    report = check_physicality(cm)
-    if not report:
+    if not check_physicality(cm):
         raise ModelError(
-            f"network covariance unphysical (min nu = {report.min_symplectic_eigenvalue}); "
+            f"network covariance unphysical (min nu = {symplectic_eigenvalues(cm)[-1]}); "
             f"params: V_mod={v_mod}, users={params.users}"
         )
     return cm

@@ -6,9 +6,10 @@ captured exactly by the joint outcome covariance, including the inter-user
 correlations carried by the shared signal.  That is sufficient (and exact)
 for validating estimators and the key-rate pipeline, and it is fast.
 
-Generation is chunked; chunk s draws from a generator seeded with seed XOR s,
-so any sharding across workers that respects chunk boundaries reproduces the
-same block bit for bit.
+Generation is chunked; chunk i draws from its own stream,
+SeedSequence(seed, spawn_key=(i,)), so the streams of different seeds and
+chunks never overlap, and any sharding across workers that respects chunk
+boundaries reproduces the same block bit for bit.
 """
 
 from __future__ import annotations
@@ -72,14 +73,23 @@ class SymbolBlock:
         return self.y_x.shape[1]
 
 
+def check_seed(seed: int) -> int:
+    """`seed` as an int, if it fits the block header's unsigned 64 bits."""
+    seed = int(seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    return np.random.default_rng((int(seed) ^ chunk_index) & 0xFFFFFFFFFFFFFFFF)
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
 
 
 def simulate(params: NetworkParams, n: int, seed: int) -> SymbolBlock:
     """Draw n symbols through the network's exact joint outcome model."""
     if n < 1:
         raise ValidationError("need at least one symbol")
+    seed = check_seed(seed)
     cov = classical_outcome_cov(params)
     try:
         chol = np.linalg.cholesky(cov)
@@ -104,7 +114,7 @@ def simulate(params: NetworkParams, n: int, seed: int) -> SymbolBlock:
         alice_p=data_p[:, 0].copy(),
         y_x=data_x[:, 1:].copy(),
         y_p=data_p[:, 1:].copy(),
-        seed=int(seed),
+        seed=seed,
         params_truth=params,
     )
 

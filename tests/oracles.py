@@ -166,14 +166,18 @@ def _network_state(params: NetworkParams) -> _State:
     return _State(gamma, ["A"] + [f"B{k + 1}" for k in range(len(t))])
 
 
-def _purify_and_measure(state: _State, label: str, eta_d: float, nu_el: float) -> _State:
+def _purify(state: _State, label: str, eta_d: float, nu_el: float) -> _State:
     """Trusted receiver on `label`: an EPR pair of variance 1 + nu_el/(1-eta_d)
-    mixed in on a beamsplitter of transmittance eta_d, then heterodyne."""
+    mixed in on a beamsplitter of transmittance eta_d."""
     n = len(state.labels)
     ext = direct_sum(state.gamma, epr_cm(1.0 + nu_el / (1.0 - eta_d)))
     bs = beamsplitter(n + 2, state.labels.index(label), n, eta_d)
-    purified = _State(bs @ ext @ bs.T, state.labels + [f"D1_{label}", f"D2_{label}"])
-    return _heterodyne(purified, [label])
+    return _State(bs @ ext @ bs.T, state.labels + [f"D1_{label}", f"D2_{label}"])
+
+
+def _purify_and_measure(state: _State, label: str, eta_d: float, nu_el: float) -> _State:
+    """Trusted receiver on `label`, then heterodyne of `label`."""
+    return _heterodyne(_purify(state, label, eta_d, nu_el), [label])
 
 
 def _assisting_receiver(state: _State, label: str, eta_d: float, nu_el: float) -> _State:
@@ -216,9 +220,9 @@ def _entropy(gamma: np.ndarray) -> float:
     return float(sum(_g((v - 1.0) / 2.0) for v in nu))
 
 
-def _outcome_information(params: NetworkParams, k: int, given: list[int]) -> float:
-    """I(A : y_k | y_given) in bits from the joint heterodyne outcomes of Alice
-    and the users (both quadratures), every user behind their own receiver.
+def _outcome_logdet(params: NetworkParams):
+    """log det of the covariance of the joint heterodyne outcomes (both
+    quadratures) of the given modes, every user behind their own receiver.
     A heterodyne outcome of modes with covariance Gamma has covariance
     (Gamma + I) / 2."""
     state = _network_state(params)
@@ -226,7 +230,6 @@ def _outcome_information(params: NetworkParams, k: int, given: list[int]) -> flo
         state = _assisting_receiver(
             state, f"B{j + 1}", params.detector_efficiency, params.trusted_noise(j)
         )
-    y = [f"B{j + 1}" for j in given]
 
     def logdet(labels) -> float:
         if not labels:
@@ -234,8 +237,24 @@ def _outcome_information(params: NetworkParams, k: int, given: list[int]) -> flo
         cov = (state.sub(labels) + np.eye(2 * len(labels))) / 2.0
         return np.linalg.slogdet(cov)[1]
 
+    return logdet
+
+
+def _outcome_information(params: NetworkParams, k: int, given: list[int]) -> float:
+    """I(A : y_k | y_given) in bits from the joint heterodyne outcomes of Alice
+    and the users."""
+    logdet = _outcome_logdet(params)
+    y = [f"B{j + 1}" for j in given]
     yk = [f"B{k + 1}"]
     nats = logdet(["A"] + y) + logdet(yk + y) - logdet(["A"] + yk + y) - logdet(y)
+    return float(nats / 2.0 / np.log(2.0))
+
+
+def _joint_information(params: NetworkParams) -> float:
+    """I(A : y_1, ..., y_M) in bits from the joint heterodyne outcomes."""
+    logdet = _outcome_logdet(params)
+    y = [f"B{j + 1}" for j in range(params.n_users)]
+    nats = logdet(["A"]) + logdet(y) - logdet(["A"] + y)
     return float(nats / 2.0 / np.log(2.0))
 
 
@@ -295,6 +314,19 @@ def oracle_decomposition(params: NetworkParams, order: tuple[int, ...]) -> list[
         contributions.append(params.beta * info - (entropy - entropy_after) - delta)
         entropy = entropy_after
     return contributions
+
+
+def oracle_joint_rate(params: NetworkParams, mode: str = "finite") -> float:
+    """Joint rate beta I(A : all) - chi - M Delta in one shot: every trusted
+    receiver purified, then all users heterodyned in one Schur complement."""
+    state = _network_state(params)
+    entropy = _entropy(state.gamma)
+    users = [f"B{k + 1}" for k in range(params.n_users)]
+    for k, label in enumerate(users):
+        state = _purify(state, label, params.detector_efficiency, params.trusted_noise(k))
+    chi = entropy - _entropy(_heterodyne(state, users).gamma)
+    delta = oracle_delta(params.block_size) if mode == "finite" else 0.0
+    return params.beta * _joint_information(params) - chi - params.n_users * delta
 
 
 def lodewyck_untrusted_rate(

@@ -39,6 +39,7 @@ from oracles import (
     brute_force_network_cm,
     lodewyck_untrusted_rate,
     oracle_decomposition,
+    oracle_joint_rate,
     oracle_rates,
 )
 
@@ -94,20 +95,30 @@ def _gap(value: float, paper: float) -> str:
     return f"{paper} ({(value - paper) / paper:+.1%})"
 
 
-def test_criterion_1_ordering_invariance(ordering_table):
+def test_criterion_1_ordering_invariance(table1, ordering_table):
     table, elapsed = ordering_table
     sums = [row.row_sum for row in table.rows]
     spread = max(sums) - min(sums)
-    ok = len(table.rows) == 24 and spread <= 1e-9 and table.max_row_spread <= 1e-9 and elapsed <= 10.0
+    joint = oracle_joint_rate(table1)
+    oracle_err = max(abs(s - joint) for s in sums)
+    ok = (
+        len(table.rows) == 24
+        and spread <= 1e-9
+        and table.max_row_spread <= 1e-9
+        and oracle_err <= 1e-9
+        and elapsed <= 10.0
+    )
     _report(
         1,
         ok,
         f"24 rows in {elapsed:.2f}s, row-sum spread {spread:.3e}, "
-        f"spread vs direct joint {table.max_row_spread:.3e}",
+        f"spread vs table joint {table.max_row_spread:.3e}, "
+        f"max |row sum - jointly conditioned oracle| {oracle_err:.3e}",
     )
     assert len(table.rows) == 24
     assert spread <= 1e-9
     assert table.max_row_spread <= 1e-9
+    assert oracle_err <= 1e-9
     assert elapsed <= 10.0
 
 

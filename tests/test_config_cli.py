@@ -128,6 +128,15 @@ class TestCLI:
     def test_decompose_bad_order_exits_2(self):
         assert main(["decompose", "--orders", "1,2,2,4"]) == 2
 
+    @pytest.mark.parametrize("orders", ["sample:0", "sample:-2"])
+    def test_decompose_empty_sample_exits_2(self, orders):
+        assert main(["decompose", "--orders", orders]) == 2
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_decompose_out_of_range_seed_exits_3(self, seed, capsys):
+        assert main(["decompose", "--orders", "sample:3", "--seed", seed]) == 3
+        assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+
     def test_decompose_guard_exits_4(self, tmp_path):
         lines = [
             "modulation_variance = 5 SNU",
@@ -207,6 +216,14 @@ class TestCLI:
         self.run(capsys, "simulate", "--symbols", "5000", "--seed", "9", "--out-block", str(p1))
         self.run(capsys, "simulate", "--symbols", "5000", "--seed", "9", "--out-block", str(p2))
         assert hashlib.sha256(p1.read_bytes()).digest() == hashlib.sha256(p2.read_bytes()).digest()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_simulate_out_of_range_seed_exits_3(self, seed, capsys, tmp_path):
+        block_path = tmp_path / "block.cvnb"
+        code = main(["simulate", "--symbols", "10", "--seed", seed, "--out-block", str(block_path)])
+        assert code == 3
+        assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+        assert not block_path.exists()
 
     def test_estimate_truncated_exits_2(self, capsys, tmp_path):
         block_path = tmp_path / "block.cvnb"

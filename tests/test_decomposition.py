@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 
-import cvqnet.decomposition
 import cvqnet.gaussian
 import cvqnet.keyrates
 from cvqnet import (
@@ -12,15 +11,13 @@ from cvqnet import (
     UserLink,
     all_orderings,
     build_channel_output_cm,
-    chain_mutual_information_term,
     decompose,
     delta_fs,
+    holevo_untrusted,
     joint_key_rate,
-    joint_mutual_information,
     key_rate,
     mutual_information,
     sample_orderings,
-    telescopic_holevo_term,
     user_label,
     von_neumann_entropy,
 )
@@ -29,7 +26,14 @@ from cvqnet.errors import GuardRefusalError, ValidationError
 from cvqnet.keyrates import measure_reference_user
 
 from conftest import random_params
-from oracles import _outcome_information
+from oracles import _joint_information, _outcome_information, oracle_joint_rate
+
+
+def chain_steps(coalitions, order):
+    """(information step, entropy drop) of each user joining along `order`."""
+    chain = coalitions.prefixes(order)
+    terms = [coalitions.terms[c] for c in chain]
+    return [(ia - ib, sb - sa) for (ib, sb), (ia, sa) in zip(terms, terms[1:])]
 
 
 class TestChainRule:
@@ -37,10 +41,9 @@ class TestChainRule:
         rng = np.random.default_rng(0)
         cases = [table1] + [random_params(rng) for _ in range(300)]
         for params in cases:
-            m = params.n_users
-            for k in range(m):
-                order = (k,) + tuple(j for j in range(m) if j != k)
-                first = chain_mutual_information_term(params, order, 0)
+            coalitions = CoalitionValues(params)
+            for k in range(params.n_users):
+                (first, _), = chain_steps(coalitions, (k,))
                 assert first == pytest.approx(_outcome_information(params, k, []), abs=1e-12)
 
     def test_chain_sums_to_joint_mi(self, table1):
@@ -49,10 +52,8 @@ class TestChainRule:
         for params in cases:
             m = params.n_users
             for order in itertools.islice(itertools.permutations(range(m)), 3):
-                total = sum(
-                    chain_mutual_information_term(params, order, pos) for pos in range(m)
-                )
-                assert total == pytest.approx(joint_mutual_information(params), abs=1e-10)
+                total = sum(info for info, _ in chain_steps(CoalitionValues(params), order))
+                assert total == pytest.approx(_joint_information(params), abs=1e-10)
 
     def test_decoupled_user_contributes_nothing(self, table1):
         extended = NetworkParams(
@@ -62,11 +63,10 @@ class TestChainRule:
             beta=table1.beta,
             block_size=table1.block_size,
         )
-        order = (4, 0, 1, 2, 3)
+        with_dec = chain_steps(CoalitionValues(extended), (4, 0, 1, 2, 3))
+        plain = chain_steps(CoalitionValues(table1), (0, 1, 2, 3))
         for pos in range(1, 5):
-            with_dec = chain_mutual_information_term(extended, order, pos)
-            plain = chain_mutual_information_term(table1, (0, 1, 2, 3), pos - 1)
-            assert with_dec == pytest.approx(plain, abs=1e-10)
+            assert with_dec[pos][0] == pytest.approx(plain[pos - 1][0], abs=1e-10)
 
 
 class TestTelescope:
@@ -76,16 +76,14 @@ class TestTelescope:
             users=(UserLink(transmittance=0.4, excess_noise=0.01, trusted_noise=0.05),),
             detector_efficiency=0.7,
         )
-        from cvqnet import holevo_untrusted
-
-        term = telescopic_holevo_term(params, (0,), 0)
+        (_, term), = chain_steps(CoalitionValues(params), (0,))
         assert term == pytest.approx(holevo_untrusted(params, 0), abs=1e-12)
 
     def test_terms_sum_to_endpoints(self, table1):
-        # each term computed in its own fresh chain; the sum must still
-        # telescope to S(sigma_0) - S(sigma_M)
+        # the entropy drops along one order telescope to S(sigma_0) - S(sigma_M),
+        # which joint_key_rate reaches along the identity order
         order = (1, 3, 0, 2)
-        total = sum(telescopic_holevo_term(table1, order, pos) for pos in range(4))
+        total = sum(drop for _, drop in chain_steps(CoalitionValues(table1), order))
         jr = joint_key_rate(table1)
         assert total == pytest.approx(jr.holevo, abs=1e-10)
 
@@ -93,10 +91,9 @@ class TestTelescope:
         rng = np.random.default_rng(42)
         cases = [table1] + [random_params(rng) for _ in range(8)]
         for params in cases:
-            m = params.n_users
-            order = tuple(rng.permutation(m))
-            for pos in range(m):
-                assert telescopic_holevo_term(params, order, pos) >= -1e-9
+            order = tuple(rng.permutation(params.n_users))
+            for _, drop in chain_steps(CoalitionValues(params), order):
+                assert drop >= -1e-9
 
 
 class TestDecompose:
@@ -222,6 +219,17 @@ class TestJointRate:
         )
         assert jr.rate < trusted_sum
 
+    def test_joint_and_row_sums_match_one_shot_oracle(self, table1):
+        # the oracle purifies every receiver and conditions on all users at
+        # once; the package reads v(all) from sequential conditioning
+        rng = np.random.default_rng(45)
+        for params in [table1] + [random_params(rng) for _ in range(50)]:
+            for mode in ("finite", "asymptotic"):
+                expected = oracle_joint_rate(params, mode)
+                assert joint_key_rate(params, mode).rate == pytest.approx(expected, abs=1e-9)
+                for row in all_orderings(params, mode).rows:
+                    assert row.row_sum == pytest.approx(expected, abs=1e-9)
+
     def test_delta_accounting(self, table1):
         from cvqnet import delta_fs
 
@@ -286,10 +294,8 @@ class TestCoalitionValues:
             measured_sizes.append(len(measured))
             return real(cm, measured)
 
-        # measure_reference_user conditions through the keyrates binding;
-        # joint_key_rate's one-shot conditioning through the decomposition one
+        # measure_reference_user conditions through the keyrates binding
         monkeypatch.setattr(cvqnet.keyrates, "condition_on_heterodyne", counting)
-        monkeypatch.setattr(cvqnet.decomposition, "condition_on_heterodyne", counting)
         users = tuple(
             UserLink(transmittance=0.05 + 0.03 * k, excess_noise=0.004, trusted_noise=0.05)
             for k in range(5)
@@ -297,13 +303,13 @@ class TestCoalitionValues:
         params = NetworkParams(modulation_variance=5.0, users=users)
         table = all_orderings(params)
         assert len(table.rows) == 120
-        # one step per non-empty coalition, plus the direct joint rate
-        assert sorted(measured_sizes) == [1] * (2**5 - 1) + [5]
+        # one step per non-empty coalition; the joint rate is v(all) of the memo
+        assert sorted(measured_sizes) == [1] * (2**5 - 1)
 
         measured_sizes.clear()
         table = sample_orderings(params, 6, seed=5)
         prefixes = {frozenset(r.order[:i]) for r in table.rows for i in range(1, 6)}
-        assert sorted(measured_sizes) == [1] * len(prefixes) + [5]
+        assert sorted(measured_sizes) == [1] * len(prefixes)
 
     def test_engine_rejects_other_network(self, table1):
         other = table1.with_links([(0.1, 0.004)] * 4)

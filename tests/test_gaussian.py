@@ -119,7 +119,7 @@ class TestRandomNetworkProperties:
         params = random_params(rng)
         gamma = build_channel_output_cm(params)
         conditioned = condition_on_heterodyne(gamma, ["B1"])
-        assert check_physicality(conditioned).physical
+        assert check_physicality(conditioned)
 
 
 class TestEntropy:
@@ -225,23 +225,23 @@ class TestHeterodyneConditioning:
 
 class TestPhysicality:
     def test_vacuum_physical(self):
-        assert check_physicality(cm(np.eye(2), "a")).physical
+        assert check_physicality(cm(np.eye(2), "a"))
 
     def test_below_vacuum_unphysical(self):
-        report = check_physicality(cm(0.5 * np.eye(2), "a"))
-        assert not report.physical
-        assert report.min_symplectic_eigenvalue == pytest.approx(0.5)
+        below = cm(0.5 * np.eye(2), "a")
+        assert not check_physicality(below)
+        assert symplectic_eigenvalues(below)[-1] == pytest.approx(0.5)
 
     def test_builder_outputs_physical(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             params = random_params(rng)
             gamma = build_channel_output_cm(params)
-            assert check_physicality(gamma).physical
+            assert check_physicality(gamma)
             extended = attach_trusted_detector(
                 gamma, "B1", params.detector_efficiency, params.trusted_noise(0)
             )
-            assert check_physicality(extended).physical
+            assert check_physicality(extended)
 
 
 class TestCovarianceMatrixType:

@@ -21,7 +21,14 @@ from cvqnet import (
     write_block_csv,
 )
 from cvqnet.errors import CorruptInputError, ValidationError
-from cvqnet.simulate import _HEADER, FORMAT_VERSION, MAGIC, SymbolBlock, Z_EPS_PE_1E10
+from cvqnet.simulate import (
+    _HEADER,
+    FORMAT_VERSION,
+    MAGIC,
+    SymbolBlock,
+    Z_EPS_PE_1E10,
+    _chunk_rng,
+)
 
 Z_ORACLE = 6.46695108724051617  # high-precision inverse-normal evaluation at 5e-11
 
@@ -59,6 +66,11 @@ class TestSimulate:
         a = simulate(table1, 1000, seed=1)
         b = simulate(table1, 1000, seed=2)
         assert not np.array_equal(a.alice_x, b.alice_x)
+
+    def test_chunk_streams_do_not_overlap(self):
+        # seed s, chunk c must not replay the stream of any other (s', c')
+        first = {tuple(_chunk_rng(s, c).standard_normal(4)) for s in range(8) for c in range(8)}
+        assert len(first) == 64
 
     def test_chunk_boundary_determinism(self, table1):
         # spans two generator chunks; regenerating must still be identical
