@@ -39,6 +39,7 @@ from .network import (
     attach_trusted_detector,
     build_channel_output_cm,
     classical_outcome_cov,
+    link_from_outcome_model,
     measured_outcome_model,
     user_label,
 )

@@ -125,7 +125,7 @@ def _cmd_decompose(args) -> int:
         table = sample_orderings(params, detail, seed=args.seed, mode=args.mode)
     else:
         table = decomposition_table(params, [detail], mode=args.mode)
-    rows, joint, spread = table.rows, table.joint_rate, table.max_row_spread
+    rows, joint = table.rows, table.joint_rate
 
     if args.format == "json":
         payload = {
@@ -138,7 +138,6 @@ def _cmd_decompose(args) -> int:
                 for r in rows
             ],
             "joint_rate": joint,
-            "max_row_spread": spread,
             "mode": args.mode,
         }
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
@@ -153,9 +152,7 @@ def _cmd_decompose(args) -> int:
                 + ",".join(_fmt(c) for c in r.contributions)
                 + f",{_fmt(r.row_sum)}"
             )
-        lines.append(
-            f"# joint_rate={_fmt(joint)} max_row_spread={spread:.3e} rows={len(rows)}"
-        )
+        lines.append(f"# joint_rate={_fmt(joint)} rows={len(rows)}")
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -282,7 +279,7 @@ def _cmd_estimate(args) -> int:
             "eps_pe": report.eps_pe,
             "users": [
                 {
-                    "user": u.user + 1,
+                    "user": k,
                     "t_hat": u.t_hat,
                     "sigma2_hat": u.sigma2_hat,
                     "eta_hat": u.eta_hat,
@@ -293,15 +290,15 @@ def _cmd_estimate(args) -> int:
                     "eps_max_msnu": u.eps_max * 1e3,
                     "negative_excess_flagged": u.negative_excess_flagged,
                 }
-                for u in report.users
+                for k, u in enumerate(report.users, start=1)
             ],
         }
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     else:
         lines = ["user,eta_hat,eps_hat_msnu,eta_min,eps_max_msnu,flagged"]
-        for u in report.users:
+        for k, u in enumerate(report.users, start=1):
             lines.append(
-                f"{u.user + 1},{_fmt(u.eta_hat)},{_fmt(u.eps_hat * 1e3)},"
+                f"{k},{_fmt(u.eta_hat)},{_fmt(u.eps_hat * 1e3)},"
                 f"{_fmt(u.eta_min)},{_fmt(u.eps_max * 1e3)},"
                 f"{'yes' if u.negative_excess_flagged else 'no'}"
             )

@@ -120,27 +120,27 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
     if not users:
         raise ConfigError(f"{source}: at least one [user N] section is required")
 
-    links = []
     for i, u in enumerate(users, start=1):
         for required in ("transmittance", "excess_noise"):
             if required not in u:
                 raise ConfigError(f"{source}: [user {i}] is missing {required!r}")
-        links.append(
-            UserLink(
-                transmittance=float(u["transmittance"]),
-                excess_noise=float(u["excess_noise"]),
-                trusted_noise=float(u["trusted_noise"]) if "trusted_noise" in u else None,
-            )
-        )
 
     block = float(top["block_size"])
     if block < 1 or abs(block - round(block)) > 1e-6 * max(1.0, block):
         raise ConfigError(f"{source}: block_size must be a positive integer, got {block}")
 
     try:
+        links = tuple(
+            UserLink(
+                transmittance=float(u["transmittance"]),
+                excess_noise=float(u["excess_noise"]),
+                trusted_noise=float(u["trusted_noise"]) if "trusted_noise" in u else None,
+            )
+            for u in users
+        )
         params = NetworkParams(
             modulation_variance=float(top["modulation_variance"]),
-            users=tuple(links),
+            users=links,
             detector_efficiency=float(top["detector_efficiency"]),
             electronic_noise=float(top.get("electronic_noise", 0.0)),
             beta=float(top["beta"]),

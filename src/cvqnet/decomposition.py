@@ -118,7 +118,6 @@ def decompose(
 class DecompositionTable:
     rows: tuple[DecompositionRow, ...]
     joint_rate: float
-    max_row_spread: float  # max |row_sum - joint_rate| over rows
 
 
 def decomposition_table(
@@ -130,9 +129,7 @@ def decomposition_table(
     rows = tuple(decompose(params, order, mode, coalitions) for order in orders)
     if not rows:
         raise ValidationError("need at least one ordering")
-    joint = _joint_rate(coalitions, mode).rate
-    spread = max(abs(r.row_sum - joint) for r in rows)
-    return DecompositionTable(rows, joint, spread)
+    return DecompositionTable(rows, _joint_rate(coalitions, mode).rate)
 
 
 def all_orderings(params: NetworkParams, mode: str = "finite") -> DecompositionTable:

@@ -14,6 +14,10 @@ supported.  For a reference user k:
 Reverse reconciliation throughout: Holevo bounds are conditioned on the
 reference user's own measurement, whose receiver loss and electronic noise
 are trusted (purified) in every interpretation.
+
+`derive_worst_case` places the model-implied corner with the same
+`worst_case_params` as block estimates.  A zero-transmittance link carries
+no information about Alice's symbols, so its rates clamp to 0.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .network import (
     measured_outcome_model,
     user_label,
 )
-from .simulate import confidence_region
+from .simulate import EstimateReport, worst_case_params
 
 
 class TrustModel(Enum):
@@ -244,26 +248,14 @@ def key_rate(
 def derive_worst_case(params: NetworkParams, n: float | None = None) -> NetworkParams:
     """Model-implied confidence-region corner (eta_min, eps_max per user).
 
-    Treats the given parameters as maximum-likelihood estimates from a block
-    of `n` symbols (default: the params' block size) and maps the
-    estimation-theory corner back through the outcome model.  Used when no
-    measured confidence region is available.
+    Treats the outcome model of the given parameters as maximum-likelihood
+    estimates from a block of `n` symbols (default: the params' block size)
+    and returns `worst_case_params` at their regions.  Used when no measured
+    confidence region is available.
     """
     n_eff = float(params.block_size if n is None else n)
-    links = []
-    for k in range(params.n_users):
-        model = measured_outcome_model(params, k)
-        region = confidence_region(
-            model.gain,
-            model.noise_variance,
-            n_eff,
-            params.modulation_variance,
-            params.eps_pe,
-            detector_efficiency=params.detector_efficiency,
-            electronic_noise=params.trusted_noise(k),
-        )
-        links.append((region.eta_min, region.eps_max))
-    return params.with_links(links)
+    models = [measured_outcome_model(params, k) for k in range(params.n_users)]
+    return worst_case_params(params, EstimateReport.from_estimates(params, models, n_eff))
 
 
 def rate_table(

@@ -42,8 +42,8 @@ class UserLink:
     trusted_noise: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.transmittance <= 1.0:
-            raise ValidationError(f"transmittance must be in (0, 1], got {self.transmittance}")
+        if not 0.0 <= self.transmittance <= 1.0:
+            raise ValidationError(f"transmittance must be in [0, 1], got {self.transmittance}")
         if self.excess_noise < 0.0:
             raise ValidationError(f"excess noise must be >= 0, got {self.excess_noise}")
         if self.trusted_noise is not None and self.trusted_noise < 0.0:
@@ -225,30 +225,29 @@ def measured_outcome_model(params: NetworkParams, k: int) -> OutcomeModel:
     return OutcomeModel(float(gain), float(noise))
 
 
+def link_from_outcome_model(
+    gain: float, noise_variance: float, detector_efficiency: float, electronic_noise: float
+) -> tuple[float, float]:
+    """(transmittance, excess noise) of the channel behind an outcome model.
+
+    The inverse of `measured_outcome_model` for a receiver of known
+    efficiency eta_d and electronic noise nu_el.
+    """
+    eta_d = detector_efficiency
+    transmittance = 2.0 * gain * gain / eta_d
+    excess_noise = (2.0 * noise_variance - (1.0 - eta_d) - electronic_noise - 1.0) / eta_d - 1.0
+    return float(transmittance), float(excess_noise)
+
+
 def classical_outcome_cov(params: NetworkParams) -> np.ndarray:
     """Joint classical covariance of (s, y_1, ..., y_M) for one quadrature.
 
-    Row/column 0 is Alice's symbol (variance V_mod).  Off-diagonal user
-    entries carry the shared-signal correlation eta_d sqrt(eta_j eta_k)
-    V_mod / 2; given s the outcomes are independent because the splitter
-    vacua anti-correlate exactly with the shared signal shot noise.
-    Both quadratures have the same classical covariance.
+    V_mod g g^T + diag(0, noise_1, ..., noise_M) with g = (1, gain_1, ...,
+    gain_M): given s the outcomes are independent, because the splitter
+    vacua anti-correlate exactly with the shared signal shot noise.  Both
+    quadratures have the same classical covariance.
     """
-    m = params.n_users
-    v_mod = params.modulation_variance
-    eta_d = params.detector_efficiency
-    cov = np.zeros((m + 1, m + 1))
-    cov[0, 0] = v_mod
-    gains = []
-    for k in range(m):
-        model = measured_outcome_model(params, k)
-        gains.append(model.gain)
-        cov[k + 1, k + 1] = model.gain**2 * v_mod + model.noise_variance
-        cov[0, k + 1] = cov[k + 1, 0] = model.gain * v_mod
-    for k in range(m):
-        eta_k = params.users[k].transmittance
-        for j in range(k):
-            eta_j = params.users[j].transmittance
-            shared = eta_d * np.sqrt(eta_j * eta_k) * v_mod / 2.0
-            cov[j + 1, k + 1] = cov[k + 1, j + 1] = shared
-    return cov
+    models = [measured_outcome_model(params, k) for k in range(params.n_users)]
+    g = np.array([1.0] + [model.gain for model in models])
+    noise = np.array([0.0] + [model.noise_variance for model in models])
+    return params.modulation_variance * np.outer(g, g) + np.diag(noise)

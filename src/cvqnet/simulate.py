@@ -10,6 +10,10 @@ Generation is chunked; chunk i draws from its own stream,
 SeedSequence(seed, spawn_key=(i,)), so the streams of different seeds and
 chunks never overlap, and any sharding across workers that respects chunk
 boundaries reproduces the same block bit for bit.
+
+Estimation reads only the block: `estimate` gives one user's (t_hat,
+sigma2_hat); `confidence_region` alone maps them and its corner back to
+channel parameters, and `worst_case_params` alone turns corners into params.
 """
 
 from __future__ import annotations
@@ -18,11 +22,12 @@ import os
 import statistics
 import struct
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .errors import CorruptInputError, ModelError, ValidationError
-from .network import NetworkParams, classical_outcome_cov
+from .network import NetworkParams, classical_outcome_cov, link_from_outcome_model
 
 MAGIC = b"CVNB"
 FORMAT_VERSION = 1
@@ -59,7 +64,6 @@ class SymbolBlock:
     y_x: np.ndarray  # shape (n, M)
     y_p: np.ndarray  # shape (n, M)
     seed: int
-    params_truth: NetworkParams | None = None
 
     def __post_init__(self) -> None:
         for arr in (self.alice_x, self.alice_p):
@@ -115,26 +119,18 @@ def simulate(params: NetworkParams, n: int, seed: int) -> SymbolBlock:
         y_x=data_x[:, 1:].copy(),
         y_p=data_p[:, 1:].copy(),
         seed=seed,
-        params_truth=params,
     )
 
 
 MIN_ESTIMATION_SYMBOLS = 1000
 
 
-def estimate(
-    block: SymbolBlock, k: int, params: NetworkParams | None = None
-) -> tuple[float, float, float]:
-    """(t_hat, sigma2_hat, eps_hat) for user k from a symbol block.
+def estimate(block: SymbolBlock, k: int) -> tuple[float, float]:
+    """(t_hat, sigma2_hat) of user k's outcome model y = t s + n.
 
     t_hat pools both quadratures: sum(s y) / sum(s^2).  sigma2_hat is the
-    pooled residual variance.  eps_hat inverts the outcome-model noise using
-    the calibrated detector efficiency and electronic noise, which the
-    receiver is assumed to know.
+    pooled residual variance.
     """
-    p = params or block.params_truth
-    if p is None:
-        raise ValidationError("no network params available for estimation")
     if not 0 <= k < block.n_users:
         raise ValidationError(f"user index {k} out of range")
     if block.n < MIN_ESTIMATION_SYMBOLS:
@@ -150,21 +146,7 @@ def estimate(
     rx = yx - t_hat * sx
     rp = yp - t_hat * sp
     sigma2_hat = float((rx @ rx + rp @ rp) / (2 * block.n))
-    eps_hat = invert_excess_noise(
-        sigma2_hat, p.detector_efficiency, p.trusted_noise(k)
-    )
-    return t_hat, sigma2_hat, eps_hat
-
-
-def invert_excess_noise(sigma2: float, detector_efficiency: float, electronic_noise: float) -> float:
-    """Excess noise at channel output from the residual outcome variance."""
-    eta_d = detector_efficiency
-    return (2.0 * sigma2 - (1.0 - eta_d) - electronic_noise - 1.0) / eta_d - 1.0
-
-
-def transmittance_from_gain(t: float, detector_efficiency: float) -> float:
-    """Channel transmittance from the outcome-model amplitude gain."""
-    return 2.0 * t * t / detector_efficiency
+    return t_hat, sigma2_hat
 
 
 @dataclass(frozen=True)
@@ -183,6 +165,10 @@ class ConfidenceRegion:
     n: float
     eps_pe: float
 
+    @property
+    def negative_excess_flagged(self) -> bool:
+        return self.eps_hat < 0
+
 
 def confidence_region(
     t_hat: float,
@@ -198,8 +184,9 @@ def confidence_region(
 
     Half-widths: delta_t = z sqrt(sigma2 / (n V_mod)) and
     delta_sigma2 = z sigma2 sqrt(2 / n), with z the one-sided normal
-    quantile at eps_pe / 2 per parameter.  The corner (t - delta_t,
-    sigma2 + delta_sigma2) maps back to (eta_min, eps_max), the least
+    quantile at eps_pe / 2 per parameter.  The estimates and the corner
+    (t - delta_t, sigma2 + delta_sigma2) map back through the inverse
+    outcome model to (eta_hat, eps_hat) and (eta_min, eps_max), the least
     favorable channel within the region.
     """
     if n < 2:
@@ -209,17 +196,20 @@ def confidence_region(
     z = one_sided_quantile(eps_pe)
     delta_t = z * np.sqrt(sigma2_hat / (n * modulation_variance))
     delta_sigma2 = z * sigma2_hat * np.sqrt(2.0 / n)
-    t_low = max(t_hat - delta_t, 0.0)
-    sigma2_high = sigma2_hat + delta_sigma2
+    receiver = (detector_efficiency, electronic_noise)
+    eta_hat, eps_hat = link_from_outcome_model(t_hat, sigma2_hat, *receiver)
+    eta_min, eps_max = link_from_outcome_model(
+        max(t_hat - delta_t, 0.0), sigma2_hat + delta_sigma2, *receiver
+    )
     return ConfidenceRegion(
         t_hat=float(t_hat),
         sigma2_hat=float(sigma2_hat),
         delta_t=float(delta_t),
         delta_sigma2=float(delta_sigma2),
-        eta_hat=transmittance_from_gain(t_hat, detector_efficiency),
-        eps_hat=invert_excess_noise(sigma2_hat, detector_efficiency, electronic_noise),
-        eta_min=transmittance_from_gain(t_low, detector_efficiency),
-        eps_max=invert_excess_noise(sigma2_high, detector_efficiency, electronic_noise),
+        eta_hat=eta_hat,
+        eps_hat=eps_hat,
+        eta_min=eta_min,
+        eps_max=eps_max,
         z=float(z),
         n=float(n),
         eps_pe=float(eps_pe),
@@ -227,64 +217,43 @@ def confidence_region(
 
 
 @dataclass(frozen=True)
-class UserEstimate:
-    user: int
-    t_hat: float
-    sigma2_hat: float
-    eta_hat: float
-    eps_hat: float
-    delta_t: float
-    delta_sigma2: float
-    eta_min: float
-    eps_max: float
-    negative_excess_flagged: bool
-
-
-@dataclass(frozen=True)
 class EstimateReport:
-    n: int
+    """Confidence regions of every user, in user order, from n symbols."""
+
+    n: float
     eps_pe: float
-    users: tuple[UserEstimate, ...]
+    users: tuple[ConfidenceRegion, ...]
 
-
-def estimate_report(block: SymbolBlock, params: NetworkParams | None = None) -> EstimateReport:
-    """Estimates, intervals and worst-case corners for every user of a block."""
-    p = params or block.params_truth
-    if p is None:
-        raise ValidationError("no network params available for estimation")
-    users = []
-    for k in range(block.n_users):
-        t_hat, sigma2_hat, eps_hat = estimate(block, k, p)
-        region = confidence_region(
-            t_hat,
-            sigma2_hat,
-            block.n,
-            p.modulation_variance,
-            p.eps_pe,
-            detector_efficiency=p.detector_efficiency,
-            electronic_noise=p.trusted_noise(k),
-        )
-        users.append(
-            UserEstimate(
-                user=k,
-                t_hat=t_hat,
-                sigma2_hat=sigma2_hat,
-                eta_hat=region.eta_hat,
-                eps_hat=eps_hat,
-                delta_t=region.delta_t,
-                delta_sigma2=region.delta_sigma2,
-                eta_min=region.eta_min,
-                eps_max=region.eps_max,
-                negative_excess_flagged=eps_hat < 0,
+    @classmethod
+    def from_estimates(
+        cls, params: NetworkParams, estimates: Iterable[tuple[float, float]], n: float
+    ) -> "EstimateReport":
+        """Regions of per-user (t_hat, sigma2_hat) pairs, read with the
+        modulation, eps_pe and receivers of `params`."""
+        regions = tuple(
+            confidence_region(
+                t_hat,
+                sigma2_hat,
+                n,
+                params.modulation_variance,
+                params.eps_pe,
+                detector_efficiency=params.detector_efficiency,
+                electronic_noise=params.trusted_noise(k),
             )
+            for k, (t_hat, sigma2_hat) in enumerate(estimates)
         )
-    return EstimateReport(n=block.n, eps_pe=p.eps_pe, users=tuple(users))
+        return cls(n=n, eps_pe=params.eps_pe, users=regions)
+
+
+def estimate_report(block: SymbolBlock, params: NetworkParams) -> EstimateReport:
+    """Estimates, intervals and worst-case corners for every user of a block."""
+    estimates = [estimate(block, k) for k in range(block.n_users)]
+    return EstimateReport.from_estimates(params, estimates, block.n)
 
 
 def worst_case_params(params: NetworkParams, report: EstimateReport) -> NetworkParams:
-    """NetworkParams at the estimated confidence-region corner."""
-    links = [(u.eta_min, max(u.eps_max, 0.0)) for u in report.users]
-    return params.with_links(links)
+    """NetworkParams at the confidence-region corner of every user."""
+    return params.with_links([(u.eta_min, max(u.eps_max, 0.0)) for u in report.users])
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +306,6 @@ def read_block(path: str) -> SymbolBlock:
         y_x=cols[2 : 2 + m].T.copy(),
         y_p=cols[2 + m :].T.copy(),
         seed=int(seed),
-        params_truth=None,
     )
 
 

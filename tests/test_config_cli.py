@@ -60,6 +60,15 @@ class TestConfigParsing:
         assert reparsed == table1
 
 
+def two_user_config(transmittance: str, excess_noise: str = "4.17 mSNU") -> str:
+    return (
+        "modulation_variance = 5.04 SNU\ndetector_efficiency = 0.68\n"
+        "electronic_noise = 60 mSNU\nbeta = 0.95\nblock_size = 1.25e9\n"
+        f"[user 1]\ntransmittance = {transmittance}\nexcess_noise = {excess_noise}\n"
+        "[user 2]\ntransmittance = 0.12\nexcess_noise = 4.17 mSNU\n"
+    )
+
+
 class TestCLI:
     def run(self, capsys, *argv):
         code = main(list(argv))
@@ -244,6 +253,22 @@ class TestCLI:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense = 1\n")
         assert main(["--config", str(cfg), "keyrate"]) == 2
+
+    @pytest.mark.parametrize(
+        "transmittance,excess_noise", [("-0.1", "4.17 mSNU"), ("0.1", "-4 mSNU")]
+    )
+    def test_out_of_range_user_value_exits_2(self, transmittance, excess_noise, capsys, tmp_path):
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text(two_user_config(transmittance, excess_noise))
+        assert main(["--config", str(cfg), "keyrate"]) == 2
+        assert "range.cfg" in capsys.readouterr().err
+
+    def test_zero_transmittance_corner_exits_0(self, capsys, tmp_path):
+        cfg = tmp_path / "faint.cfg"
+        cfg.write_text(two_user_config("1e-8"))
+        code, out = self.run(capsys, "--config", str(cfg), "keyrate", "--worst-case", "model")
+        assert code == 0
+        assert out.splitlines()[1] == "1,0,0,0"
 
     def test_out_file_writing(self, tmp_path, capsys):
         out = tmp_path / "table.csv"

@@ -132,7 +132,7 @@ class TestAllOrderings:
     def test_four_users_gives_24_rows(self, table1):
         table = all_orderings(table1)
         assert len(table.rows) == 24
-        assert table.max_row_spread <= 1e-9
+        assert max(abs(r.row_sum - table.joint_rate) for r in table.rows) <= 1e-9
 
     def test_single_user_table(self):
         params = NetworkParams(

@@ -19,10 +19,15 @@ from cvqnet import (
 from cvqnet.errors import ValidationError
 
 from conftest import random_params
-from oracles import mc_mutual_information
+from oracles import mc_mutual_information, oracle_rates
 
 DELTA_1_25E9 = 1.15818643283188482e-3  # high-precision evaluation
 LOG2_3P5 = np.log2(3.5)
+
+
+def with_first_transmittance(params, eta):
+    first = dataclasses.replace(params.users[0], transmittance=eta)
+    return dataclasses.replace(params, users=(first, *params.users[1:]))
 
 
 def single_user(eta=1.0, eps=0.0, eta_d=1.0, nu=0.0, v_mod=5.0):
@@ -197,6 +202,24 @@ class TestKeyRate:
                 ml = key_rate(table1, t, k)
                 assert wc.rate <= ml.rate + 1e-12
                 assert wc.params_source == "interval-corner"
+
+    def test_zero_transmittance_user_has_no_key(self, table1):
+        # outcomes independent of Alice's symbols; rates match the oracle
+        params = with_first_transmittance(table1, 0.0)
+        expected = oracle_rates(params)
+        for t in TrustModel:
+            report = key_rate(params, t, 0)
+            raw = params.beta * report.mutual_information - report.holevo - report.delta
+            assert raw == pytest.approx(expected[t.value][0], abs=1e-9)
+            assert report.rate == 0.0 and report.non_positive
+
+    def test_worst_case_corner_at_zero_transmittance_gives_no_key(self, table1):
+        params = with_first_transmittance(table1, 1e-8)
+        corner = derive_worst_case(params)
+        assert corner.users[0].transmittance == 0.0
+        assert corner.users[1:] == derive_worst_case(table1).users[1:]
+        for t in TrustModel:
+            assert key_rate(params, t, 0, worst_case=corner).rate == 0.0
 
     def test_finite_converges_to_asymptotic(self, table1):
         import dataclasses

@@ -8,6 +8,7 @@ from cvqnet import (
     build_channel_output_cm,
     check_physicality,
     classical_outcome_cov,
+    link_from_outcome_model,
     measured_outcome_model,
 )
 from cvqnet.errors import ValidationError
@@ -166,6 +167,18 @@ class TestOutcomeModel:
         assert model.gain == pytest.approx(0.0, abs=1e-6)
         assert model.noise_variance == pytest.approx((2.0 + 0.04) / 2.0, abs=1e-9)
 
+    def test_inverse_map_round_trips(self, table1):
+        rng = np.random.default_rng(8)
+        for params in [table1] + [random_params(rng) for _ in range(50)]:
+            for k, user in enumerate(params.users):
+                eta, eps = link_from_outcome_model(
+                    *measured_outcome_model(params, k),
+                    params.detector_efficiency,
+                    params.trusted_noise(k),
+                )
+                assert eta == pytest.approx(user.transmittance, abs=1e-12)
+                assert eps == pytest.approx(user.excess_noise, abs=1e-12)
+
     def test_classical_cov_consistent_with_outcome_model(self, table1):
         cov = classical_outcome_cov(table1)
         assert cov[0, 0] == table1.modulation_variance
@@ -177,14 +190,20 @@ class TestOutcomeModel:
 
     def test_outcomes_conditionally_independent_given_symbol(self, table1):
         # inter-user outcome covariance equals the product of gains times V_mod:
-        # all shared randomness is the symbol itself
+        # all shared randomness is the symbol itself.  It is also the
+        # channel-output cross block seen through both receivers, eta_d / 2.
         cov = classical_outcome_cov(table1)
+        gamma = build_channel_output_cm(table1)
         for k in range(table1.n_users):
             for j in range(k):
                 gk = measured_outcome_model(table1, k).gain
                 gj = measured_outcome_model(table1, j).gain
                 assert cov[j + 1, k + 1] == pytest.approx(
                     gj * gk * table1.modulation_variance, rel=1e-12
+                )
+                cross = gamma.block([f"B{j + 1}"], [f"B{k + 1}"])[0, 0]
+                assert cov[j + 1, k + 1] == pytest.approx(
+                    table1.detector_efficiency * cross / 2.0, rel=1e-12
                 )
 
     def test_classical_cov_positive_definite_random(self):

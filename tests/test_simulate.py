@@ -1,5 +1,6 @@
 import csv
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,13 +124,8 @@ class TestEstimate:
             y_x=(t_true * s_x)[:, None],
             y_p=(t_true * s_p)[:, None],
             seed=0,
-            params_truth=NetworkParams(
-                modulation_variance=table1.modulation_variance,
-                users=(UserLink(transmittance=0.13, excess_noise=0.004, trusted_noise=0.05),),
-                detector_efficiency=0.68,
-            ),
         )
-        t_hat, sigma2_hat, _ = estimate(block, 0)
+        t_hat, sigma2_hat = estimate(block, 0)
         assert t_hat == pytest.approx(t_true, rel=1e-12)
         assert sigma2_hat == pytest.approx(0.0, abs=1e-20)
 
@@ -137,7 +133,7 @@ class TestEstimate:
         # 3-sigma tolerances: sd(eps_hat) = 2 sigma2 sqrt(2/n) / eta_d is
         # about 4.3 mSNU at n = 1e6, so excess noise is only loosely pinned
         block = simulate(table1, 10**6, seed=21)
-        report = estimate_report(block)
+        report = estimate_report(block, table1)
         for k, u in enumerate(report.users):
             assert u.eta_hat == pytest.approx(table1.users[k].transmittance, rel=0.02)
             assert u.eps_hat == pytest.approx(table1.users[k].excess_noise, abs=0.013)
@@ -151,7 +147,7 @@ class TestEstimate:
         negatives = 0
         for seed in range(8):
             block = simulate(params, 50_000, seed=seed)
-            _, _, eps_hat = estimate(block, 0)
+            eps_hat = estimate_report(block, params).users[0].eps_hat
             negatives += eps_hat < 0
         assert negatives > 0  # unbiased estimator noise crosses zero
 
@@ -208,12 +204,22 @@ class TestConfidenceRegion:
     def test_worst_case_rate_never_exceeds_ml(self, table1):
         for seed in range(5):
             block = simulate(table1, 100_000, seed=seed)
-            report = estimate_report(block)
+            report = estimate_report(block, table1)
             corner = worst_case_params(table1, report)
             for k in range(table1.n_users):
                 wc = key_rate(table1, TrustModel.UNTRUSTED, k, worst_case=corner)
                 ml = key_rate(table1, TrustModel.UNTRUSTED, k)
                 assert wc.rate <= ml.rate + 1e-12
+
+    def test_corner_at_zero_transmittance_gives_no_key(self, table1):
+        # 2000 symbols of a faint user 1: its interval on t reaches 0
+        q = replace(table1, users=(replace(table1.users[0], transmittance=0.01), *table1.users[1:]))
+        report = estimate_report(simulate(q, 2000, 0), q)
+        corner = worst_case_params(q, report)
+        assert report.users[0].eta_min == 0.0
+        assert corner.users[0].transmittance == 0.0
+        for trust in TrustModel:
+            assert key_rate(q, trust, 0, worst_case=corner).rate == 0.0
 
     def test_eps_pe_domain(self):
         with pytest.raises(ValidationError):
