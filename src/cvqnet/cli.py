@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -165,6 +166,9 @@ SWEEP_PARAMS = ("loss_db", "N", "V_M", "epsilon")
 def _sweep_values(args) -> list[float]:
     if args.steps < 1:
         raise ValidationError("--steps must be >= 1")
+    for end in (args.start, args.stop):
+        if end is not None and not math.isfinite(end):
+            raise ValidationError(f"sweep endpoints must be finite, got {end}")
     if args.steps == 1:
         return [args.start]
     if args.stop is None:

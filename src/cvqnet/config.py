@@ -21,6 +21,7 @@ number so typos cannot silently change a security evaluation.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -58,9 +59,12 @@ class RunConfig:
 
 def _parse_number(token: str, line_no: int) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ConfigError(f"line {line_no}: not a number: {token!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"line {line_no}: not a finite number: {token!r}")
+    return value
 
 
 def _parse_value(key: str, rest: str, unit_required: bool | None, line_no: int) -> float | bool:

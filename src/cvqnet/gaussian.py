@@ -8,6 +8,7 @@ silently shift mode positions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -49,7 +50,10 @@ class CovarianceMatrix:
             raise ValidationError(
                 f"{len(labels)} labels for {n} modes: {labels}"
             )
-        scale = max(1.0, float(np.max(np.abs(m))))
+        peak = float(np.max(np.abs(m)))
+        if not peak < math.inf:
+            raise ValidationError("covariance matrix has non-finite entries")
+        scale = max(1.0, peak)
         if np.max(np.abs(m - m.T)) > SYMMETRY_RTOL * scale:
             raise ValidationError("covariance matrix is not symmetric within tolerance")
         m = (m + m.T) / 2.0
@@ -84,44 +88,50 @@ class CovarianceMatrix:
         return CovarianceMatrix(self.block(labels, labels), tuple(labels))
 
 
+_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+@functools.lru_cache(maxsize=64)
+def _omega(n: int) -> np.ndarray:
+    """Read-only symplectic form for n modes, built once per mode count."""
+    omega = np.kron(np.eye(n), _J)
+    omega.flags.writeable = False
+    return omega
+
+
 def symplectic_form(n: int) -> np.ndarray:
-    """Symplectic form for n modes in interleaved ordering.
+    """Symplectic form for n modes in interleaved ordering (a fresh array).
 
     Block-diagonal with 2x2 blocks [[0, 1], [-1, 0]]; satisfies
     Omega^2 = -I and Omega Omega^T = I.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValidationError(f"mode count must be a positive integer, got {n!r}")
-    omega = np.zeros((2 * n, 2 * n))
-    block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    for i in range(n):
-        omega[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = block
-    return omega
+    return _omega(int(n)).copy()
 
 
 def symplectic_eigenvalues(cm: CovarianceMatrix) -> np.ndarray:
     """Symplectic spectrum of a positive-definite covariance matrix, one
     value per mode, sorted descending.
 
-    Uses the real eigenproblem of Omega @ Gamma, whose eigenvalues come in
-    pairs +/- i*nu_j; the spectrum is the absolute imaginary parts, one per
-    pair.  This avoids complex Hermitian machinery for the small matrices
-    this package deals with.
+    With the Cholesky factor Gamma = L L^T, the Hermitian matrix
+    i L^T Omega L has eigenvalues +/- nu_j (Weedbrook et al., RMP 84, 621
+    (2012)); the spectrum is its positive half.  The factorisation is also
+    the positive-definiteness check.
     """
     gamma = cm.matrix
-    eigs_sym = np.linalg.eigvalsh(gamma)
-    if eigs_sym[0] <= 0:
-        raise ValidationError(
-            f"covariance matrix must be positive definite (min eigenvalue {eigs_sym[0]:.3e})"
-        )
-    omega = symplectic_form(cm.dim_modes)
     try:
-        ev = np.linalg.eigvals(omega @ gamma)
+        chol = np.linalg.cholesky(gamma)
+    except np.linalg.LinAlgError:
+        raise ValidationError("covariance matrix must be positive definite") from None
+    n = cm.dim_modes
+    try:
+        ev = np.linalg.eigvalsh(1j * (chol.T @ _omega(n) @ chol))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
-            f"eigensolver failed on {2 * cm.dim_modes}x{2 * cm.dim_modes} matrix:\n{gamma}"
+            f"eigensolver failed on {2 * n}x{2 * n} matrix:\n{gamma}"
         ) from exc
-    return np.sort(np.abs(ev.imag))[::-1][::2]
+    return ev[n:][::-1]
 
 
 def g_function(x: float) -> float:

@@ -113,27 +113,6 @@ def measure_reference_user(
     return condition_on_heterodyne(extended, [label])
 
 
-def _apply_assisting_detector(
-    cm: CovarianceMatrix, label: str, detector_efficiency: float, electronic_noise: float
-) -> CovarianceMatrix:
-    """Fold an untrusted receiver onto `label` in place (no ancillae).
-
-    Loss eta_d plus added classical noise; heterodyning the transformed
-    mode then reproduces the assisting user's disclosed outcome statistics
-    without granting their noise purification to anyone.  The caller passes
-    a validated network's eta_d and nu_el.
-    """
-    idx = cm.mode_index(label)
-    n = cm.dim_modes
-    scale = np.eye(2 * n)
-    scale[2 * idx : 2 * idx + 2, 2 * idx : 2 * idx + 2] = np.sqrt(detector_efficiency) * np.eye(2)
-    out = scale @ cm.matrix @ scale.T
-    added = (1.0 - detector_efficiency) + electronic_noise
-    out[2 * idx, 2 * idx] += added
-    out[2 * idx + 1, 2 * idx + 1] += added
-    return CovarianceMatrix(out, cm.mode_labels)
-
-
 def _reference_holevo(cm: CovarianceMatrix, params: NetworkParams, k: int) -> float:
     """S(rho) - S(rho after the reference user k's trusted measurement)."""
     conditional = measure_reference_user(
@@ -156,20 +135,26 @@ def holevo_trusted(params: NetworkParams, k: int) -> float:
 def holevo_collaborative(params: NetworkParams, k: int) -> float:
     """Holevo bound after conditioning on all other users' disclosed outcomes.
 
-    Assisting receivers are applied as untrusted maps (their eta_d and
-    nu_el degrade the disclosed data but nothing is purified for them),
-    then the state is conditioned jointly on their heterodyne outcomes.
-    The reference user's own receiver stays trusted.
+    Assisting receivers are applied as untrusted maps, all in one step:
+    each scales its mode's rows and columns by sqrt(eta_d) and adds
+    (1 - eta_d) + nu_el to its diagonal, so the disclosed data carry the
+    receiver's loss and noise but nothing is purified for them.  The state
+    is then conditioned jointly on their heterodyne outcomes.  The
+    reference user's own receiver stays trusted.
     """
     if params.n_users == 1:
         return holevo_untrusted(params, k)
     cm = build_channel_output_cm(params)
     others = [j for j in range(params.n_users) if j != k]
-    for j in others:
-        cm = _apply_assisting_detector(
-            cm, user_label(j), params.detector_efficiency, params.trusted_noise(j)
-        )
-    conditional_ab = condition_on_heterodyne(cm, [user_label(j) for j in others])
+    eta_d = params.detector_efficiency
+    labels = [user_label(j) for j in others]
+    rows = np.array([2 * cm.mode_index(label) + q for label in labels for q in (0, 1)])
+    scale = np.ones(cm.matrix.shape[0])
+    scale[rows] = np.sqrt(eta_d)
+    gamma = scale[:, None] * cm.matrix * scale[None, :]
+    gamma[rows, rows] += [(1.0 - eta_d) + params.trusted_noise(j) for j in others for _ in (0, 1)]
+    assisted = CovarianceMatrix(gamma, cm.mode_labels)
+    conditional_ab = condition_on_heterodyne(assisted, labels)
     return _reference_holevo(conditional_ab, params, k)
 
 

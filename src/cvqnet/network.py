@@ -9,6 +9,8 @@ through a beamsplitter in front of an ideal heterodyne detector.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
@@ -44,10 +46,12 @@ class UserLink:
     def __post_init__(self) -> None:
         if not 0.0 <= self.transmittance <= 1.0:
             raise ValidationError(f"transmittance must be in [0, 1], got {self.transmittance}")
-        if self.excess_noise < 0.0:
-            raise ValidationError(f"excess noise must be >= 0, got {self.excess_noise}")
-        if self.trusted_noise is not None and self.trusted_noise < 0.0:
-            raise ValidationError(f"trusted noise must be >= 0, got {self.trusted_noise}")
+        if not 0.0 <= self.excess_noise < math.inf:
+            raise ValidationError(f"excess noise must be finite and >= 0, got {self.excess_noise}")
+        if self.trusted_noise is not None and not 0.0 <= self.trusted_noise < math.inf:
+            raise ValidationError(
+                f"trusted noise must be finite and >= 0, got {self.trusted_noise}"
+            )
 
 
 @dataclass(frozen=True)
@@ -65,18 +69,22 @@ class NetworkParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "users", tuple(self.users))
-        if self.modulation_variance <= 0:
-            raise ValidationError("modulation variance must be positive")
+        if not 0.0 < self.modulation_variance < math.inf:
+            raise ValidationError(
+                f"modulation variance must be finite and positive, got {self.modulation_variance}"
+            )
         if not self.users:
             raise ValidationError("need at least one user")
         if not 0.0 < self.detector_efficiency <= 1.0:
             raise ValidationError("detector efficiency must be in (0, 1]")
-        if self.electronic_noise < 0.0:
-            raise ValidationError("electronic noise must be >= 0")
+        if not 0.0 <= self.electronic_noise < math.inf:
+            raise ValidationError(
+                f"electronic noise must be finite and >= 0, got {self.electronic_noise}"
+            )
         if not 0.0 < self.beta <= 1.0:
             raise ValidationError("reconciliation efficiency must be in (0, 1]")
-        if self.block_size < 1:
-            raise ValidationError("block size must be >= 1")
+        if not 1 <= self.block_size < math.inf:
+            raise ValidationError(f"block size must be finite and >= 1, got {self.block_size}")
         if not 0.0 < self.eps_pe < 0.5:
             raise ValidationError("eps_pe must be in (0, 0.5)")
         total = sum(u.transmittance for u in self.users)
@@ -111,6 +119,7 @@ def user_label(k: int) -> str:
     return f"B{k + 1}"
 
 
+@functools.lru_cache(maxsize=16)
 def build_channel_output_cm(params: NetworkParams) -> CovarianceMatrix:
     """Joint covariance of Alice and all channel outputs B1..BM.
 
@@ -122,24 +131,26 @@ def build_channel_output_cm(params: NetworkParams) -> CovarianceMatrix:
     The cross block follows from the splitter's orthonormal vacuum mixing:
     branches share the full signal mode (variance V) but vacuum contributions
     between distinct outputs cancel one unit, leaving V - 1 = V_mod.
+
+    The x and p quadratures are uncoupled, so each is one (M+1)x(M+1) block
+    interleaved into Gamma.  Memoised per `NetworkParams` value: the state
+    is read-only, and each new state passes the physicality check.
     """
     v_mod = params.modulation_variance
     v = v_mod + 1.0
     m = params.n_users
+    eta = np.array([user.transmittance for user in params.users])
+    eps = np.array([user.excess_noise for user in params.users])
+    x = np.empty((m + 1, m + 1))
+    x[0, 0] = v
+    x[1:, 1:] = np.sqrt(np.outer(eta, eta)) * v_mod
+    x[1:, 1:][np.diag_indices(m)] = eta * v_mod + 1.0 + eps
+    x[0, 1:] = x[1:, 0] = np.sqrt(eta * (v * v - 1.0))
+    p = x.copy()
+    p[0, 1:] = p[1:, 0] = -x[0, 1:]
     gamma = np.zeros((2 * (m + 1), 2 * (m + 1)))
-    gamma[0:2, 0:2] = v * I2
-    for k, user in enumerate(params.users):
-        eta = user.transmittance
-        i = 2 * (k + 1)
-        gamma[i : i + 2, i : i + 2] = (eta * v_mod + 1.0 + user.excess_noise) * I2
-        cross = np.sqrt(eta * (v * v - 1.0)) * SIGMA_Z
-        gamma[0:2, i : i + 2] = cross
-        gamma[i : i + 2, 0:2] = cross
-        for j in range(k):
-            jj = 2 * (j + 1)
-            shared = np.sqrt(params.users[j].transmittance * eta) * v_mod * I2
-            gamma[i : i + 2, jj : jj + 2] = shared
-            gamma[jj : jj + 2, i : i + 2] = shared
+    gamma[0::2, 0::2] = x
+    gamma[1::2, 1::2] = p
     labels = (ALICE_LABEL,) + tuple(user_label(k) for k in range(m))
     cm = CovarianceMatrix(gamma, labels)
     if not check_physicality(cm):

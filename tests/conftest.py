@@ -19,9 +19,12 @@ def table1() -> NetworkParams:
     return default_config().params
 
 
-def random_params(rng: np.random.Generator, max_users: int = 5) -> NetworkParams:
-    """Random valid broadcast network in the physically sensible regime."""
-    m = int(rng.integers(1, max_users + 1))
+def random_params(
+    rng: np.random.Generator, max_users: int = 5, n_users: int | None = None
+) -> NetworkParams:
+    """Random valid broadcast network in the physically sensible regime, with
+    `n_users` users, or a uniform count from 1 to `max_users` if not given."""
+    m = int(rng.integers(1, max_users + 1)) if n_users is None else n_users
     fractions = rng.uniform(0.05, 1.0, m)
     fractions = fractions / fractions.sum() * rng.uniform(0.3, 0.999)
     users = tuple(
@@ -39,4 +42,17 @@ def random_params(rng: np.random.Generator, max_users: int = 5) -> NetworkParams
         electronic_noise=0.0,
         beta=0.95,
         block_size=1_250_000_000,
+    )
+
+
+def unphysical_pair() -> NetworkParams:
+    """Two users over the splitter budget: Gamma is positive definite but its
+    smallest symplectic eigenvalue is 0.5."""
+    return NetworkParams(
+        modulation_variance=5.0,
+        users=(
+            UserLink(transmittance=0.55, excess_noise=0.0),
+            UserLink(transmittance=0.55, excess_noise=0.0),
+        ),
+        enforce_splitter_budget=False,
     )

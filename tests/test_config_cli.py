@@ -255,6 +255,28 @@ class TestCLI:
         assert main(["--config", str(cfg), "keyrate"]) == 2
 
     @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("modulation_variance = 5.04 SNU", "modulation_variance = nan SNU"),
+            ("modulation_variance = 5.04 SNU", "modulation_variance = inf SNU"),
+            ("block_size = 1.25e9", "block_size = nan"),
+            ("excess_noise = 4.17 mSNU\n[user 2]", "excess_noise = nan mSNU\n[user 2]"),
+        ],
+    )
+    def test_non_finite_config_value_exits_2(self, old, new, capsys, tmp_path):
+        cfg = tmp_path / "nonfinite.cfg"
+        text = two_user_config("0.1")
+        assert old in text
+        cfg.write_text(text.replace(old, new))
+        assert main(["--config", str(cfg), "keyrate"]) == 2
+        assert "not a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("start,stop", [("1e6", "inf"), ("nan", "1e9"), ("1e6", "nan")])
+    def test_sweep_non_finite_endpoint_exits_3(self, start, stop, capsys):
+        assert main(["sweep", "--param", "N", "--from", start, "--to", stop, "--steps", "3"]) == 3
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "transmittance,excess_noise", [("-0.1", "4.17 mSNU"), ("0.1", "-4 mSNU")]
     )
     def test_out_of_range_user_value_exits_2(self, transmittance, excess_noise, capsys, tmp_path):

@@ -14,9 +14,15 @@ from cvqnet import (
     von_neumann_entropy,
 )
 from cvqnet.errors import UnphysicalStateError, ValidationError
+from cvqnet.keyrates import measure_reference_user
 
 from conftest import random_params
-from oracles import direct_sum, epr_cm, two_mode_symplectic_eigenvalues
+from oracles import (
+    direct_sum,
+    epr_cm,
+    hermitian_symplectic_spectrum,
+    two_mode_symplectic_eigenvalues,
+)
 
 G_HALF = 1.37744375108173427  # high-precision evaluation of g(0.5)
 
@@ -65,22 +71,103 @@ class TestSymplecticEigenvalues:
         spec = symplectic_eigenvalues(cm(gamma, ["a", "b"]))
         assert np.allclose(spec, [1.0, 1.0], atol=1e-9)
 
-    def test_matches_two_mode_closed_form(self):
+    def test_matches_two_mode_closed_form(self, table1):
         rng = np.random.default_rng(3)
-        for _ in range(20):
-            params = random_params(rng, max_users=1)
-            gamma = build_channel_output_cm(params)
+        table1_state = build_channel_output_cm(table1)
+        pairs = [table1_state.reduce(["A", f"B{k + 1}"]) for k in range(table1.n_users)]
+        pairs += [build_channel_output_cm(random_params(rng, max_users=1)) for _ in range(20)]
+        for gamma in pairs:
             ours = symplectic_eigenvalues(gamma)
             closed = two_mode_symplectic_eigenvalues(gamma.matrix)
-            assert ours == pytest.approx(sorted(closed, reverse=True), rel=1e-10)
+            assert ours == pytest.approx(sorted(closed, reverse=True), rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValidationError):
+            cm([[bad, 0.0], [0.0, 1.0]], "a")
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValidationError):
             cm([[1.0, 0.5], [0.0, 1.0]], "a")
 
     def test_rejects_non_positive_definite(self):
-        with pytest.raises(ValidationError):
-            symplectic_eigenvalues(cm([[1.0, 0.0], [0.0, -1.0]], "a"))
+        for matrix in (
+            [[1.0, 0.0], [0.0, -1.0]],
+            [[1.0, 2.0], [2.0, 1.0]],  # indefinite
+            [[1.0, 1.0], [1.0, 1.0]],  # singular
+            [[1.0, 0.0], [0.0, -1e-300]],
+        ):
+            with pytest.raises(ValidationError):
+                symplectic_eigenvalues(cm(matrix, "a"))
+
+
+def general_eigen_spectrum(gamma: np.ndarray) -> np.ndarray:
+    """Reference spectrum from the real non-symmetric eigenproblem of
+    Omega Gamma, whose eigenvalues are +/- i nu_j (descending)."""
+    ev = np.linalg.eigvals(symplectic_form(gamma.shape[0] // 2) @ gamma)
+    return np.sort(np.abs(ev.imag))[::-1][::2]
+
+
+def measured_chain(params):
+    """The channel-output state, then the states left after each user in
+    turn is measured by its trusted receiver (one more mode per step)."""
+    state = build_channel_output_cm(params)
+    states = [state]
+    for k in range(params.n_users - 1):
+        state = measure_reference_user(
+            state, f"B{k + 1}", params.detector_efficiency, params.trusted_noise(k)
+        )
+        states.append(state)
+    return states
+
+
+class TestHermitianKernel:
+    def assert_matches_references(self, state):
+        ours = symplectic_eigenvalues(state)
+        assert ours.shape == (state.dim_modes,)
+        assert np.all(np.diff(ours) <= 0.0)  # descending
+        oracle = hermitian_symplectic_spectrum(state.matrix)[::-1]
+        assert np.allclose(ours, oracle, rtol=1e-12, atol=0.0)
+        assert np.allclose(ours, general_eigen_spectrum(state.matrix), rtol=1e-12, atol=0.0)
+
+    def test_table1_states(self, table1):
+        for state in measured_chain(table1):
+            self.assert_matches_references(state)
+
+    def test_random_network_states(self):
+        rng = np.random.default_rng(31)
+        for _ in range(25):
+            for state in measured_chain(random_params(rng)):
+                self.assert_matches_references(state)
+
+    def test_eight_user_conditioned_states(self):
+        rng = np.random.default_rng(32)
+        modes = set()
+        for _ in range(3):
+            for state in measured_chain(random_params(rng, n_users=8)):
+                modes.add(state.dim_modes)
+                self.assert_matches_references(state)
+        assert 11 in modes and max(modes) == 16
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-10, 1e-6])
+    def test_near_pure_states(self, noise):
+        for v in (1.5, 5.0, 50.0):
+            gamma = direct_sum(epr_cm(v), epr_cm(v + 1.0)) + noise * np.eye(8)
+            state = cm(gamma, "abcd")
+            self.assert_matches_references(state)
+            # added noise d: nu = sqrt((w + d)^2 - (w^2 - 1)) for each pair of variance w
+            expected = [np.sqrt(2.0 * w * noise + noise**2 + 1.0) for w in (v + 1.0, v)]
+            assert np.allclose(
+                symplectic_eigenvalues(state), np.repeat(expected, 2), rtol=1e-12, atol=0.0
+            )
+
+    def test_symplectic_form_copy_cannot_corrupt_spectra(self, table1):
+        state = build_channel_output_cm(table1)
+        before = symplectic_eigenvalues(state).copy()
+        n = state.dim_modes
+        symplectic_form(n)[:] = 7.0
+        assert np.array_equal(symplectic_form(n), np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]]))
+        assert np.array_equal(symplectic_eigenvalues(state), before)
 
 
 class TestGFunction:

@@ -7,6 +7,7 @@ from cvqnet import (
     NetworkParams,
     TrustModel,
     UserLink,
+    build_channel_output_cm,
     delta_fs,
     derive_worst_case,
     holevo_collaborative,
@@ -16,9 +17,11 @@ from cvqnet import (
     mutual_information,
     rate_table,
 )
-from cvqnet.errors import ValidationError
+from cvqnet.errors import ModelError, ValidationError
+from cvqnet.gaussian import CovarianceMatrix, condition_on_heterodyne, von_neumann_entropy
+from cvqnet.keyrates import measure_reference_user
 
-from conftest import random_params
+from conftest import random_params, unphysical_pair
 from oracles import mc_mutual_information, oracle_rates
 
 DELTA_1_25E9 = 1.15818643283188482e-3  # high-precision evaluation
@@ -124,6 +127,61 @@ class TestHolevoBounds:
         assert holevo_collaborative(params, 0) == pytest.approx(
             holevo_untrusted(params, 0), abs=1e-10
         )
+
+
+def sequential_collaborative_holevo(params, k):
+    """Reference for the collaborative Holevo bound: the assisting receivers
+    applied one user at a time as a full scale @ Gamma @ scale^T product."""
+    state = build_channel_output_cm(params)
+    eta_d = params.detector_efficiency
+    others = [j for j in range(params.n_users) if j != k]
+    for j in others:
+        i = 2 * (j + 1)
+        scale = np.eye(state.matrix.shape[0])
+        scale[i : i + 2, i : i + 2] = np.sqrt(eta_d) * np.eye(2)
+        out = scale @ state.matrix @ scale.T
+        out[i, i] += (1.0 - eta_d) + params.trusted_noise(j)
+        out[i + 1, i + 1] += (1.0 - eta_d) + params.trusted_noise(j)
+        state = CovarianceMatrix(out, state.mode_labels)
+    state = condition_on_heterodyne(state, [f"B{j + 1}" for j in others])
+    measured = measure_reference_user(state, f"B{k + 1}", eta_d, params.trusted_noise(k))
+    return von_neumann_entropy(state) - von_neumann_entropy(measured)
+
+
+class TestOneShotAssistingMap:
+    def test_equals_sequential_map(self, table1):
+        rng = np.random.default_rng(42)
+        cases = [table1] + [random_params(rng, max_users=6) for _ in range(20)]
+        assert sum(p.n_users > 2 for p in cases) >= 10
+        for params in (p for p in cases if p.n_users > 1):
+            for k in range(params.n_users):
+                assert holevo_collaborative(params, k) == pytest.approx(
+                    sequential_collaborative_holevo(params, k), abs=1e-12
+                )
+
+    def test_rate_table_checks_physicality_once(self, monkeypatch):
+        import cvqnet.network
+
+        calls = []
+        check = cvqnet.network.check_physicality
+
+        def counted(cm):
+            calls.append(cm)
+            return check(cm)
+
+        monkeypatch.setattr(cvqnet.network, "check_physicality", counted)
+        build_channel_output_cm.cache_clear()
+        params = random_params(np.random.default_rng(43), n_users=5)
+        reports = rate_table(params)
+        assert len(reports) == 3 * params.n_users
+        assert len(calls) == 1
+
+    def test_unphysical_network_raises_on_every_rate(self):
+        params = unphysical_pair()
+        for trust in TrustModel:
+            for k in range(params.n_users):
+                with pytest.raises(ModelError):
+                    key_rate(params, trust, k)
 
 
 class TestTrustOrdering:

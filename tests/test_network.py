@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,9 @@ from cvqnet import (
     link_from_outcome_model,
     measured_outcome_model,
 )
-from cvqnet.errors import ValidationError
+from cvqnet.errors import ModelError, ValidationError
 
-from conftest import random_params
+from conftest import random_params, unphysical_pair
 from oracles import brute_force_network_cm, epr_cm
 
 
@@ -149,6 +151,68 @@ class TestTrustedDetector:
         extended = attach_trusted_detector(gamma, "B1", 0.9, 0.01)
         with pytest.raises(ValidationError):
             attach_trusted_detector(extended, "B1", 0.9, 0.01)
+
+
+class TestBuilderMemo:
+    def test_equal_params_share_one_read_only_state(self, table1):
+        users = tuple(dataclasses.replace(u) for u in table1.users)
+        rebuilt = dataclasses.replace(table1, users=users)
+        assert rebuilt == table1 and rebuilt is not table1
+        first = build_channel_output_cm(table1)
+        assert build_channel_output_cm(rebuilt) is first
+        assert not first.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            first.matrix[0, 0] = 0.0
+
+    def test_different_params_get_their_own_state(self, table1):
+        bumped = dataclasses.replace(table1, modulation_variance=table1.modulation_variance + 1.0)
+        assert not np.array_equal(
+            build_channel_output_cm(bumped).matrix, build_channel_output_cm(table1).matrix
+        )
+
+    def test_unphysical_network_raises_on_every_call(self):
+        params = unphysical_pair()
+        for _ in range(3):
+            with pytest.raises(ModelError):
+                build_channel_output_cm(params)
+
+    def test_matches_block_by_block_reference(self, table1):
+        rng = np.random.default_rng(41)
+        for params in [table1] + [random_params(rng, max_users=8) for _ in range(20)]:
+            v_mod = params.modulation_variance
+            v = v_mod + 1.0
+            m = params.n_users
+            ref = np.zeros((2 * (m + 1), 2 * (m + 1)))
+            ref[0:2, 0:2] = v * np.eye(2)
+            for k, user in enumerate(params.users):
+                eta, i = user.transmittance, 2 * (k + 1)
+                ref[i : i + 2, i : i + 2] = (eta * v_mod + 1.0 + user.excess_noise) * np.eye(2)
+                cross = np.sqrt(eta * (v * v - 1.0)) * np.diag([1.0, -1.0])
+                ref[0:2, i : i + 2] = ref[i : i + 2, 0:2] = cross
+                for j in range(k):
+                    jj = 2 * (j + 1)
+                    shared = np.sqrt(params.users[j].transmittance * eta) * v_mod * np.eye(2)
+                    ref[i : i + 2, jj : jj + 2] = ref[jj : jj + 2, i : i + 2] = shared
+            assert np.array_equal(build_channel_output_cm(params).matrix, ref)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("field", ["transmittance", "excess_noise", "trusted_noise"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_user_link_rejects(self, field, bad):
+        values = {"transmittance": 0.1, "excess_noise": 0.01, "trusted_noise": 0.05, field: bad}
+        with pytest.raises(ValidationError):
+            UserLink(**values)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["modulation_variance", "detector_efficiency", "electronic_noise", "beta",
+         "block_size", "eps_pe"],
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_network_params_reject(self, table1, field, bad):
+        with pytest.raises(ValidationError):
+            dataclasses.replace(table1, **{field: bad})
 
 
 class TestOutcomeModel:
