@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Subcommands: keyrate, decompose, sweep, simulate, estimate.  CSV is the
-canonical tabular output; --format json mirrors it for machine consumption.
-Exit codes: 0 success, 2 config/input error, 3 numerical or physicality
-error, 4 guard refusal.
+Subcommands: keyrate, decompose, sweep, simulate, estimate.  Every command is
+`_cmd_X(params, args) -> (json_payload, csv_lines)`; `main` loads the config,
+runs the command and writes its CSV lines (the canonical tabular output) or,
+with --format json, the JSON mirror of the same numbers, to stdout or --out.
+Exit codes: 0 success, 2 config/input or file error, 3 numerical or
+physicality error, 4 guard refusal.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 import sys
 from dataclasses import replace
 
-from .config import RunConfig, default_config, load_config
+from .config import default_config, load_config
 from .decomposition import all_orderings, decomposition_table, sample_orderings
 from .errors import ConfigError, CVQNetError, GuardRefusalError, ValidationError
 from .keyrates import TrustModel, derive_worst_case, rate_table
@@ -27,60 +29,43 @@ from .simulate import (
     write_block_csv,
 )
 
-TRUST_ORDER = (TrustModel.UNTRUSTED, TrustModel.COLLABORATIVE, TrustModel.TRUSTED)
-
 
 def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _load(args) -> RunConfig:
-    return load_config(args.config) if args.config else default_config()
+def _trusts(raw: str) -> list[TrustModel]:
+    return list(TrustModel) if raw == "all" else [TrustModel(raw)]
 
 
 # ---------------------------------------------------------------- keyrate
 
 
-def _cmd_keyrate(args) -> int:
-    cfg = _load(args)
-    params = cfg.params
+def _cmd_keyrate(params: NetworkParams, args):
     users = list(range(params.n_users)) if args.user == "all" else [_user_index(args.user, params)]
-    trusts = list(TRUST_ORDER) if args.trust == "all" else [TrustModel(args.trust)]
+    trusts = _trusts(args.trust)
     worst = derive_worst_case(params) if args.worst_case == "model" and args.mode == "finite" else None
 
     reports = rate_table(params, trusts, users, args.mode, worst)
-    if args.format == "json":
-        payload = [
-            {
-                "user": r.user + 1,
-                "trust": r.trust.value,
-                "mode": args.mode,
-                "mutual_information": r.mutual_information,
-                "holevo": r.holevo,
-                "delta": r.delta,
-                "rate": r.rate,
-                "non_positive": r.non_positive,
-                "params_source": r.params_source,
-                "params_used": [list(p) for p in r.params_used],
-            }
-            for r in reports
-        ]
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        header = "user," + ",".join(f"K_{t.value}" for t in trusts)
-        lines = [header]
-        for k in users:
-            lines.append(f"{k + 1}," + ",".join(_fmt(r.rate) for r in reports if r.user == k))
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    payload = [
+        {
+            "user": r.user + 1,
+            "trust": r.trust.value,
+            "mode": args.mode,
+            "mutual_information": r.mutual_information,
+            "holevo": r.holevo,
+            "delta": r.delta,
+            "rate": r.rate,
+            "non_positive": r.non_positive,
+            "params_source": r.params_source,
+            "params_used": [list(p) for p in r.params_used],
+        }
+        for r in reports
+    ]
+    lines = ["user," + ",".join(f"K_{t.value}" for t in trusts)]
+    for k in users:
+        lines.append(f"{k + 1}," + ",".join(_fmt(r.rate) for r in reports if r.user == k))
+    return payload, lines
 
 
 def _user_index(raw: str, params: NetworkParams) -> int:
@@ -96,9 +81,11 @@ def _user_index(raw: str, params: NetworkParams) -> int:
 # -------------------------------------------------------------- decompose
 
 
-def _parse_orders(raw: str, n_users: int):
+def _orders_table(raw: str, params: NetworkParams, args):
+    """The decomposition table that `--orders raw` names; a malformed value
+    raises ConfigError before anything is evaluated."""
     if raw == "all":
-        return ("all", None)
+        return all_orderings(params, mode=args.mode)
     if raw.startswith("sample:"):
         try:
             count = int(raw.split(":", 1)[1])
@@ -106,56 +93,39 @@ def _parse_orders(raw: str, n_users: int):
             raise ConfigError(f"--orders sample:K needs an integer K, got {raw!r}") from None
         if count < 1:
             raise ConfigError(f"--orders sample:K needs K >= 1, got {raw!r}")
-        return ("sample", count)
+        return sample_orderings(params, count, seed=args.seed, mode=args.mode)
     try:
         order = tuple(int(tok) - 1 for tok in raw.split(","))
     except ValueError:
         raise ConfigError(f"--orders must be 'all', 'sample:K' or '1,2,...', got {raw!r}") from None
-    if sorted(order) != list(range(n_users)):
-        raise ConfigError(f"--orders {raw!r} is not a permutation of 1..{n_users}")
-    return ("explicit", order)
+    if sorted(order) != list(range(params.n_users)):
+        raise ConfigError(f"--orders {raw!r} is not a permutation of 1..{params.n_users}")
+    return decomposition_table(params, [order], mode=args.mode)
 
 
-def _cmd_decompose(args) -> int:
-    cfg = _load(args)
-    params = cfg.params
-    kind, detail = _parse_orders(args.orders, params.n_users)
-    if kind == "all":
-        table = all_orderings(params, mode=args.mode)
-    elif kind == "sample":
-        table = sample_orderings(params, detail, seed=args.seed, mode=args.mode)
-    else:
-        table = decomposition_table(params, [detail], mode=args.mode)
+def _cmd_decompose(params: NetworkParams, args):
+    table = _orders_table(args.orders, params, args)
     rows, joint = table.rows, table.joint_rate
-
-    if args.format == "json":
-        payload = {
-            "rows": [
-                {
-                    "order": [k + 1 for k in r.order],
-                    "contributions": list(r.contributions),
-                    "row_sum": r.row_sum,
-                }
-                for r in rows
-            ],
-            "joint_rate": joint,
-            "mode": args.mode,
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        m = params.n_users
-        header = "order," + ",".join(f"K_{i + 1}" for i in range(m)) + ",row_sum"
-        lines = [header]
-        for r in rows:
-            order_str = "-".join(str(k + 1) for k in r.order)
-            lines.append(
-                f"{order_str},"
-                + ",".join(_fmt(c) for c in r.contributions)
-                + f",{_fmt(r.row_sum)}"
-            )
-        lines.append(f"# joint_rate={_fmt(joint)} rows={len(rows)}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    payload = {
+        "rows": [
+            {
+                "order": [k + 1 for k in r.order],
+                "contributions": list(r.contributions),
+                "row_sum": r.row_sum,
+            }
+            for r in rows
+        ],
+        "joint_rate": joint,
+        "mode": args.mode,
+    }
+    lines = ["order," + ",".join(f"K_{i + 1}" for i in range(params.n_users)) + ",row_sum"]
+    for r in rows:
+        order_str = "-".join(str(k + 1) for k in r.order)
+        lines.append(
+            f"{order_str}," + ",".join(_fmt(c) for c in r.contributions) + f",{_fmt(r.row_sum)}"
+        )
+    lines.append(f"# joint_rate={_fmt(joint)} rows={len(rows)}")
+    return payload, lines
 
 
 # ------------------------------------------------------------------ sweep
@@ -192,6 +162,8 @@ def _apply_sweep_value(params: NetworkParams, name: str, value: float, n_users: 
         # on top, so 0 dB means each of M users receives a 1/M share
         if value < 0.0:
             raise ValidationError(f"channel loss must be >= 0 dB, got {value}")
+        if n_users < 1:
+            raise ValidationError("need at least one user")
         eta = 10.0 ** (-value / 10.0) / n_users
         mean_eps = sum(u.excess_noise for u in params.users) / params.n_users
         mean_nu = sum(params.trusted_noise(k) for k in range(params.n_users)) / params.n_users
@@ -210,104 +182,76 @@ def _apply_sweep_value(params: NetworkParams, name: str, value: float, n_users: 
     raise ValidationError(f"unknown sweep parameter {name!r}")
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _load(args)
-    params = cfg.params
-    n_users = args.users or params.n_users
+def _cmd_sweep(params: NetworkParams, args):
+    n_users = params.n_users if args.users is None else args.users
     values = _sweep_values(args)
-    trusts = list(TRUST_ORDER) if args.trust == "all" else [TrustModel(args.trust)]
-
-    results = []
-    for value in values:
-        p = _apply_sweep_value(params, args.param, value, n_users)
-        results += [(value, r) for r in rate_table(p, trusts, mode=args.mode)]
-    if args.format == "json":
-        payload = [
-            {"param": args.param, "value": v, "user": r.user + 1, "trust": r.trust.value,
-             "rate": r.rate}
-            for (v, r) in results
-        ]
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        lines = ["param,value,user,trust,mode,rate"]
-        for (v, r) in results:
-            lines.append(
-                f"{args.param},{_fmt(v)},{r.user + 1},{r.trust.value},{args.mode},{_fmt(r.rate)}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    trusts = _trusts(args.trust)
+    results = [
+        (value, r)
+        for value in values
+        for r in rate_table(_apply_sweep_value(params, args.param, value, n_users), trusts,
+                            mode=args.mode)
+    ]
+    payload = [
+        {"param": args.param, "value": v, "user": r.user + 1, "trust": r.trust.value,
+         "rate": r.rate}
+        for (v, r) in results
+    ]
+    lines = ["param,value,user,trust,mode,rate"] + [
+        f"{args.param},{_fmt(v)},{r.user + 1},{r.trust.value},{args.mode},{_fmt(r.rate)}"
+        for (v, r) in results
+    ]
+    return payload, lines
 
 
 # ------------------------------------------------------- simulate / estimate
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _load(args)
-    if args.symbols < 1:
-        raise ValidationError("--symbols must be >= 1")
-    block = simulate(cfg.params, args.symbols, args.seed)
+def _cmd_simulate(params: NetworkParams, args):
+    block = simulate(params, args.symbols, args.seed)
     write_block(block, args.out_block)
     written = [args.out_block]
     if args.csv:
         write_block_csv(block, args.csv)
         written.append(args.csv)
-    summary = {
-        "symbols": block.n,
-        "users": block.n_users,
-        "seed": block.seed,
-        "files": written,
-    }
-    if args.format == "json":
-        _emit(json.dumps(summary, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        _emit(
-            f"symbols,users,seed,files\n{block.n},{block.n_users},{block.seed},"
-            + ";".join(written)
-            + "\n",
-            args.out,
-        )
-    return 0
+    payload = {"symbols": block.n, "users": block.n_users, "seed": block.seed, "files": written}
+    lines = ["symbols,users,seed,files",
+             f"{block.n},{block.n_users},{block.seed}," + ";".join(written)]
+    return payload, lines
 
 
-def _cmd_estimate(args) -> int:
-    cfg = _load(args)
+def _cmd_estimate(params: NetworkParams, args):
     block = read_block(args.in_block)
-    if block.n_users != cfg.params.n_users:
+    if block.n_users != params.n_users:
         raise ConfigError(
-            f"block has {block.n_users} users but config describes {cfg.params.n_users}"
+            f"block has {block.n_users} users but config describes {params.n_users}"
         )
-    report = estimate_report(block, cfg.params)
-    if args.format == "json":
-        payload = {
-            "n": report.n,
-            "eps_pe": report.eps_pe,
-            "users": [
-                {
-                    "user": k,
-                    "t_hat": u.t_hat,
-                    "sigma2_hat": u.sigma2_hat,
-                    "eta_hat": u.eta_hat,
-                    "eps_hat_msnu": u.eps_hat * 1e3,
-                    "delta_t": u.delta_t,
-                    "delta_sigma2": u.delta_sigma2,
-                    "eta_min": u.eta_min,
-                    "eps_max_msnu": u.eps_max * 1e3,
-                    "negative_excess_flagged": u.negative_excess_flagged,
-                }
-                for k, u in enumerate(report.users, start=1)
-            ],
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        lines = ["user,eta_hat,eps_hat_msnu,eta_min,eps_max_msnu,flagged"]
-        for k, u in enumerate(report.users, start=1):
-            lines.append(
-                f"{k},{_fmt(u.eta_hat)},{_fmt(u.eps_hat * 1e3)},"
-                f"{_fmt(u.eta_min)},{_fmt(u.eps_max * 1e3)},"
-                f"{'yes' if u.negative_excess_flagged else 'no'}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    report = estimate_report(block, params)
+    payload = {
+        "n": report.n,
+        "eps_pe": report.eps_pe,
+        "users": [
+            {
+                "user": k,
+                "t_hat": u.t_hat,
+                "sigma2_hat": u.sigma2_hat,
+                "eta_hat": u.eta_hat,
+                "eps_hat_msnu": u.eps_hat * 1e3,
+                "delta_t": u.delta_t,
+                "delta_sigma2": u.delta_sigma2,
+                "eta_min": u.eta_min,
+                "eps_max_msnu": u.eps_max * 1e3,
+                "negative_excess_flagged": u.negative_excess_flagged,
+            }
+            for k, u in enumerate(report.users, start=1)
+        ],
+    }
+    lines = ["user,eta_hat,eps_hat_msnu,eta_min,eps_max_msnu,flagged"] + [
+        f"{k},{_fmt(u.eta_hat)},{_fmt(u.eps_hat * 1e3)},{_fmt(u.eta_min)},{_fmt(u.eps_max * 1e3)},"
+        f"{'yes' if u.negative_excess_flagged else 'no'}"
+        for k, u in enumerate(report.users, start=1)
+    ]
+    return payload, lines
 
 
 # ------------------------------------------------------------------- main
@@ -367,10 +311,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        params = (load_config(args.config) if args.config else default_config()).params
+        payload, lines = args.fn(params, args)
+        if args.format == "json":
+            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        else:
+            text = "\n".join(lines) + "\n"
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return 0
     except GuardRefusalError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 4
@@ -380,6 +334,9 @@ def main(argv: list[str] | None = None) -> int:
     except CVQNetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -84,9 +84,6 @@ class DecompositionRow:
     contributions: tuple[float, ...]  # K at each position of `order`
     row_sum: float
 
-    def contribution_of_user(self, k: int) -> float:
-        return self.contributions[self.order.index(k)]
-
 
 def decompose(
     params: NetworkParams,

@@ -134,7 +134,8 @@ def build_channel_output_cm(params: NetworkParams) -> CovarianceMatrix:
 
     The x and p quadratures are uncoupled, so each is one (M+1)x(M+1) block
     interleaved into Gamma.  Memoised per `NetworkParams` value: the state
-    is read-only, and each new state passes the physicality check.
+    is read-only, and each new state passes the physicality check; one that
+    fails it, positive definite or not, raises ModelError naming the params.
     """
     v_mod = params.modulation_variance
     v = v_mod + 1.0
@@ -153,9 +154,13 @@ def build_channel_output_cm(params: NetworkParams) -> CovarianceMatrix:
     gamma[1::2, 1::2] = p
     labels = (ALICE_LABEL,) + tuple(user_label(k) for k in range(m))
     cm = CovarianceMatrix(gamma, labels)
-    if not check_physicality(cm):
+    try:
+        detail = None if check_physicality(cm) else f"min nu = {symplectic_eigenvalues(cm)[-1]}"
+    except ValidationError as exc:  # not positive definite: Gamma + i Omega >= 0 fails too
+        detail = str(exc)
+    if detail is not None:
         raise ModelError(
-            f"network covariance unphysical (min nu = {symplectic_eigenvalues(cm)[-1]}); "
+            f"network covariance unphysical ({detail}); "
             f"params: V_mod={v_mod}, users={params.users}"
         )
     return cm

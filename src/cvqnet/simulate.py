@@ -161,9 +161,6 @@ class ConfidenceRegion:
     eps_hat: float
     eta_min: float
     eps_max: float
-    z: float
-    n: float
-    eps_pe: float
 
     @property
     def negative_excess_flagged(self) -> bool:
@@ -210,9 +207,6 @@ def confidence_region(
         eps_hat=eps_hat,
         eta_min=eta_min,
         eps_max=eps_max,
-        z=float(z),
-        n=float(n),
-        eps_pe=float(eps_pe),
     )
 
 

@@ -69,6 +69,47 @@ def two_user_config(transmittance: str, excess_noise: str = "4.17 mSNU") -> str:
     )
 
 
+def _g(x: float) -> str:
+    return f"{x:.10g}"
+
+
+def _keyrate_csv(payload):
+    trusts = list(dict.fromkeys(e["trust"] for e in payload))
+    users = list(dict.fromkeys(e["user"] for e in payload))
+    return ["user," + ",".join(f"K_{t}" for t in trusts)] + [
+        f"{k}," + ",".join(_g(e["rate"]) for e in payload if e["user"] == k) for k in users
+    ]
+
+
+def _decompose_csv(payload):
+    rows = payload["rows"]
+    m = len(rows[0]["order"])
+    return (
+        ["order," + ",".join(f"K_{i}" for i in range(1, m + 1)) + ",row_sum"]
+        + [
+            "-".join(map(str, r["order"])) + ","
+            + ",".join(map(_g, r["contributions"])) + f",{_g(r['row_sum'])}"
+            for r in rows
+        ]
+        + [f"# joint_rate={_g(payload['joint_rate'])} rows={len(rows)}"]
+    )
+
+
+def _sweep_csv(payload):
+    return ["param,value,user,trust,mode,rate"] + [
+        f"{e['param']},{_g(e['value'])},{e['user']},{e['trust']},finite,{_g(e['rate'])}"
+        for e in payload
+    ]
+
+
+def _estimate_csv(payload):
+    return ["user,eta_hat,eps_hat_msnu,eta_min,eps_max_msnu,flagged"] + [
+        f"{u['user']},{_g(u['eta_hat'])},{_g(u['eps_hat_msnu'])},{_g(u['eta_min'])},"
+        f"{_g(u['eps_max_msnu'])},{'yes' if u['negative_excess_flagged'] else 'no'}"
+        for u in payload["users"]
+    ]
+
+
 class TestCLI:
     def run(self, capsys, *argv):
         code = main(list(argv))
@@ -101,16 +142,26 @@ class TestCLI:
         code = main(["keyrate", "--user", "5"])
         assert code == 2
 
-    def test_keyrate_json_mirrors_csv(self, capsys):
-        code, out = self.run(capsys, "--format", "json", "keyrate", "--user", "1")
+    @pytest.mark.parametrize(
+        "argv,csv_from_json",
+        [
+            (["keyrate"], _keyrate_csv),
+            (["decompose", "--orders", "all"], _decompose_csv),
+            (["sweep", "--param", "loss_db", "--from", "7", "--to", "9", "--steps", "3"], _sweep_csv),
+            (["estimate", "--in", "b.cvnb"], _estimate_csv),
+        ],
+        ids=["keyrate", "decompose", "sweep", "estimate"],
+    )
+    def test_json_mirrors_csv(self, argv, csv_from_json, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        if argv[0] == "estimate":
+            self.run(capsys, "simulate", "--symbols", "5000", "--seed", "3", "--out-block", "b.cvnb")
+        code, csv_out = self.run(capsys, *argv)
         assert code == 0
-        payload = json.loads(out)
-        assert len(payload) == 3
-        assert {entry["trust"] for entry in payload} == {
-            "untrusted",
-            "collaborative",
-            "trusted",
-        }
+        code, json_out = self.run(capsys, "--format", "json", *argv)
+        assert code == 0
+        # every CSV cell is the matching JSON value printed with %.10g
+        assert csv_from_json(json.loads(json_out)) == csv_out.splitlines()
 
     def test_keyrate_deterministic_output(self, capsys):
         _, first = self.run(capsys, "keyrate")
@@ -169,6 +220,12 @@ class TestCLI:
         lines = out.strip().splitlines()
         assert lines[0] == "param,value,user,trust,mode,rate"
         assert len(lines) == 1 + 4  # four users at one step
+
+    @pytest.mark.parametrize("users", ["0", "-2"])
+    def test_sweep_without_users_exits_3(self, users, capsys):
+        argv = ["sweep", "--param", "loss_db", "--from", "0", "--to", "10", "--steps", "2"]
+        assert main(argv + ["--users", users]) == 3
+        assert "need at least one user" in capsys.readouterr().err
 
     def test_sweep_non_monotone_range_exits_3(self):
         assert main(
@@ -248,6 +305,20 @@ class TestCLI:
         block_path = tmp_path / "huge.cvnb"
         block_path.write_bytes(_HEADER.pack(MAGIC, FORMAT_VERSION, 2**60, 4, 0) + b"\x00" * 64)
         assert main(["estimate", "--in", str(block_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--in", "{missing}/b.cvnb"],
+            ["--out", "{missing}/t.csv", "keyrate"],
+            ["simulate", "--symbols", "10", "--seed", "1", "--out-block", "{missing}/b.cvnb"],
+        ],
+        ids=["estimate-in", "out", "simulate-out-block"],
+    )
+    def test_missing_file_or_directory_exits_2(self, argv, capsys, tmp_path):
+        missing = tmp_path / "no-such-dir"
+        assert main([a.format(missing=missing) for a in argv]) == 2
+        assert "file error:" in capsys.readouterr().err
 
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -171,10 +171,16 @@ class TestBuilderMemo:
         )
 
     def test_unphysical_network_raises_on_every_call(self):
-        params = unphysical_pair()
-        for _ in range(3):
-            with pytest.raises(ModelError):
-                build_channel_output_cm(params)
+        # the second pair's Gamma is not even positive definite
+        not_positive = dataclasses.replace(
+            unphysical_pair(),
+            users=(UserLink(transmittance=0.7, excess_noise=0.0),
+                   UserLink(transmittance=0.6, excess_noise=0.0)),
+        )
+        for params in (unphysical_pair(), not_positive):
+            for _ in range(3):
+                with pytest.raises(ModelError, match="V_mod=5.0"):
+                    build_channel_output_cm(params)
 
     def test_matches_block_by_block_reference(self, table1):
         rng = np.random.default_rng(41)

@@ -189,7 +189,7 @@ class TestConfidenceRegion:
         )
         assert region.eta_min < region.eta_hat
         assert region.eps_max > region.eps_hat
-        assert region.z == pytest.approx(Z_ORACLE, rel=1e-9)
+        assert region.delta_t == pytest.approx(Z_ORACLE * np.sqrt(1.0 / (1e6 * 5.0)), rel=1e-9)
 
     def test_corner_approaches_ml_for_large_n(self):
         small = confidence_region(
