@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -183,6 +184,8 @@ def _apply_sweep_value(params: NetworkParams, name: str, value: float, n_users: 
 
 
 def _cmd_sweep(params: NetworkParams, args):
+    if args.users is not None and args.param != "loss_db":
+        raise ConfigError(f"--users applies only to --param loss_db, not {args.param}")
     n_users = params.n_users if args.users is None else args.users
     values = _sweep_values(args)
     trusts = _trusts(args.trust)
@@ -212,7 +215,11 @@ def _cmd_simulate(params: NetworkParams, args):
     write_block(block, args.out_block)
     written = [args.out_block]
     if args.csv:
-        write_block_csv(block, args.csv)
+        try:
+            write_block_csv(block, args.csv)
+        except OSError:
+            os.remove(args.out_block)  # a failed command leaves no output behind
+            raise
         written.append(args.csv)
     payload = {"symbols": block.n, "users": block.n_users, "seed": block.seed, "files": written}
     lines = ["symbols,users,seed,files",

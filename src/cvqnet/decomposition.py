@@ -9,7 +9,9 @@ K_k = v(S + {k}) - v(S) - Delta(N), so every ordering sums to the joint rate
 v(all) - M * Delta(N) and the first user's share is its trusted rate.
 Gaussian conditioning commutes, so sigma_S depends on the set S only:
 `CoalitionValues` evaluates v once per coalition, a row is M lookups and
-the joint rate is the lookup of v(all).
+the joint rate is the lookup of v(all).  Each new coalition costs one
+closed-form `measure_reference_user` step from its parent's state and one
+closed-form I(A : y_S).
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import numpy as np
 
 from .errors import GuardRefusalError, ValidationError
 from .gaussian import von_neumann_entropy
-from .keyrates import _mode_delta, _outcome_information, measure_reference_user
-from .network import NetworkParams, build_channel_output_cm, classical_outcome_cov, user_label
+from .keyrates import _mode_delta, _outcome_information, _outcome_snrs, measure_reference_user
+from .network import NetworkParams, build_channel_output_cm, user_label
 from .simulate import check_seed
 
 MAX_ENUMERATED_USERS = 8
@@ -49,7 +51,7 @@ class CoalitionValues:
 
     def __init__(self, params: NetworkParams):
         self.params = params
-        self._outcome_cov = classical_outcome_cov(params)
+        self._snrs = _outcome_snrs(params)
         state = build_channel_output_cm(params)
         self._states = {frozenset(): state}
         self.terms = {frozenset(): (0.0, von_neumann_entropy(state))}
@@ -67,7 +69,7 @@ class CoalitionValues:
                 )
                 if len(grown) < p.n_users:  # the full coalition is nobody's parent
                     self._states[grown] = state
-                info = _outcome_information(self._outcome_cov, grown)
+                info = _outcome_information(self._snrs, grown)
                 self.terms[grown] = (info, von_neumann_entropy(state))
             chain.append(grown)
         return chain

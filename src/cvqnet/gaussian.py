@@ -27,7 +27,7 @@ PHYSICALITY_TOL = 1e-9
 
 
 def _as_label_tuple(labels: Iterable[str]) -> tuple[str, ...]:
-    out = tuple(str(x) for x in labels)
+    out = tuple(map(str, labels))
     if len(set(out)) != len(out):
         raise ValidationError(f"mode labels must be unique, got {out}")
     return out
@@ -50,11 +50,11 @@ class CovarianceMatrix:
             raise ValidationError(
                 f"{len(labels)} labels for {n} modes: {labels}"
             )
-        peak = float(np.max(np.abs(m)))
+        peak = float(np.abs(m).max())
         if not peak < math.inf:
             raise ValidationError("covariance matrix has non-finite entries")
         scale = max(1.0, peak)
-        if np.max(np.abs(m - m.T)) > SYMMETRY_RTOL * scale:
+        if np.abs(m - m.T).max() > SYMMETRY_RTOL * scale:
             raise ValidationError("covariance matrix is not symmetric within tolerance")
         m = (m + m.T) / 2.0
         m.flags.writeable = False
@@ -65,10 +65,15 @@ class CovarianceMatrix:
     def dim_modes(self) -> int:
         return len(self.mode_labels)
 
+    @functools.cached_property
+    def _index(self) -> dict[str, int]:
+        """Mode position of each label, built on first lookup."""
+        return {label: i for i, label in enumerate(self.mode_labels)}
+
     def mode_index(self, label: str) -> int:
         try:
-            return self.mode_labels.index(label)
-        except ValueError:
+            return self._index[label]
+        except KeyError:
             raise ValidationError(f"unknown mode label {label!r}; have {self.mode_labels}") from None
 
     def _rows(self, labels: Sequence[str]) -> np.ndarray:
@@ -80,7 +85,7 @@ class CovarianceMatrix:
 
     def block(self, rows: Sequence[str], cols: Sequence[str]) -> np.ndarray:
         """Sub-block (copy) selected by row/column mode labels."""
-        return self.matrix[np.ix_(self._rows(rows), self._rows(cols))].copy()
+        return self.matrix[self._rows(rows)[:, None], self._rows(cols)]
 
     def reduce(self, labels: Sequence[str]) -> "CovarianceMatrix":
         """Reduced state on the given modes (partial trace of the rest)."""
@@ -172,14 +177,14 @@ def condition_on_heterodyne(cm: CovarianceMatrix, measured: Iterable[str]) -> Co
     measured = _as_label_tuple(measured)
     if not measured:
         raise ValidationError("must measure at least one mode")
-    for lab in measured:
-        cm.mode_index(lab)
+    rows_m = cm._rows(measured)
     retained = [lab for lab in cm.mode_labels if lab not in measured]
     if not retained:
         raise ValidationError("cannot heterodyne every mode: nothing would remain")
-    gamma_r = cm.block(retained, retained)
-    gamma_m = cm.block(measured, measured)
-    sigma = cm.block(retained, measured)
+    rows_r = cm._rows(retained)
+    gamma_r = cm.matrix[rows_r[:, None], rows_r]
+    gamma_m = cm.matrix[rows_m[:, None], rows_m]
+    sigma = cm.matrix[rows_r[:, None], rows_m]
     try:
         correction = sigma @ np.linalg.solve(gamma_m + np.eye(gamma_m.shape[0]), sigma.T)
     except np.linalg.LinAlgError as exc:

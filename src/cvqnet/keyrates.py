@@ -13,7 +13,11 @@ supported.  For a reference user k:
 
 Reverse reconciliation throughout: Holevo bounds are conditioned on the
 reference user's own measurement, whose receiver loss and electronic noise
-are trusted (purified) in every interpretation.
+are trusted (purified) in every interpretation.  `measure_reference_user`
+does that measurement in one closed-form step on the state it is given;
+`attach_trusted_detector` followed by `condition_on_heterodyne` is the same
+map written out on the extended state.  Mutual information is the closed
+form log2(1 + sum_k V_mod g_k^2 / N_k) of the classical outcome model.
 
 `derive_worst_case` places the model-implied corner with the same
 `worst_case_params` as block estimates.  A zero-transmittance link carries
@@ -29,15 +33,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ModelError, ValidationError
+from .errors import ValidationError
 from .gaussian import CovarianceMatrix, condition_on_heterodyne, von_neumann_entropy
 from .network import (
     ALICE_LABEL,
     NetworkParams,
-    attach_trusted_detector,
     build_channel_output_cm,
-    classical_outcome_cov,
     measured_outcome_model,
+    trusted_receiver,
     user_label,
 )
 from .simulate import EstimateReport, worst_case_params
@@ -69,21 +72,22 @@ def _mode_delta(params: NetworkParams, mode: str) -> float:
     return delta_fs(params.block_size) if mode == "finite" else 0.0
 
 
-def _outcome_information(cov: np.ndarray, users: Iterable[int]) -> float:
-    """I(A : y_users) in bits per use: log2 det(Sigma_yy) / det(Sigma_yy|s).
+def _outcome_snrs(params: NetworkParams) -> tuple[float, ...]:
+    """V_mod g_k^2 / N_k of every user's outcome model y_k = g_k s + n_k."""
+    models = (measured_outcome_model(params, k) for k in range(params.n_users))
+    return tuple(params.modulation_variance * m.gain**2 / m.noise_variance for m in models)
 
-    `cov` is the classical outcome covariance of (s, y_1, ..., y_M); the two
-    quadratures contribute identical halves, so one quadrature's
-    determinant ratio is the information per channel use.
+
+def _outcome_information(snrs: Sequence[float], users: Iterable[int]) -> float:
+    """I(A : y_users) = log2(1 + sum_{k in users} snr_k) in bits per use.
+
+    The outcome covariance of (s, y_1, ..., y_M) is V_mod g g^T + diag(N)
+    with g_0 = 1, N_0 = 0 (`classical_outcome_cov`); by the matrix
+    determinant lemma, det(Sigma_yy) / det(Sigma_yy|s) = 1 + V_mod
+    sum g_k^2 / N_k.  The two quadratures contribute identical halves, so
+    one quadrature's ratio is the information per channel use.
     """
-    idx = [k + 1 for k in sorted(users)]
-    syy = cov[np.ix_(idx, idx)]
-    sys_ = cov[idx, :1]
-    det_y = np.linalg.det(syy)
-    det_y_given_s = np.linalg.det(syy - sys_ @ sys_.T / cov[0, 0])
-    if det_y <= 0 or det_y_given_s <= 0:
-        raise ModelError("degenerate joint outcome covariance")
-    return float(np.log2(det_y / det_y_given_s))
+    return math.log2(1.0 + math.fsum(snrs[k] for k in users))
 
 
 def mutual_information(
@@ -96,9 +100,9 @@ def mutual_information(
     for j in cond + [k]:
         if not 0 <= j < params.n_users:
             raise ValidationError(f"user index {j} out of range")
-    cov = classical_outcome_cov(params)
-    info = _outcome_information(cov, cond + [k])
-    return info - _outcome_information(cov, cond) if cond else info
+    snrs = _outcome_snrs(params)
+    info = _outcome_information(snrs, cond + [k])
+    return info - _outcome_information(snrs, cond) if cond else info
 
 
 def measure_reference_user(
@@ -106,11 +110,49 @@ def measure_reference_user(
 ) -> CovarianceMatrix:
     """State of everything retained after the reference user's measurement.
 
-    Attaches the trusted-receiver purification to `label`, heterodynes the
-    detected mode, and keeps all other modes plus the two ancillae.
+    One closed-form step for heterodyning `label` behind its trusted
+    receiver, equal to `condition_on_heterodyne(attach_trusted_detector(cm,
+    label, ...), [label])` without forming the extended state.  With the
+    mode's block W, its cross block C with the other modes O, t^2 = eta_d,
+    r^2 = 1 - eta_d, the ancilla EPR variance v_d and c = sqrt(v_d^2 - 1),
+    the retained modes (O, D1, D2) have the block
+        [[Gamma_O, -r C, 0], [-r C^T, r^2 W + t^2 v_d I, t c Z], [0, t c Z, v_d I]],
+    their cross block with the detected mode is [t C; t r (v_d I - W); r c Z],
+    and they are conditioned on its outcome covariance t^2 W + (r^2 v_d + 1) I.
+    Labels: the other modes in order, then D1_<label>, D2_<label>.
     """
-    extended = attach_trusted_detector(cm, label, detector_efficiency, electronic_noise)
-    return condition_on_heterodyne(extended, [label])
+    eta_d, v_d = trusted_receiver(detector_efficiency, electronic_noise)
+    i = 2 * cm.mode_index(label)
+    d1, d2 = f"D1_{label}", f"D2_{label}"
+    if d1 in cm.mode_labels or d2 in cm.mode_labels:
+        raise ValidationError(f"detector already attached to {label}")
+    t, r, c = math.sqrt(eta_d), math.sqrt(1.0 - eta_d), math.sqrt(v_d * v_d - 1.0)
+    gamma = cm.matrix
+    rows = np.array([*range(i), *range(i + 2, gamma.shape[0])], dtype=np.intp)  # the other modes
+    (w00, w01), (_, w11) = gamma[i : i + 2, i : i + 2].tolist()
+    cross = gamma[rows, i : i + 2]
+    o = len(rows)
+    retained = np.zeros((o + 4, o + 4))
+    retained[:o, :o] = gamma[rows[:, None], rows]
+    retained[:o, o : o + 2] = -r * cross
+    retained[o : o + 2, :o] = -r * cross.T
+    rr, ttv, tc = r * r, t * t * v_d, t * c
+    retained[o:, o:] = [
+        [rr * w00 + ttv, rr * w01, tc, 0.0],
+        [rr * w01, rr * w11 + ttv, 0.0, -tc],
+        [tc, 0.0, v_d, 0.0],
+        [0.0, -tc, 0.0, v_d],
+    ]
+    sigma = np.empty((o + 4, 2))
+    sigma[:o] = t * cross
+    tr, rc = t * r, r * c
+    sigma[o:] = [[tr * (v_d - w00), -tr * w01], [-tr * w01, tr * (v_d - w11)],
+                 [rc, 0.0], [0.0, -rc]]
+    vacuum = rr * v_d + 1.0
+    a, b, d = t * t * w00 + vacuum, t * t * w01, t * t * w11 + vacuum
+    retained -= sigma @ (np.array([[d, -b], [-b, a]]) / (a * d - b * b)) @ sigma.T
+    labels = tuple(lab for lab in cm.mode_labels if lab != label) + (d1, d2)
+    return CovarianceMatrix(retained, labels)
 
 
 def _reference_holevo(cm: CovarianceMatrix, params: NetworkParams, k: int) -> float:

@@ -166,6 +166,25 @@ def build_channel_output_cm(params: NetworkParams) -> CovarianceMatrix:
     return cm
 
 
+def trusted_receiver(detector_efficiency: float, electronic_noise: float) -> tuple[float, float]:
+    """(eta_d, v_d): beamsplitter transmittance and EPR variance of the
+    trusted-receiver purification, v_d = 1 + nu_el / (1 - eta_d).
+
+    A unit-efficiency detector with electronic noise is detuned to
+    1 - UNIT_EFFICIENCY_DETUNING, where v_d stays finite.
+    """
+    if not 0.0 < detector_efficiency <= 1.0:
+        raise ValidationError("detector efficiency must be in (0, 1]")
+    if electronic_noise < 0.0:
+        raise ValidationError("electronic noise must be >= 0")
+    eta_d = detector_efficiency
+    if not electronic_noise > 0.0:
+        return eta_d, 1.0
+    if eta_d == 1.0:
+        eta_d = 1.0 - UNIT_EFFICIENCY_DETUNING
+    return eta_d, 1.0 + electronic_noise / (1.0 - eta_d)
+
+
 def attach_trusted_detector(
     cm: CovarianceMatrix,
     mode: str,
@@ -180,15 +199,7 @@ def attach_trusted_detector(
     eta_d W + (1 - eta_d) + nu_el, i.e. the calibrated receiver variance,
     while the noise purification stays out of the eavesdropper's hands.
     """
-    if not 0.0 < detector_efficiency <= 1.0:
-        raise ValidationError("detector efficiency must be in (0, 1]")
-    if electronic_noise < 0.0:
-        raise ValidationError("electronic noise must be >= 0")
-    eta_d = detector_efficiency
-    if electronic_noise > 0.0 and eta_d == 1.0:
-        eta_d = 1.0 - UNIT_EFFICIENCY_DETUNING
-    v_d = 1.0 + electronic_noise / (1.0 - eta_d) if electronic_noise > 0.0 else 1.0
-
+    eta_d, v_d = trusted_receiver(detector_efficiency, electronic_noise)
     idx = cm.mode_index(mode)
     n = cm.dim_modes
     d1 = f"D1_{mode}"
@@ -236,7 +247,7 @@ def measured_outcome_model(params: NetworkParams, k: int) -> OutcomeModel:
     user = params.users[k]
     eta_d = params.detector_efficiency
     nu = params.trusted_noise(k)
-    gain = np.sqrt(user.transmittance * eta_d / 2.0)
+    gain = math.sqrt(user.transmittance * eta_d / 2.0)
     noise = (eta_d * (1.0 + user.excess_noise) + (1.0 - eta_d) + nu + 1.0) / 2.0
     return OutcomeModel(float(gain), float(noise))
 

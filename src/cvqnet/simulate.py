@@ -262,7 +262,7 @@ def write_block(block: SymbolBlock, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, block.n, block.n_users, block.seed))
         for col in _columns(block):
-            fh.write(np.ascontiguousarray(col, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(col, dtype="<f8"))  # the column's buffer, no bytes copy
 
 
 def _columns(block: SymbolBlock):
@@ -290,15 +290,17 @@ def read_block(path: str) -> SymbolBlock:
             raise CorruptInputError(
                 f"{path}: expected {want} payload bytes for n={n}, M={m}, got {have}"
             )
-        body = fh.read(want)
-    flat = np.frombuffer(body, dtype="<f8")
-    cols = flat.reshape(2 + 2 * m, n)
+        cols = np.empty((2 + 2 * m, n), dtype="<f8")
+        got = fh.readinto(cols)
+        if got != want:
+            raise CorruptInputError(f"{path}: short read, {got} of {want} payload bytes")
+    # every field is a view of the one payload array
     return SymbolBlock(
         n=int(n),
-        alice_x=cols[0].copy(),
-        alice_p=cols[1].copy(),
-        y_x=cols[2 : 2 + m].T.copy(),
-        y_p=cols[2 + m :].T.copy(),
+        alice_x=cols[0],
+        alice_p=cols[1],
+        y_x=cols[2 : 2 + m].T,
+        y_p=cols[2 + m :].T,
         seed=int(seed),
     )
 

@@ -227,6 +227,12 @@ class TestCLI:
         assert main(argv + ["--users", users]) == 3
         assert "need at least one user" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("param", ["N", "V_M", "epsilon"])
+    def test_sweep_users_off_loss_db_exits_2(self, param, capsys):
+        argv = ["sweep", "--param", param, "--from", "3", "--steps", "1", "--users", "7"]
+        assert main(argv) == 2
+        assert "--users applies only to --param loss_db" in capsys.readouterr().err
+
     def test_sweep_non_monotone_range_exits_3(self):
         assert main(
             ["sweep", "--param", "loss_db", "--from", "20", "--to", "10", "--steps", "5"]
@@ -319,6 +325,14 @@ class TestCLI:
         missing = tmp_path / "no-such-dir"
         assert main([a.format(missing=missing) for a in argv]) == 2
         assert "file error:" in capsys.readouterr().err
+
+    def test_simulate_failed_csv_leaves_no_block(self, capsys, tmp_path):
+        block_path = tmp_path / "b.cvnb"
+        argv = ["simulate", "--symbols", "10", "--seed", "1", "--out-block", str(block_path),
+                "--csv", str(tmp_path / "no-such-dir" / "x.csv")]
+        assert main(argv) == 2
+        assert "file error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

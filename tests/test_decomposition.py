@@ -3,8 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-import cvqnet.gaussian
-import cvqnet.keyrates
+import cvqnet.decomposition
 from cvqnet import (
     NetworkParams,
     TrustModel,
@@ -288,14 +287,16 @@ class TestCoalitionValues:
 
     def test_each_coalition_conditioned_once(self, monkeypatch):
         measured_sizes = []
-        real = cvqnet.gaussian.condition_on_heterodyne
+        real = cvqnet.decomposition.measure_reference_user
 
-        def counting(cm, measured):
-            measured_sizes.append(len(measured))
-            return real(cm, measured)
+        def counting(cm, *args):
+            state = real(cm, *args)
+            # modes measured: the modes in plus the two receiver ancillae, less the modes out
+            measured_sizes.append(cm.dim_modes + 2 - state.dim_modes)
+            return state
 
-        # measure_reference_user conditions through the keyrates binding
-        monkeypatch.setattr(cvqnet.keyrates, "condition_on_heterodyne", counting)
+        # each coalition step is one measure_reference_user through the decomposition binding
+        monkeypatch.setattr(cvqnet.decomposition, "measure_reference_user", counting)
         users = tuple(
             UserLink(transmittance=0.05 + 0.03 * k, excess_noise=0.004, trusted_noise=0.05)
             for k in range(5)

@@ -7,6 +7,7 @@ from cvqnet import (
     NetworkParams,
     TrustModel,
     UserLink,
+    attach_trusted_detector,
     build_channel_output_cm,
     delta_fs,
     derive_worst_case,
@@ -20,9 +21,10 @@ from cvqnet import (
 from cvqnet.errors import ModelError, ValidationError
 from cvqnet.gaussian import CovarianceMatrix, condition_on_heterodyne, von_neumann_entropy
 from cvqnet.keyrates import measure_reference_user
+from cvqnet.network import ALICE_LABEL, user_label
 
 from conftest import random_params, unphysical_pair
-from oracles import mc_mutual_information, oracle_rates
+from oracles import _outcome_information, mc_mutual_information, oracle_rates
 
 DELTA_1_25E9 = 1.15818643283188482e-3  # high-precision evaluation
 LOG2_3P5 = np.log2(3.5)
@@ -69,6 +71,70 @@ class TestMutualInformation:
     def test_self_conditioning_rejected(self, table1):
         with pytest.raises(ValidationError):
             mutual_information(table1, 1, [1])
+
+    def test_closed_form_equals_determinant_oracle(self, table1):
+        rng = np.random.default_rng(72)
+        cases = [table1] + [random_params(rng, max_users=7) for _ in range(25)]
+        worst = 0.0
+        for params in cases:
+            m = params.n_users
+            for k in range(m):
+                others = [j for j in range(m) if j != k]
+                for given in ([], others[:1], others[1:], others):
+                    closed = mutual_information(params, k, given)
+                    worst = max(worst, abs(closed - _outcome_information(params, k, given)))
+        assert worst <= 1e-12
+
+
+def two_step_measurement(state, label, eta_d, nu):
+    """The reference user's measurement through the extended state."""
+    return condition_on_heterodyne(attach_trusted_detector(state, label, eta_d, nu), [label])
+
+
+class TestFusedReferenceMeasurement:
+    def test_equals_attach_then_condition(self, table1):
+        rng = np.random.default_rng(71)
+        cases = [table1] + [random_params(rng, max_users=6) for _ in range(25)]
+        worst = 0.0
+        for params in cases:
+            global_state = build_channel_output_cm(params)
+            # every state of a measurement chain, an untrusted (A, B1) pair and B1 alone
+            chain = [(global_state.reduce(labels), [0]) for labels in
+                     ([ALICE_LABEL, user_label(0)], [user_label(0)])]
+            chain.append((global_state, [int(k) for k in rng.permutation(params.n_users)]))
+            for state, order in chain:
+                for k in order:
+                    label = user_label(k)
+                    # as given, the detuned eta_d = 1 with nu > 0, and nu = 0
+                    for eta_d, nu in [
+                        (params.detector_efficiency, params.trusted_noise(k)),
+                        (1.0, 0.05),
+                        (1.0, 0.0),
+                        (params.detector_efficiency, 0.0),
+                    ]:
+                        fused = measure_reference_user(state, label, eta_d, nu)
+                        reference = two_step_measurement(state, label, eta_d, nu)
+                        assert fused.mode_labels == reference.mode_labels
+                        gap = np.abs(fused.matrix - reference.matrix).max()
+                        worst = max(worst, gap / np.abs(reference.matrix).max())
+                    state = measure_reference_user(
+                        state, label, params.detector_efficiency, params.trusted_noise(k)
+                    )
+        assert worst <= 1e-12
+
+    def test_rejects_second_attachment(self, table1):
+        extended = attach_trusted_detector(build_channel_output_cm(table1), "B1", 0.9, 0.01)
+        with pytest.raises(ValidationError, match="already attached"):
+            measure_reference_user(extended, "B1", 0.9, 0.01)
+
+    @pytest.mark.parametrize(
+        "label,eta_d,nu",
+        [("B9", 0.68, 0.05), ("B1", 0.0, 0.05), ("B1", 1.5, 0.05), ("B1", 0.68, -0.1)],
+        ids=["unknown-label", "zero-efficiency", "efficiency-above-1", "negative-noise"],
+    )
+    def test_rejects_bad_input(self, table1, label, eta_d, nu):
+        with pytest.raises(ValidationError):
+            measure_reference_user(build_channel_output_cm(table1), label, eta_d, nu)
 
 
 class TestDelta:

@@ -242,6 +242,29 @@ class TestBlockFiles:
         assert np.array_equal(loaded.y_x, block.y_x)
         assert np.array_equal(loaded.y_p, block.y_p)
 
+    def test_read_fields_view_one_payload(self, table1, tmp_path):
+        path = tmp_path / "block.cvnb"
+        write_block(simulate(table1, 3000, seed=5), str(path))
+        loaded = read_block(str(path))
+        payload = loaded.alice_x.base
+        assert payload.shape == (2 + 2 * table1.n_users, 3000)
+        for field in (loaded.alice_p, loaded.y_x, loaded.y_p):
+            assert field.base is payload
+
+    def test_short_read_rejected(self, table1, tmp_path, monkeypatch):
+        import importlib
+        import types
+
+        path = tmp_path / "block.cvnb"
+        write_block(simulate(table1, 2000, seed=7), str(path))
+        full = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-8])
+        # the size check passes, as for a file that shrinks while it is read
+        fake_os = types.SimpleNamespace(fstat=lambda fd: types.SimpleNamespace(st_size=full))
+        monkeypatch.setattr(importlib.import_module("cvqnet.simulate"), "os", fake_os)
+        with pytest.raises(CorruptInputError, match="short read"):
+            read_block(str(path))
+
     def test_same_seed_same_file_checksum(self, table1, tmp_path):
         p1, p2 = tmp_path / "a.cvnb", tmp_path / "b.cvnb"
         write_block(simulate(table1, 2000, seed=7), str(p1))
