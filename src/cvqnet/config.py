@@ -172,22 +172,31 @@ def default_config() -> RunConfig:
     return parse_config(text, source="<builtin table1.cfg>")
 
 
+def _exact(value: float) -> str:
+    """Shortest decimal that parses back to the same float (numpy scalars too)."""
+    return repr(float(value))
+
+
 def format_config(params: NetworkParams) -> str:
-    """Emit a parseable config (round-trips through parse_config)."""
+    """Emit a parseable config that parse_config reads back to equal params.
+
+    Floats are written in their shortest exact form and noise and variance
+    fields in SNU, so no digit is lost on the way back.
+    """
     lines = [
-        f"modulation_variance = {params.modulation_variance:.12g} SNU",
-        f"detector_efficiency = {params.detector_efficiency:.12g}",
-        f"electronic_noise = {params.electronic_noise * 1e3:.12g} mSNU",
-        f"beta = {params.beta:.12g}",
+        f"modulation_variance = {_exact(params.modulation_variance)} SNU",
+        f"detector_efficiency = {_exact(params.detector_efficiency)}",
+        f"electronic_noise = {_exact(params.electronic_noise)} SNU",
+        f"beta = {_exact(params.beta)}",
         f"block_size = {params.block_size}",
-        f"eps_pe = {params.eps_pe:.12g}",
+        f"eps_pe = {_exact(params.eps_pe)}",
         f"splitter_budget = {'on' if params.enforce_splitter_budget else 'off'}",
     ]
     for i, user in enumerate(params.users, start=1):
         lines.append("")
         lines.append(f"[user {i}]")
-        lines.append(f"transmittance = {user.transmittance:.12g}")
-        lines.append(f"excess_noise = {user.excess_noise * 1e3:.12g} mSNU")
+        lines.append(f"transmittance = {_exact(user.transmittance)}")
+        lines.append(f"excess_noise = {_exact(user.excess_noise)} SNU")
         if user.trusted_noise is not None:
-            lines.append(f"trusted_noise = {user.trusted_noise * 1e3:.12g} mSNU")
+            lines.append(f"trusted_noise = {_exact(user.trusted_noise)} SNU")
     return "\n".join(lines) + "\n"

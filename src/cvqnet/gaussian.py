@@ -4,6 +4,14 @@ All matrices are in shot-noise units (vacuum variance = 1) with the
 interleaved quadrature ordering (x1, p1, x2, p2, ...).  Modes are always
 addressed by label, never by raw index, so that conditioning chains cannot
 silently shift mode positions.
+
+Every channel and receiver in the model is phase-insensitive and Alice's x
+and p are drawn independently, so every state the package builds has zero
+x-p cross entries.  `symplectic_eigenvalues` then reads the spectrum from the
+real n x n blocks: nu = sqrt(eig(L^T P L)) with X = L L^T, since
+(i Omega Gamma)^2 = diag(PX, XP) in xxpp ordering.  Only a state with x-p
+correlation (a phase-rotated one, say) takes the complex Hermitian 2n x 2n
+path.
 """
 
 from __future__ import annotations
@@ -119,24 +127,43 @@ def symplectic_eigenvalues(cm: CovarianceMatrix) -> np.ndarray:
     """Symplectic spectrum of a positive-definite covariance matrix, one
     value per mode, sorted descending.
 
-    With the Cholesky factor Gamma = L L^T, the Hermitian matrix
-    i L^T Omega L has eigenvalues +/- nu_j (Weedbrook et al., RMP 84, 621
-    (2012)); the spectrum is its positive half.  The factorisation is also
-    the positive-definiteness check.
+    Every state the package builds has no x-p correlation: Gamma is X (+) P
+    with X = Gamma[0::2, 0::2] and P = Gamma[1::2, 1::2].  In xxpp ordering
+    (i Omega Gamma)^2 = diag(PX, XP), so with X = L L^T the spectrum is
+    sqrt(eig(L^T P L)), one real symmetric n x n problem.  Gamma is positive
+    definite exactly when X and P are: the Cholesky factor of X and a
+    positive smallest eigenvalue of L^T P L (congruent to P) check that.
+
+    A state with x-p correlation (a phase rotation, say) takes the general
+    path: with Gamma = L L^T, the Hermitian 2n x 2n matrix i L^T Omega L has
+    eigenvalues +/- nu_j (Weedbrook et al., RMP 84, 621 (2012)), and the
+    spectrum is its positive half.
     """
     gamma = cm.matrix
+    if gamma[0::2, 1::2].any():
+        chol = _cholesky(gamma)
+        ev = _eigvalsh(1j * (chol.T @ _omega(cm.dim_modes) @ chol), gamma)
+        return ev[cm.dim_modes :][::-1]
+    chol = _cholesky(gamma[0::2, 0::2])
+    ev = _eigvalsh(chol.T @ gamma[1::2, 1::2] @ chol, gamma)
+    if not ev[0] > 0.0:
+        raise ValidationError("covariance matrix must be positive definite")
+    return np.sqrt(ev[::-1])
+
+
+def _cholesky(matrix: np.ndarray) -> np.ndarray:
     try:
-        chol = np.linalg.cholesky(gamma)
+        return np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
         raise ValidationError("covariance matrix must be positive definite") from None
-    n = cm.dim_modes
+
+
+def _eigvalsh(hermitian: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     try:
-        ev = np.linalg.eigvalsh(1j * (chol.T @ _omega(n) @ chol))
+        return np.linalg.eigvalsh(hermitian)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"eigensolver failed on {2 * n}x{2 * n} matrix:\n{gamma}"
-        ) from exc
-    return ev[n:][::-1]
+        size = hermitian.shape[0]
+        raise NumericalError(f"eigensolver failed on {size}x{size} matrix:\n{gamma}") from exc
 
 
 def g_function(x: float) -> float:

@@ -100,8 +100,13 @@ def simulate(params: NetworkParams, n: int, seed: int) -> SymbolBlock:
     except np.linalg.LinAlgError as exc:
         raise ModelError("classical outcome covariance is not positive definite") from exc
     m = params.n_users
-    data_x = np.empty((n, m + 1))
-    data_p = np.empty((n, m + 1))
+    try:
+        data_x = np.empty((n, m + 1))
+        data_p = np.empty((n, m + 1))
+    except (ValueError, MemoryError):
+        raise ValidationError(
+            f"cannot allocate a block of n={n} symbols for M={m} users"
+        ) from None
     start = 0
     chunk_index = 0
     while start < n:

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from conftest import random_params
 from cvqnet import default_config, format_config, parse_config
 from cvqnet.cli import main
 from cvqnet.errors import ConfigError
@@ -58,6 +60,10 @@ class TestConfigParsing:
         text = format_config(table1)
         reparsed = parse_config(text).params
         assert reparsed == table1
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            params = random_params(rng)
+            assert parse_config(format_config(params)).params == params
 
 
 def two_user_config(transmittance: str, excess_noise: str = "4.17 mSNU") -> str:
@@ -296,6 +302,16 @@ class TestCLI:
         assert code == 3
         assert "seed must be in [0, 2**64)" in capsys.readouterr().err
         assert not block_path.exists()
+
+    def test_simulate_unallocatable_block_exits_3(self, capsys, tmp_path):
+        # numpy refuses this shape before allocating anything
+        block_path = tmp_path / "b.cvnb"
+        argv = ["simulate", "--symbols", str(10**18), "--seed", "1", "--out-block", str(block_path)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"n={10**18}" in err and "M=4" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_estimate_truncated_exits_2(self, capsys, tmp_path):
         block_path = tmp_path / "block.cvnb"

@@ -170,6 +170,65 @@ class TestHermitianKernel:
         assert np.array_equal(symplectic_eigenvalues(state), before)
 
 
+def quadrature_blocks(x, p, labels):
+    """Uncoupled state X (+) P in interleaved ordering."""
+    n = len(labels)
+    gamma = np.zeros((2 * n, 2 * n))
+    gamma[0::2, 0::2] = x
+    gamma[1::2, 1::2] = p
+    return cm(gamma, labels)
+
+
+def phase_rotated(state, rng):
+    """The state after an independent random phase rotation of every mode."""
+    n = state.dim_modes
+    rot = np.zeros((2 * n, 2 * n))
+    for mode, theta in enumerate(rng.uniform(0.1, 2 * np.pi - 0.1, n)):
+        c, s = np.cos(theta), np.sin(theta)
+        rot[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = [[c, s], [-s, c]]
+    rotated = rot @ state.matrix @ rot.T
+    return cm((rotated + rotated.T) / 2.0, state.mode_labels)
+
+
+class TestQuadratureBlockKernel:
+    @pytest.mark.parametrize(
+        "x, p",
+        [
+            (np.diag([2.0, 3.0]), np.diag([1.0, -0.5])),  # X positive definite, P indefinite
+            (np.ones((2, 2)), np.eye(2)),  # X singular
+            (np.eye(2), np.ones((2, 2))),  # P singular
+        ],
+        ids=["p-indefinite", "x-singular", "p-singular"],
+    )
+    def test_rejects_non_positive_definite(self, x, p):
+        with pytest.raises(ValidationError, match="positive definite"):
+            symplectic_eigenvalues(quadrature_blocks(x, p, "ab"))
+
+    def test_quadrature_blocks_match_closed_form(self):
+        # X = diag(a), P = diag(b) decouple into modes with nu = sqrt(a b)
+        state = quadrature_blocks(np.diag([2.0, 3.0, 1.5]), np.diag([8.0, 1.0, 1.5]), "abc")
+        assert np.allclose(symplectic_eigenvalues(state), [4.0, 3.0 ** 0.5, 1.5], rtol=1e-15)
+
+    def assert_paths_agree(self, state, rng):
+        assert not state.matrix[0::2, 1::2].any()
+        rotated = phase_rotated(state, rng)
+        assert rotated.matrix[0::2, 1::2].any()  # coupled: takes the Hermitian path
+        assert np.allclose(
+            symplectic_eigenvalues(rotated), symplectic_eigenvalues(state), rtol=1e-12, atol=0.0
+        )
+
+    def test_table1_chain_agrees_with_hermitian_path(self, table1):
+        rng = np.random.default_rng(41)
+        for state in measured_chain(table1):
+            self.assert_paths_agree(state, rng)
+
+    def test_random_network_chains_agree_with_hermitian_path(self):
+        rng = np.random.default_rng(42)
+        for _ in range(25):
+            for state in measured_chain(random_params(rng)):
+                self.assert_paths_agree(state, rng)
+
+
 class TestGFunction:
     def test_zero(self):
         assert g_function(0.0) == 0.0
