@@ -32,7 +32,8 @@ from .network import NetworkParams, UserLink
 
 _UNIT_SCALE = {"SNU": 1.0, "mSNU": 1e-3}
 
-# field name -> (unit_required, parser)
+# field name -> unit_required: True (number and SNU or mSNU), False (bare number),
+# None (on/off flag)
 _TOP_FIELDS = {
     "modulation_variance": True,
     "detector_efficiency": False,

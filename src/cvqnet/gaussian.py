@@ -104,14 +104,6 @@ class CovarianceMatrix:
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-@functools.lru_cache(maxsize=64)
-def _omega(n: int) -> np.ndarray:
-    """Read-only symplectic form for n modes, built once per mode count."""
-    omega = np.kron(np.eye(n), _J)
-    omega.flags.writeable = False
-    return omega
-
-
 def symplectic_form(n: int) -> np.ndarray:
     """Symplectic form for n modes in interleaved ordering (a fresh array).
 
@@ -120,7 +112,7 @@ def symplectic_form(n: int) -> np.ndarray:
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValidationError(f"mode count must be a positive integer, got {n!r}")
-    return _omega(int(n)).copy()
+    return np.kron(np.eye(n), _J)
 
 
 def symplectic_eigenvalues(cm: CovarianceMatrix) -> np.ndarray:
@@ -142,7 +134,7 @@ def symplectic_eigenvalues(cm: CovarianceMatrix) -> np.ndarray:
     gamma = cm.matrix
     if gamma[0::2, 1::2].any():
         chol = _cholesky(gamma)
-        ev = _eigvalsh(1j * (chol.T @ _omega(cm.dim_modes) @ chol), gamma)
+        ev = _eigvalsh(1j * (chol.T @ symplectic_form(cm.dim_modes) @ chol), gamma)
         return ev[cm.dim_modes :][::-1]
     chol = _cholesky(gamma[0::2, 0::2])
     ev = _eigvalsh(chol.T @ gamma[1::2, 1::2] @ chol, gamma)

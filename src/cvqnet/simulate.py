@@ -18,6 +18,7 @@ channel parameters, and `worst_case_params` alone turns corners into params.
 
 from __future__ import annotations
 
+import math
 import os
 import statistics
 import struct
@@ -56,25 +57,41 @@ def one_sided_quantile(eps_pe: float) -> float:
 
 @dataclass(frozen=True)
 class SymbolBlock:
-    """One simulated block of Alice symbols and user outcomes (per quadrature)."""
+    """One block of Alice symbols and user outcomes, held as its file payload.
 
-    n: int
-    alice_x: np.ndarray
-    alice_p: np.ndarray
-    y_x: np.ndarray  # shape (n, M)
-    y_p: np.ndarray  # shape (n, M)
+    `columns` is the (2+2M, n) float64 array in block-file order: alice_x,
+    alice_p, y_x of each user, then y_p of each user.  The other fields are
+    views of it.
+    """
+
+    columns: np.ndarray
     seed: int
 
-    def __post_init__(self) -> None:
-        for arr in (self.alice_x, self.alice_p):
-            if arr.shape != (self.n,):
-                raise ValidationError("Alice symbol arrays must have length n")
-        if self.y_x.shape != self.y_p.shape or self.y_x.shape[0] != self.n:
-            raise ValidationError("outcome arrays must be (n, M)")
+    @property
+    def n(self) -> int:
+        return self.columns.shape[1]
 
     @property
     def n_users(self) -> int:
-        return self.y_x.shape[1]
+        return (self.columns.shape[0] - 2) // 2
+
+    @property
+    def alice_x(self) -> np.ndarray:
+        return self.columns[0]
+
+    @property
+    def alice_p(self) -> np.ndarray:
+        return self.columns[1]
+
+    @property
+    def y_x(self) -> np.ndarray:
+        """User outcomes on x, shape (n, M)."""
+        return self.columns[2 : 2 + self.n_users].T
+
+    @property
+    def y_p(self) -> np.ndarray:
+        """User outcomes on p, shape (n, M)."""
+        return self.columns[2 + self.n_users :].T
 
 
 def check_seed(seed: int) -> int:
@@ -101,30 +118,19 @@ def simulate(params: NetworkParams, n: int, seed: int) -> SymbolBlock:
         raise ModelError("classical outcome covariance is not positive definite") from exc
     m = params.n_users
     try:
-        data_x = np.empty((n, m + 1))
-        data_p = np.empty((n, m + 1))
+        columns = np.empty((2 + 2 * m, n))
     except (ValueError, MemoryError):
-        raise ValidationError(
-            f"cannot allocate a block of n={n} symbols for M={m} users"
-        ) from None
-    start = 0
-    chunk_index = 0
-    while start < n:
-        size = min(CHUNK, n - start)
+        raise ValidationError(f"cannot allocate a block of n={n} symbols for M={m} users") from None
+    # rows of (s, y_1..y_M) per quadrature, in block-file order
+    x_rows = [0, *range(2, 2 + m)]
+    p_rows = [1, *range(2 + m, 2 + 2 * m)]
+    for chunk_index, start in enumerate(range(0, n, CHUNK)):
+        stop = min(start + CHUNK, n)
         rng = _chunk_rng(seed, chunk_index)
         # draw order fixed: x block first, then p block
-        data_x[start : start + size] = rng.standard_normal((size, m + 1)) @ chol.T
-        data_p[start : start + size] = rng.standard_normal((size, m + 1)) @ chol.T
-        start += size
-        chunk_index += 1
-    return SymbolBlock(
-        n=n,
-        alice_x=data_x[:, 0].copy(),
-        alice_p=data_p[:, 0].copy(),
-        y_x=data_x[:, 1:].copy(),
-        y_p=data_p[:, 1:].copy(),
-        seed=seed,
-    )
+        columns[x_rows, start:stop] = (rng.standard_normal((stop - start, m + 1)) @ chol.T).T
+        columns[p_rows, start:stop] = (rng.standard_normal((stop - start, m + 1)) @ chol.T).T
+    return SymbolBlock(columns=columns, seed=seed)
 
 
 MIN_ESTIMATION_SYMBOLS = 1000
@@ -145,13 +151,24 @@ def estimate(block: SymbolBlock, k: int) -> tuple[float, float]:
     sx, sp = block.alice_x, block.alice_p
     yx, yp = block.y_x[:, k], block.y_p[:, k]
     denom = float(sx @ sx + sp @ sp)
+    _check_finite(denom, k)
     if denom <= 0.0:
         raise ValidationError("Alice symbols have zero empirical variance")
     t_hat = float((sx @ yx + sp @ yp) / denom)
+    _check_finite(t_hat, k)
     rx = yx - t_hat * sx
     rp = yp - t_hat * sp
     sigma2_hat = float((rx @ rx + rp @ rp) / (2 * block.n))
+    _check_finite(sigma2_hat, k)
     return t_hat, sigma2_hat
+
+
+def _check_finite(value: float, k: int) -> None:
+    """A NaN or infinite sample makes every sum it enters non-finite."""
+    if not math.isfinite(value):
+        raise CorruptInputError(
+            f"non-finite sample in the block: estimating user {k + 1} gives {value}"
+        )
 
 
 @dataclass(frozen=True)
@@ -256,8 +273,8 @@ def worst_case_params(params: NetworkParams, report: EstimateReport) -> NetworkP
 
 
 # ---------------------------------------------------------------------------
-# Columnar binary + CSV export.  Layout: header, then little-endian float64
-# columns in declared order: alice_x, alice_p, y_x per user, y_p per user.
+# Columnar binary + CSV export.  Layout: header, then the block's columns as
+# little-endian float64: alice_x, alice_p, y_x per user, y_p per user.
 
 _HEADER = struct.Struct("<4sHQHQ")
 CSV_CHUNK_ROWS = 4096
@@ -266,17 +283,7 @@ CSV_CHUNK_ROWS = 4096
 def write_block(block: SymbolBlock, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, block.n, block.n_users, block.seed))
-        for col in _columns(block):
-            fh.write(np.ascontiguousarray(col, dtype="<f8"))  # the column's buffer, no bytes copy
-
-
-def _columns(block: SymbolBlock):
-    yield block.alice_x
-    yield block.alice_p
-    for k in range(block.n_users):
-        yield block.y_x[:, k]
-    for k in range(block.n_users):
-        yield block.y_p[:, k]
+        fh.write(np.ascontiguousarray(block.columns, dtype="<f8"))  # no copy when already <f8
 
 
 def read_block(path: str) -> SymbolBlock:
@@ -295,19 +302,11 @@ def read_block(path: str) -> SymbolBlock:
             raise CorruptInputError(
                 f"{path}: expected {want} payload bytes for n={n}, M={m}, got {have}"
             )
-        cols = np.empty((2 + 2 * m, n), dtype="<f8")
-        got = fh.readinto(cols)
+        columns = np.empty((2 + 2 * m, n), dtype="<f8")
+        got = fh.readinto(columns)
         if got != want:
             raise CorruptInputError(f"{path}: short read, {got} of {want} payload bytes")
-    # every field is a view of the one payload array
-    return SymbolBlock(
-        n=int(n),
-        alice_x=cols[0],
-        alice_p=cols[1],
-        y_x=cols[2 : 2 + m].T,
-        y_p=cols[2 + m :].T,
-        seed=int(seed),
-    )
+    return SymbolBlock(columns=columns, seed=int(seed))
 
 
 def write_block_csv(block: SymbolBlock, path: str) -> None:
@@ -315,10 +314,9 @@ def write_block_csv(block: SymbolBlock, path: str) -> None:
     header = ["alice_x", "alice_p"]
     header += [f"y_x_{k + 1}" for k in range(block.n_users)]
     header += [f"y_p_{k + 1}" for k in range(block.n_users)]
-    cols = list(_columns(block))
-    row = ",".join(["%.17g"] * len(cols)) + "\r\n"
+    row = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, block.n, CSV_CHUNK_ROWS):
-            chunk = np.column_stack([col[start : start + CSV_CHUNK_ROWS] for col in cols])
+            chunk = block.columns[:, start : start + CSV_CHUNK_ROWS].T
             fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))

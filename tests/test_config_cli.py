@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_params
-from cvqnet import default_config, format_config, parse_config
+from cvqnet import default_config, format_config, parse_config, simulate, write_block
 from cvqnet.cli import main
 from cvqnet.errors import ConfigError
 
@@ -320,6 +320,23 @@ class TestCLI:
         raw = block_path.read_bytes()
         block_path.write_bytes(raw[: len(raw) - 100])
         assert main(["estimate", "--in", str(block_path)]) == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "row, value",
+        [(0, np.nan), (3, np.inf), (9, -np.inf)],
+        ids=["alice-nan", "user-inf", "user-minus-inf"],
+    )
+    def test_estimate_non_finite_sample_exits_2(self, row, value, fmt, capsys, tmp_path):
+        block_path = tmp_path / "block.cvnb"
+        block = simulate(default_config().params, 5000, seed=3)
+        block.columns[row, 1234] = value
+        write_block(block, str(block_path))
+        assert main(["--format", fmt, "estimate", "--in", str(block_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: non-finite sample in the block")
+        assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
 
     def test_estimate_header_larger_than_file_exits_2(self, tmp_path):
         from cvqnet.simulate import _HEADER, FORMAT_VERSION, MAGIC

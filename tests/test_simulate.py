@@ -80,6 +80,24 @@ class TestSimulate:
         b = simulate(table1, n, seed=5)
         assert np.array_equal(a.y_p, b.y_p)
 
+    def test_draw_order_pinned(self, table1):
+        # chunk i draws from SeedSequence(seed, spawn_key=(i,)): x normals,
+        # then p normals, each (size, M+1) and mapped through chol^T
+        n, seed, chunk = (1 << 19) + 17, 5, 1 << 19
+        block = simulate(table1, n, seed)
+        chol = np.linalg.cholesky(classical_outcome_cov(table1))
+        x, p = [], []
+        for i, start in enumerate(range(0, n, chunk)):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+            size = min(chunk, n - start)
+            x.append(rng.standard_normal((size, table1.n_users + 1)) @ chol.T)
+            p.append(rng.standard_normal((size, table1.n_users + 1)) @ chol.T)
+        x, p = np.vstack(x), np.vstack(p)
+        assert np.array_equal(block.alice_x, x[:, 0])
+        assert np.array_equal(block.alice_p, p[:, 0])
+        assert np.array_equal(block.y_x, x[:, 1:])
+        assert np.array_equal(block.y_p, p[:, 1:])
+
     def test_zero_modulation(self):
         params = NetworkParams(
             modulation_variance=1e-18,
@@ -117,14 +135,7 @@ class TestEstimate:
         s_x = rng.normal(0, np.sqrt(table1.modulation_variance), n)
         s_p = rng.normal(0, np.sqrt(table1.modulation_variance), n)
         t_true = 0.21
-        block = SymbolBlock(
-            n=n,
-            alice_x=s_x,
-            alice_p=s_p,
-            y_x=(t_true * s_x)[:, None],
-            y_p=(t_true * s_p)[:, None],
-            seed=0,
-        )
+        block = SymbolBlock(columns=np.vstack([s_x, s_p, t_true * s_x, t_true * s_p]), seed=0)
         t_hat, sigma2_hat = estimate(block, 0)
         assert t_hat == pytest.approx(t_true, rel=1e-12)
         assert sigma2_hat == pytest.approx(0.0, abs=1e-20)
@@ -164,14 +175,9 @@ class TestEstimate:
         s_x, s_p = rng.normal(0.0, np.sqrt(5.0), (2, n))
         sigma2 = np.array([(0.68 * (1.0 + eps) + 0.32 + 0.05 + 1.0) / 2.0 for eps in (-0.2, 0.2)])
         noise_x, noise_p = np.sqrt(sigma2) * rng.standard_normal((2, n, 2))
-        block = SymbolBlock(
-            n=n,
-            alice_x=s_x,
-            alice_p=s_p,
-            y_x=0.3 * s_x[:, None] + noise_x,
-            y_p=0.3 * s_p[:, None] + noise_p,
-            seed=0,
-        )
+        y_x = 0.3 * s_x[:, None] + noise_x
+        y_p = 0.3 * s_p[:, None] + noise_p
+        block = SymbolBlock(columns=np.vstack([s_x, s_p, y_x.T, y_p.T]), seed=0)
         users = estimate_report(block, params).users
         assert [u.eps_hat < 0 for u in users] == [True, False]
         assert [u.negative_excess_flagged for u in users] == [True, False]
@@ -244,12 +250,13 @@ class TestBlockFiles:
 
     def test_read_fields_view_one_payload(self, table1, tmp_path):
         path = tmp_path / "block.cvnb"
-        write_block(simulate(table1, 3000, seed=5), str(path))
-        loaded = read_block(str(path))
-        payload = loaded.alice_x.base
-        assert payload.shape == (2 + 2 * table1.n_users, 3000)
-        for field in (loaded.alice_p, loaded.y_x, loaded.y_p):
-            assert field.base is payload
+        block = simulate(table1, 3000, seed=5)
+        write_block(block, str(path))
+        for held in (block, read_block(str(path))):
+            payload = held.alice_x.base
+            assert payload.shape == (2 + 2 * table1.n_users, 3000)
+            for field in (held.alice_p, held.y_x, held.y_p):
+                assert field.base is payload
 
     def test_short_read_rejected(self, table1, tmp_path, monkeypatch):
         import importlib
