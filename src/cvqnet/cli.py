@@ -4,8 +4,9 @@ Subcommands: keyrate, decompose, sweep, simulate, estimate.  Every command is
 `_cmd_X(params, args) -> (json_payload, csv_lines)`; `main` loads the config,
 runs the command and writes its CSV lines (the canonical tabular output) or,
 with --format json, the JSON mirror of the same numbers, to stdout or --out.
-Exit codes: 0 success, 2 config/input or file error, 3 numerical or
-physicality error, 4 guard refusal.
+Exit codes: 0 success, 2 config/input or file error (a corrupt block file is
+reported as an input error), 3 numerical or physicality error, 4 guard
+refusal.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import replace
 
 from .config import default_config, load_config
 from .decomposition import all_orderings, decomposition_table, sample_orderings
-from .errors import ConfigError, CVQNetError, GuardRefusalError, ValidationError
+from .errors import ConfigError, CorruptInputError, CVQNetError, GuardRefusalError, ValidationError
 from .keyrates import TrustModel, derive_worst_case, rate_table
 from .network import NetworkParams, UserLink
 from .simulate import (
@@ -335,6 +336,9 @@ def main(argv: list[str] | None = None) -> int:
     except GuardRefusalError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 4
+    except CorruptInputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -9,9 +9,12 @@ K_k = v(S + {k}) - v(S) - Delta(N), so every ordering sums to the joint rate
 v(all) - M * Delta(N) and the first user's share is its trusted rate.
 Gaussian conditioning commutes, so sigma_S depends on the set S only:
 `CoalitionValues` evaluates v once per coalition, a row is M lookups and
-the joint rate is the lookup of v(all).  Each new coalition costs one
-closed-form `measure_reference_user` step from its parent's state and one
-closed-form I(A : y_S).
+the joint rate is the lookup of v(all).  A table first collects the prefix
+coalitions of all its orderings and evaluates them one layer (coalition
+size) at a time: the whole layer is measured from the layer below in one
+stacked `measure_reference_user_blocks` step on the states' x and p blocks,
+its entropies come from one `block_entropies` call, and each coalition
+adds one closed-form I(A : y_S).
 """
 
 from __future__ import annotations
@@ -23,9 +26,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import GuardRefusalError, ValidationError
-from .gaussian import von_neumann_entropy
-from .keyrates import _mode_delta, _outcome_information, _outcome_snrs, measure_reference_user
-from .network import NetworkParams, build_channel_output_cm, user_label
+from .gaussian import block_entropies, von_neumann_entropy
+from .keyrates import (
+    _mode_delta,
+    _outcome_information,
+    _outcome_snrs,
+    measure_reference_user_blocks,
+)
+from .network import NetworkParams, build_channel_output_cm, trusted_receiver, user_label
 from .simulate import check_seed
 
 MAX_ENUMERATED_USERS = 8
@@ -40,38 +48,79 @@ def _check_ordering(params: NetworkParams, order: Sequence[int]) -> tuple[int, .
     return order
 
 
+def _chain(order: Sequence[int], n_users: int) -> list[frozenset]:
+    """Coalitions of the first 0, 1, ..., len(order) users of `order`."""
+    chain = [frozenset()]
+    for k in order:
+        if not 0 <= k < n_users or k in chain[-1]:
+            raise ValidationError(f"user {k} cannot join the coalition {set(chain[-1])}")
+        chain.append(chain[-1] | {k})
+    return chain
+
+
 class CoalitionValues:
     """The set function v(S) of one network, memoised per coalition.
 
-    Coalitions are filled lazily as orderings are walked: S + {k} is
-    conditioned from the cached state of S with one `measure_reference_user`
-    step.  `terms` maps each coalition seen to (I(A : y_S), S(sigma_S)).
-    Keep one instance per table: it holds a state per coalition.
+    `fill(orders)` evaluates every prefix coalition of the orders, one layer
+    (coalition size) at a time; only the layer being measured from is held,
+    as (B, n, n) x and p blocks.  `terms` maps each coalition evaluated to
+    (I(A : y_S), S(sigma_S)).
     """
 
     def __init__(self, params: NetworkParams):
         self.params = params
         self._snrs = _outcome_snrs(params)
-        state = build_channel_output_cm(params)
-        self._states = {frozenset(): state}
-        self.terms = {frozenset(): (0.0, von_neumann_entropy(state))}
+        receivers = [
+            trusted_receiver(params.detector_efficiency, params.trusted_noise(k))
+            for k in range(params.n_users)
+        ]
+        self._eta_d, self._v_d = np.array(receivers).T
+        self._root = build_channel_output_cm(params)
+        self.terms = {frozenset(): (0.0, von_neumann_entropy(self._root))}
+
+    def fill(self, orders: Iterable[Sequence[int]]) -> None:
+        """Add the prefix coalitions of `orders` that `terms` lacks.
+
+        If any is missing, the layers are built up from the channel output,
+        each coalition measured from the prefix it first follows; coalitions
+        already in `terms` keep their values.  A layer is one stacked step in
+        which every member measures its own mode behind its own receiver.  A
+        measured mode leaves the state and its ancillae go last, so user k
+        sits at its channel-output position less the measured users before it.
+        """
+        m = self.params.n_users
+        layers = [{} for _ in range(m)]  # by size - 1: coalition -> (parent, joining user)
+        for order in orders:
+            chain = _chain(order, m)
+            for layer, parent, grown, k in zip(layers, chain, chain[1:], order):
+                layer.setdefault(grown, (parent, k))
+        layers = [layer for layer in layers if layer]
+        if all(coalition in self.terms for layer in layers for coalition in layer):
+            return
+        gamma = self._root.matrix
+        x, p = gamma[None, 0::2, 0::2], gamma[None, 1::2, 1::2]
+        start = [self._root.mode_index(user_label(k)) for k in range(m)]
+        position = {frozenset(): 0}
+        for layer in layers:
+            parents = np.array([position[parent] for parent, _ in layer.values()])
+            joining = np.array([k for _, k in layer.values()])
+            index = np.array([start[k] - sum(start[j] < start[k] for j in parent)
+                              for parent, k in layer.values()])
+            x, p = measure_reference_user_blocks(
+                x[parents], p[parents], index, self._eta_d[joining], self._v_d[joining]
+            )
+            for coalition, entropy in zip(layer, block_entropies(x, p).tolist()):
+                if coalition not in self.terms:
+                    info = _outcome_information(self._snrs, coalition)
+                    self.terms[coalition] = (info, entropy)
+            position = {coalition: i for i, coalition in enumerate(layer)}
 
     def prefixes(self, order: Sequence[int]) -> list[frozenset]:
-        """Coalitions of the first 0, 1, ..., len(order) users of `order`."""
-        chain = [frozenset()]
-        for k in order:
-            parent = chain[-1]
-            grown = parent | {k}
-            if grown not in self.terms:
-                p = self.params
-                state = measure_reference_user(
-                    self._states[parent], user_label(k), p.detector_efficiency, p.trusted_noise(k)
-                )
-                if len(grown) < p.n_users:  # the full coalition is nobody's parent
-                    self._states[grown] = state
-                info = _outcome_information(self._snrs, grown)
-                self.terms[grown] = (info, von_neumann_entropy(state))
-            chain.append(grown)
+        """Coalitions of the first 0, 1, ..., len(order) users of `order`,
+        each evaluated."""
+        chain = _chain(order, self.params.n_users)
+        if any(coalition not in self.terms for coalition in chain):
+            self.fill([order])
         return chain
 
     def value(self, coalition: frozenset) -> float:
@@ -97,7 +146,8 @@ def decompose(
 
     In finite mode one Delta(N) share is charged per user so the row sums to
     the joint finite-size rate, which carries M * Delta(N).  Pass the
-    table's `coalitions` to reuse the coalitions earlier rows filled.
+    table's `coalitions`, filled with every prefix of its orderings, to read
+    the row from it; prefixes it lacks are evaluated along this order.
     """
     order = _check_ordering(params, order)
     delta = _mode_delta(params, mode)
@@ -105,11 +155,8 @@ def decompose(
         coalitions = CoalitionValues(params)
     elif coalitions.params != params:
         raise ValidationError("coalition values belong to a different network")
-    chain = coalitions.prefixes(order)
-    contributions = tuple(
-        coalitions.value(after) - coalitions.value(before) - delta
-        for before, after in zip(chain, chain[1:])
-    )
+    values = [coalitions.value(coalition) for coalition in coalitions.prefixes(order)]
+    contributions = tuple(after - before - delta for before, after in zip(values, values[1:]))
     return DecompositionRow(order, contributions, float(sum(contributions)))
 
 
@@ -123,11 +170,14 @@ def decomposition_table(
     params: NetworkParams, orders: Iterable[Sequence[int]], mode: str = "finite"
 ) -> DecompositionTable:
     """Decomposition rows of the given orderings and the joint rate.  The rows
-    share one `CoalitionValues`, whose v(all) every row ends on."""
-    coalitions = CoalitionValues(params)
-    rows = tuple(decompose(params, order, mode, coalitions) for order in orders)
-    if not rows:
+    share one `CoalitionValues`, filled with every prefix coalition of the
+    orderings before the first row; v(all) is the coalition every row ends on."""
+    orders = [_check_ordering(params, order) for order in orders]
+    if not orders:
         raise ValidationError("need at least one ordering")
+    coalitions = CoalitionValues(params)
+    coalitions.fill(orders)
+    rows = tuple(decompose(params, order, mode, coalitions) for order in orders)
     return DecompositionTable(rows, _joint_rate(coalitions, mode).rate)
 
 

@@ -11,7 +11,9 @@ x-p cross entries.  `symplectic_eigenvalues` then reads the spectrum from the
 real n x n blocks: nu = sqrt(eig(L^T P L)) with X = L L^T, since
 (i Omega Gamma)^2 = diag(PX, XP) in xxpp ordering.  Only a state with x-p
 correlation (a phase-rotated one, say) takes the complex Hermitian 2n x 2n
-path.
+path.  `block_entropies` is the stacked entry point: the entropies of a
+stack of such states held as their (B, n, n) X and P blocks, with one
+batched Cholesky and one batched `eigvalsh` for the whole stack.
 """
 
 from __future__ import annotations
@@ -154,7 +156,7 @@ def _eigvalsh(hermitian: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.eigvalsh(hermitian)
     except np.linalg.LinAlgError as exc:
-        size = hermitian.shape[0]
+        size = hermitian.shape[-1]
         raise NumericalError(f"eigensolver failed on {size}x{size} matrix:\n{gamma}") from exc
 
 
@@ -184,6 +186,31 @@ def von_neumann_entropy(cm: CovarianceMatrix) -> float:
             )
         total += g_function((max(nu, 1.0) - 1.0) / 2.0)
     return total
+
+
+def block_entropies(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Entropies in bits of a stack of states without x-p correlation, given
+    their (B, n, n) quadrature blocks X and P; one value per member.
+
+    Member by member this is `von_neumann_entropy` on the state X (+) P, with
+    the same checks: a failed Cholesky of X or a non-positive smallest
+    eigenvalue of L^T P L raises ValidationError, an eigenvalue below 1 beyond
+    PHYSICALITY_TOL raises UnphysicalStateError, and the rest are clamped to 1.
+    """
+    chol = _cholesky(x)
+    ev = _eigvalsh(np.swapaxes(chol, -1, -2) @ p @ chol, p)
+    if not (ev[:, 0] > 0.0).all():
+        raise ValidationError("covariance matrix must be positive definite")
+    nu = np.sqrt(ev)
+    low = nu[:, 0].min()
+    if low < 1.0 - PHYSICALITY_TOL:
+        raise UnphysicalStateError(
+            f"symplectic eigenvalue {low!r} below 1 beyond tolerance; state is unphysical"
+        )
+    g = (np.maximum(nu, 1.0) - 1.0) / 2.0
+    # g(0) = 0: x log2 x is taken as 0 where x = 0
+    x_log_x = g * np.log2(g, out=np.zeros_like(g), where=g > 0.0)
+    return ((g + 1.0) * np.log2(g + 1.0) - x_log_x).sum(axis=1)
 
 
 def condition_on_heterodyne(cm: CovarianceMatrix, measured: Iterable[str]) -> CovarianceMatrix:

@@ -14,7 +14,8 @@ supported.  For a reference user k:
 Reverse reconciliation throughout: Holevo bounds are conditioned on the
 reference user's own measurement, whose receiver loss and electronic noise
 are trusted (purified) in every interpretation.  `measure_reference_user`
-does that measurement in one closed-form step on the state it is given;
+does that measurement in one closed-form step on the state it is given,
+`measure_reference_user_blocks` on a stack of states held as x and p blocks;
 `attach_trusted_detector` followed by `condition_on_heterodyne` is the same
 map written out on the extended state.  Mutual information is the closed
 form log2(1 + sum_k V_mod g_k^2 / N_k) of the classical outcome model.
@@ -153,6 +154,49 @@ def measure_reference_user(
     retained -= sigma @ (np.array([[d, -b], [-b, a]]) / (a * d - b * b)) @ sigma.T
     labels = tuple(lab for lab in cm.mode_labels if lab != label) + (d1, d2)
     return CovarianceMatrix(retained, labels)
+
+
+def measure_reference_user_blocks(
+    x: np.ndarray, p: np.ndarray, index: np.ndarray, eta_d: np.ndarray, v_d: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """`measure_reference_user` on a stack of states without x-p correlation.
+
+    Member b is held as its (n, n) quadrature blocks x[b], p[b]; it measures
+    its mode index[b] behind its own trusted receiver (eta_d[b], v_d[b]), the
+    pair `trusted_receiver` returns.  Each quadrature is conditioned apart,
+    with the x or p block of the single-state formula (Z = diag(1, -1) gives
+    the ancilla correlation +tc in x and -tc in p) and the same rounding: the
+    outcome variance is inverted as the 2 x 2 diagonal [[d, 0], [0, a]] / (a d).
+    Returns the (B, n + 1, n + 1) blocks of the retained modes: the other
+    modes in order, then D1, D2.
+    """
+    members = np.arange(len(index))
+    n = x.shape[-1]
+    o = n - 1
+    keep = np.arange(n) != index[:, None]  # the other modes of each member
+    kept = keep[:, :, None] & keep[:, None, :]
+    t, r, c = np.sqrt(eta_d), np.sqrt(1.0 - eta_d), np.sqrt(v_d * v_d - 1.0)
+    rr, ttv, tc, tr, rc = r * r, t * t * v_d, t * c, t * r, r * c
+    vacuum = rr * v_d + 1.0
+    w = [block[members, index, index] for block in (x, p)]
+    a = [t * t * wq + vacuum for wq in w]
+    det = a[0] * a[1]
+    out = []
+    for q, (block, sign) in enumerate(((x, 1.0), (p, -1.0))):
+        cross = block[members, :, index][keep].reshape(-1, o)
+        retained = np.zeros((len(index), n + 1, n + 1))
+        retained[:, :o, :o] = block[kept].reshape(-1, o, o)
+        retained[:, :o, o] = retained[:, o, :o] = -r[:, None] * cross
+        retained[:, o, o] = rr * w[q] + ttv
+        retained[:, o, o + 1] = retained[:, o + 1, o] = sign * tc
+        retained[:, o + 1, o + 1] = v_d
+        sigma = np.concatenate(
+            [t[:, None] * cross, (tr * (v_d - w[q]))[:, None], (sign * rc)[:, None]], axis=1
+        )
+        scaled = sigma * (a[1 - q] / det)[:, None]
+        retained -= scaled[:, :, None] * sigma[:, None, :]
+        out.append((retained + np.swapaxes(retained, 1, 2)) / 2.0)
+    return out[0], out[1]
 
 
 def _reference_holevo(cm: CovarianceMatrix, params: NetworkParams, k: int) -> float:

@@ -335,7 +335,19 @@ class TestCLI:
         assert main(["--format", fmt, "estimate", "--in", str(block_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("config error: non-finite sample in the block")
+        assert captured.err.startswith("input error: non-finite sample in the block")
+        assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("cut", [400000 + 14, 8], ids=["header", "payload"])
+    def test_estimate_truncated_block_exits_2(self, cut, capsys, tmp_path):
+        # 5000 symbols of 4 users: a 24-byte header, then 10 * 5000 doubles
+        block_path = tmp_path / "block.cvnb"
+        write_block(simulate(default_config().params, 5000, seed=3), str(block_path))
+        block_path.write_bytes(block_path.read_bytes()[:-cut])
+        assert main(["estimate", "--in", str(block_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: {block_path}: ")
         assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
 
     def test_estimate_header_larger_than_file_exits_2(self, tmp_path):

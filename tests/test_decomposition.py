@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -285,18 +286,24 @@ class TestCoalitionValues:
                 expected = rebuilt_row(params, row.order)
                 assert row.contributions == pytest.approx(expected, abs=1e-12)
 
-    def test_each_coalition_conditioned_once(self, monkeypatch):
-        measured_sizes = []
-        real = cvqnet.decomposition.measure_reference_user
+    @pytest.fixture
+    def layer_sizes(self, monkeypatch):
+        """Member count of every stacked measurement step a decomposition runs."""
+        sizes = []
+        real = cvqnet.decomposition.measure_reference_user_blocks
 
-        def counting(cm, *args):
-            state = real(cm, *args)
-            # modes measured: the modes in plus the two receiver ancillae, less the modes out
-            measured_sizes.append(cm.dim_modes + 2 - state.dim_modes)
-            return state
+        def counting(x, p, index, eta_d, v_d):
+            sizes.append(len(index))
+            return real(x, p, index, eta_d, v_d)
 
-        # each coalition step is one measure_reference_user through the decomposition binding
-        monkeypatch.setattr(cvqnet.decomposition, "measure_reference_user", counting)
+        monkeypatch.setattr(cvqnet.decomposition, "measure_reference_user_blocks", counting)
+        return sizes
+
+    @staticmethod
+    def distinct_prefixes(table):
+        return {frozenset(r.order[:i]) for r in table.rows for i in range(1, len(r.order) + 1)}
+
+    def test_each_coalition_conditioned_once(self, layer_sizes):
         users = tuple(
             UserLink(transmittance=0.05 + 0.03 * k, excess_noise=0.004, trusted_noise=0.05)
             for k in range(5)
@@ -304,13 +311,49 @@ class TestCoalitionValues:
         params = NetworkParams(modulation_variance=5.0, users=users)
         table = all_orderings(params)
         assert len(table.rows) == 120
-        # one step per non-empty coalition; the joint rate is v(all) of the memo
-        assert sorted(measured_sizes) == [1] * (2**5 - 1)
+        # one stacked step per layer, one member per non-empty coalition;
+        # the joint rate is v(all) of the memo
+        assert layer_sizes == [math.comb(5, size) for size in range(1, 6)]
+        assert sum(layer_sizes) == 2**5 - 1
 
-        measured_sizes.clear()
+        layer_sizes.clear()
         table = sample_orderings(params, 6, seed=5)
-        prefixes = {frozenset(r.order[:i]) for r in table.rows for i in range(1, 6)}
-        assert sorted(measured_sizes) == [1] * len(prefixes)
+        prefixes = self.distinct_prefixes(table)
+        assert sum(layer_sizes) == len(prefixes)
+        assert layer_sizes == [sum(len(c) == size for c in prefixes) for size in range(1, 6)]
+
+    def test_single_user_network_is_one_layer(self, layer_sizes):
+        params = NetworkParams(
+            modulation_variance=5.0,
+            users=(UserLink(transmittance=0.3, excess_noise=0.005, trusted_noise=0.06),),
+        )
+        table = all_orderings(params)
+        assert layer_sizes == [1]
+        assert table.rows[0].row_sum == pytest.approx(table.joint_rate, abs=1e-15)
+        assert table.rows[0].contributions[0] == pytest.approx(
+            key_rate(params, TrustModel.TRUSTED, 0).rate, abs=1e-12
+        )
+
+    def test_repeated_sampled_orders(self, layer_sizes):
+        # 30 draws from the 6 orderings of 3 users must repeat; each distinct
+        # prefix is still measured once and equal orders give equal rows
+        users = tuple(
+            UserLink(transmittance=0.1 + 0.05 * k, excess_noise=0.003, trusted_noise=0.04 + 0.01 * k)
+            for k in range(3)
+        )
+        params = NetworkParams(modulation_variance=4.0, users=users)
+        table = sample_orderings(params, 30, seed=2)
+        orders = [r.order for r in table.rows]
+        assert len(set(orders)) < len(orders)
+        assert sum(layer_sizes) == len(self.distinct_prefixes(table))
+        by_order = {}
+        for row in table.rows:
+            assert by_order.setdefault(row.order, row.contributions) == row.contributions
+
+    @pytest.mark.parametrize("order", [(0, 0), (4,), (-1,), (1, 2, 1)])
+    def test_prefixes_reject_bad_user(self, table1, order):
+        with pytest.raises(ValidationError):
+            CoalitionValues(table1).prefixes(order)
 
     def test_engine_rejects_other_network(self, table1):
         other = table1.with_links([(0.1, 0.004)] * 4)

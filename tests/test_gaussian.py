@@ -13,7 +13,8 @@ from cvqnet import (
     symplectic_form,
     von_neumann_entropy,
 )
-from cvqnet.errors import UnphysicalStateError, ValidationError
+from cvqnet.errors import NumericalError, UnphysicalStateError, ValidationError
+from cvqnet.gaussian import block_entropies
 from cvqnet.keyrates import measure_reference_user
 
 from conftest import random_params
@@ -314,6 +315,73 @@ class TestEntropy:
                 symplectic_eigenvalues(gamma),
                 atol=1e-10,
             )
+
+
+def block_stack(states):
+    """The (B, n, n) X and P blocks of equally sized uncoupled states."""
+    gammas = np.array([state.matrix for state in states])
+    assert not gammas[:, 0::2, 1::2].any()
+    return gammas[:, 0::2, 0::2], gammas[:, 1::2, 1::2]
+
+
+class TestBlockEntropies:
+    def chain_states_by_size(self, networks):
+        by_size = {}
+        for params in networks:
+            for state in measured_chain(params):
+                by_size.setdefault(state.dim_modes, []).append(state)
+        return by_size
+
+    def test_equal_single_state_entropies(self, table1):
+        rng = np.random.default_rng(33)
+        networks = [table1] + [random_params(rng, max_users=8) for _ in range(25)]
+        by_size = self.chain_states_by_size(networks)
+        assert max(len(states) for states in by_size.values()) > 10  # stacks, not singletons
+        for states in by_size.values():
+            stacked = block_entropies(*block_stack(states))
+            assert stacked.shape == (len(states),)
+            for entropy, state in zip(stacked, states):
+                assert entropy == pytest.approx(von_neumann_entropy(state), abs=1e-12)
+
+    def test_clamps_like_single_state(self):
+        # nu = 1 - 1e-10 lies within PHYSICALITY_TOL: clamped to 1, entropy 0
+        states = [cm((1.0 - 1e-10) * np.eye(4), "ab"), cm(epr_cm(3.0), "ab"), cm(np.eye(4), "ab")]
+        stacked = block_entropies(*block_stack(states))
+        assert stacked.tolist() == [von_neumann_entropy(state) for state in states]
+        assert stacked[0] == 0.0
+
+    def physical_three_mode_states(self):
+        rng = np.random.default_rng(34)
+        return [build_channel_output_cm(random_params(rng, n_users=2)) for _ in range(3)]
+
+    @pytest.mark.parametrize(
+        "x, p",
+        [
+            (np.diag([2.0, 3.0, 1.0]), np.diag([1.0, -0.5, 1.0])),  # P indefinite
+            (np.ones((3, 3)), np.eye(3)),  # X singular
+        ],
+        ids=["p-indefinite", "x-singular"],
+    )
+    def test_one_non_positive_definite_member_raises(self, x, p):
+        xs, ps = block_stack(self.physical_three_mode_states())
+        xs[1], ps[1] = x, p
+        with pytest.raises(ValidationError, match="positive definite"):
+            block_entropies(xs, ps)
+
+    def test_one_unphysical_member_raises(self):
+        states = self.physical_three_mode_states()
+        states[2] = cm(np.diag([1.2, 0.8, 1.0, 1.0, 1.0, 1.0]), "abc")  # mode a: nu = sqrt(0.96)
+        with pytest.raises(UnphysicalStateError):
+            block_entropies(*block_stack(states))
+
+    def test_eigensolver_failure_is_numerical_error(self, monkeypatch):
+        def failing(matrix):
+            raise np.linalg.LinAlgError("no convergence")
+
+        xs, ps = block_stack(self.physical_three_mode_states())
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        with pytest.raises(NumericalError, match="eigensolver failed on 3x3"):
+            block_entropies(xs, ps)
 
 
 class TestHeterodyneConditioning:

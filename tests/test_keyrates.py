@@ -20,8 +20,8 @@ from cvqnet import (
 )
 from cvqnet.errors import ModelError, ValidationError
 from cvqnet.gaussian import CovarianceMatrix, condition_on_heterodyne, von_neumann_entropy
-from cvqnet.keyrates import measure_reference_user
-from cvqnet.network import ALICE_LABEL, user_label
+from cvqnet.keyrates import measure_reference_user, measure_reference_user_blocks
+from cvqnet.network import ALICE_LABEL, trusted_receiver, user_label
 
 from conftest import random_params, unphysical_pair
 from oracles import _outcome_information, mc_mutual_information, oracle_rates
@@ -135,6 +135,46 @@ class TestFusedReferenceMeasurement:
     def test_rejects_bad_input(self, table1, label, eta_d, nu):
         with pytest.raises(ValidationError):
             measure_reference_user(build_channel_output_cm(table1), label, eta_d, nu)
+
+
+class TestStackedReferenceMeasurement:
+    @staticmethod
+    def receivers(params, k):
+        """As given, the detuned eta_d = 1 with nu > 0, and nu = 0."""
+        return [(params.detector_efficiency, params.trusted_noise(k)),
+                (1.0, 0.05), (1.0, 0.0), (params.detector_efficiency, 0.0)]
+
+    def test_equals_single_state_step(self, table1):
+        # every state of a measured chain, stacked once per (user left, receiver):
+        # each member measures its own mode behind its own receiver
+        rng = np.random.default_rng(72)
+        cases = [table1] + [random_params(rng, max_users=8) for _ in range(25)]
+        worst, members = 0.0, 0
+        for params in cases:
+            state = build_channel_output_cm(params)
+            for k in [int(k) for k in rng.permutation(params.n_users)]:
+                left = [j for j in range(params.n_users) if user_label(j) in state.mode_labels]
+                jobs = [(j, eta_d, nu) for j in left for eta_d, nu in self.receivers(params, j)]
+                receivers = np.array([trusted_receiver(eta_d, nu) for _, eta_d, nu in jobs])
+                gamma = state.matrix
+                n = state.dim_modes
+                x, p = measure_reference_user_blocks(
+                    np.broadcast_to(gamma[0::2, 0::2], (len(jobs), n, n)),
+                    np.broadcast_to(gamma[1::2, 1::2], (len(jobs), n, n)),
+                    np.array([state.mode_index(user_label(j)) for j, _, _ in jobs]),
+                    receivers[:, 0], receivers[:, 1],
+                )
+                assert x.shape == p.shape == (len(jobs), n + 1, n + 1)
+                for b, (j, eta_d, nu) in enumerate(jobs):
+                    single = measure_reference_user(state, user_label(j), eta_d, nu).matrix
+                    for block, reference in ((x[b], single[0::2, 0::2]), (p[b], single[1::2, 1::2])):
+                        worst = max(worst, np.abs(block - reference).max() / np.abs(reference).max())
+                    members += 1
+                state = measure_reference_user(
+                    state, user_label(k), params.detector_efficiency, params.trusted_noise(k)
+                )
+        assert members > 1000
+        assert worst <= 1e-12
 
 
 class TestDelta:
