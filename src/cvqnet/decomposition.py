@@ -39,32 +39,15 @@ from .simulate import check_seed
 MAX_ENUMERATED_USERS = 8
 
 
-def _check_ordering(params: NetworkParams, order: Sequence[int]) -> tuple[int, ...]:
-    order = tuple(int(k) for k in order)
-    if sorted(order) != list(range(params.n_users)):
-        raise ValidationError(
-            f"ordering must be a permutation of 0..{params.n_users - 1}, got {order}"
-        )
-    return order
-
-
-def _chain(order: Sequence[int], n_users: int) -> list[frozenset]:
-    """Coalitions of the first 0, 1, ..., len(order) users of `order`."""
-    chain = [frozenset()]
-    for k in order:
-        if not 0 <= k < n_users or k in chain[-1]:
-            raise ValidationError(f"user {k} cannot join the coalition {set(chain[-1])}")
-        chain.append(chain[-1] | {k})
-    return chain
-
-
 class CoalitionValues:
     """The set function v(S) of one network, memoised per coalition.
 
     `fill(orders)` evaluates every prefix coalition of the orders, one layer
     (coalition size) at a time; only the layer being measured from is held,
     as (B, n, n) x and p blocks.  `terms` maps each coalition evaluated to
-    (I(A : y_S), S(sigma_S)).
+    (I(A : y_S), S(sigma_S)).  Each step S -> S + {k} of a prefix chain is
+    checked and built once and then looked up, so chains share their
+    coalitions.
     """
 
     def __init__(self, params: NetworkParams):
@@ -77,6 +60,20 @@ class CoalitionValues:
         self._eta_d, self._v_d = np.array(receivers).T
         self._root = build_channel_output_cm(params)
         self.terms = {frozenset(): (0.0, von_neumann_entropy(self._root))}
+        self._steps: dict[tuple[frozenset, int], frozenset] = {}  # (S, k) -> S + {k}
+
+    def _chain(self, order: Sequence[int]) -> list[frozenset]:
+        """Coalitions of the first 0, 1, ..., len(order) users of `order`."""
+        chain = [frozenset()]
+        for k in order:
+            parent = chain[-1]
+            grown = self._steps.get((parent, k))
+            if grown is None:
+                if not 0 <= k < self.params.n_users or k in parent:
+                    raise ValidationError(f"user {k} cannot join the coalition {set(parent)}")
+                grown = self._steps[parent, k] = parent | {k}
+            chain.append(grown)
+        return chain
 
     def fill(self, orders: Iterable[Sequence[int]]) -> None:
         """Add the prefix coalitions of `orders` that `terms` lacks.
@@ -91,7 +88,7 @@ class CoalitionValues:
         m = self.params.n_users
         layers = [{} for _ in range(m)]  # by size - 1: coalition -> (parent, joining user)
         for order in orders:
-            chain = _chain(order, m)
+            chain = self._chain(order)
             for layer, parent, grown, k in zip(layers, chain, chain[1:], order):
                 layer.setdefault(grown, (parent, k))
         layers = [layer for layer in layers if layer]
@@ -118,7 +115,7 @@ class CoalitionValues:
     def prefixes(self, order: Sequence[int]) -> list[frozenset]:
         """Coalitions of the first 0, 1, ..., len(order) users of `order`,
         each evaluated."""
-        chain = _chain(order, self.params.n_users)
+        chain = self._chain(order)
         if any(coalition not in self.terms for coalition in chain):
             self.fill([order])
         return chain
@@ -149,13 +146,18 @@ def decompose(
     table's `coalitions`, filled with every prefix of its orderings, to read
     the row from it; prefixes it lacks are evaluated along this order.
     """
-    order = _check_ordering(params, order)
+    order = tuple(map(int, order))
     delta = _mode_delta(params, mode)
     if coalitions is None:
         coalitions = CoalitionValues(params)
     elif coalitions.params != params:
         raise ValidationError("coalition values belong to a different network")
-    values = [coalitions.value(coalition) for coalition in coalitions.prefixes(order)]
+    chain = coalitions.prefixes(order)
+    if len(chain) != params.n_users + 1:  # with distinct users in range: a permutation
+        raise ValidationError(
+            f"ordering must be a permutation of 0..{params.n_users - 1}, got {order}"
+        )
+    values = [coalitions.value(coalition) for coalition in chain]
     contributions = tuple(after - before - delta for before, after in zip(values, values[1:]))
     return DecompositionRow(order, contributions, float(sum(contributions)))
 
@@ -172,7 +174,7 @@ def decomposition_table(
     """Decomposition rows of the given orderings and the joint rate.  The rows
     share one `CoalitionValues`, filled with every prefix coalition of the
     orderings before the first row; v(all) is the coalition every row ends on."""
-    orders = [_check_ordering(params, order) for order in orders]
+    orders = [tuple(map(int, order)) for order in orders]
     if not orders:
         raise ValidationError("need at least one ordering")
     coalitions = CoalitionValues(params)

@@ -14,6 +14,9 @@ correlation (a phase-rotated one, say) takes the complex Hermitian 2n x 2n
 path.  `block_entropies` is the stacked entry point: the entropies of a
 stack of such states held as their (B, n, n) X and P blocks, with one
 batched Cholesky and one batched `eigvalsh` for the whole stack.
+`spectrum_entropy` is the entropy of a spectrum found some other way (a
+closed form, say) under the same clamp and physicality check as
+`von_neumann_entropy`.
 """
 
 from __future__ import annotations
@@ -172,20 +175,25 @@ def g_function(x: float) -> float:
     return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
 
 
-def von_neumann_entropy(cm: CovarianceMatrix) -> float:
-    """Entropy S = sum_j g((nu_j - 1)/2) in bits.
+def spectrum_entropy(spectrum: Iterable[float]) -> float:
+    """Entropy S = sum_j g((nu_j - 1)/2) in bits of a symplectic spectrum.
 
     Eigenvalues within PHYSICALITY_TOL below 1 are clamped to 1 (numerical
     drift from long conditioning chains); anything lower raises.
     """
     total = 0.0
-    for nu in symplectic_eigenvalues(cm).tolist():
+    for nu in spectrum:
         if nu < 1.0 - PHYSICALITY_TOL:
             raise UnphysicalStateError(
                 f"symplectic eigenvalue {nu!r} below 1 beyond tolerance; state is unphysical"
             )
         total += g_function((max(nu, 1.0) - 1.0) / 2.0)
     return total
+
+
+def von_neumann_entropy(cm: CovarianceMatrix) -> float:
+    """Entropy in bits of a state: `spectrum_entropy` of its symplectic spectrum."""
+    return spectrum_entropy(symplectic_eigenvalues(cm).tolist())
 
 
 def block_entropies(x: np.ndarray, p: np.ndarray) -> np.ndarray:

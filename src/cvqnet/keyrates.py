@@ -17,8 +17,14 @@ are trusted (purified) in every interpretation.  `measure_reference_user`
 does that measurement in one closed-form step on the state it is given,
 `measure_reference_user_blocks` on a stack of states held as x and p blocks;
 `attach_trusted_detector` followed by `condition_on_heterodyne` is the same
-map written out on the extended state.  Mutual information is the closed
-form log2(1 + sum_k V_mod g_k^2 / N_k) of the classical outcome model.
+map written out on the extended state.  The trusted bound applies it to the
+global state and takes the entropies from the matrices.  The untrusted and
+collaborative bounds are read on a two-mode state (A, Bk) with x block
+[[a, c], [c, b]] and p block [[a, -c], [-c, b]], where chi is a closed form
+in the scalars a, b, c and the receiver (`_two_mode_holevo`; Lodewyck et
+al., PRA 76, 042305 (2007)).  Mutual information is the closed form
+log2(1 + sum_k V_mod g_k^2 / N_k) of the classical outcome model, built from
+the outcome models of the users it involves only.
 
 `derive_worst_case` places the model-implied corner with the same
 `worst_case_params` as block estimates.  A zero-transmittance link carries
@@ -35,9 +41,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .gaussian import CovarianceMatrix, condition_on_heterodyne, von_neumann_entropy
+from .gaussian import CovarianceMatrix, spectrum_entropy, von_neumann_entropy
 from .network import (
-    ALICE_LABEL,
     NetworkParams,
     build_channel_output_cm,
     measured_outcome_model,
@@ -73,13 +78,22 @@ def _mode_delta(params: NetworkParams, mode: str) -> float:
     return delta_fs(params.block_size) if mode == "finite" else 0.0
 
 
-def _outcome_snrs(params: NetworkParams) -> tuple[float, ...]:
-    """V_mod g_k^2 / N_k of every user's outcome model y_k = g_k s + n_k."""
-    models = (measured_outcome_model(params, k) for k in range(params.n_users))
-    return tuple(params.modulation_variance * m.gain**2 / m.noise_variance for m in models)
+def _check_user(params: NetworkParams, k: int) -> None:
+    if not 0 <= k < params.n_users:
+        raise ValidationError(f"user index {k} out of range")
 
 
-def _outcome_information(snrs: Sequence[float], users: Iterable[int]) -> float:
+def _outcome_snrs(params: NetworkParams, users: Iterable[int] | None = None) -> dict[int, float]:
+    """V_mod g_k^2 / N_k of the outcome model y_k = g_k s + n_k of each of
+    `users` (default: every user)."""
+    snrs = {}
+    for k in range(params.n_users) if users is None else users:
+        model = measured_outcome_model(params, k)
+        snrs[k] = params.modulation_variance * model.gain**2 / model.noise_variance
+    return snrs
+
+
+def _outcome_information(snrs: dict[int, float], users: Iterable[int]) -> float:
     """I(A : y_users) = log2(1 + sum_{k in users} snr_k) in bits per use.
 
     The outcome covariance of (s, y_1, ..., y_M) is V_mod g g^T + diag(N)
@@ -99,9 +113,8 @@ def mutual_information(
     if k in cond:
         raise ValidationError(f"user {k} cannot condition on itself")
     for j in cond + [k]:
-        if not 0 <= j < params.n_users:
-            raise ValidationError(f"user index {j} out of range")
-    snrs = _outcome_snrs(params)
+        _check_user(params, j)
+    snrs = _outcome_snrs(params, cond + [k])
     info = _outcome_information(snrs, cond + [k])
     return info - _outcome_information(snrs, cond) if cond else info
 
@@ -199,23 +212,69 @@ def measure_reference_user_blocks(
     return out[0], out[1]
 
 
-def _reference_holevo(cm: CovarianceMatrix, params: NetworkParams, k: int) -> float:
-    """S(rho) - S(rho after the reference user k's trusted measurement)."""
+def _symplectic_pair(split: float, product: float) -> tuple[float, float]:
+    """(nu_+, nu_-) from nu_+ - nu_- = split >= 0 and nu_+ nu_- = product > 0."""
+    larger = (math.sqrt(split * split + 4.0 * product) + split) / 2.0
+    return larger, product / larger
+
+
+def _two_mode_holevo(a: float, b: float, c: float, eta_d: float, v_d: float) -> float:
+    """S(A, B) - S(A, D1, D2 | y_B) in bits for the two-mode state with x block
+    [[a, c], [c, b]] and p block [[a, -c], [-c, b]], B heterodyned behind the
+    trusted receiver (eta_d, v_d) that `trusted_receiver` returns.
+
+    With det = ab - c^2, the spectrum before the measurement has
+    nu_+ nu_- = det and nu_+ - nu_- = |a - b|, so nu_+^2 + nu_-^2 =
+    a^2 + b^2 - 2c^2 (Weedbrook et al., RMP 84, 621 (2012)).  The conditional
+    state is `measure_reference_user` with O = {A}: a 3 x 3 x block X and the
+    p block D X D, D = diag(-1, 1, -1).  (A, B) is purified by two modes and
+    the measurement keeps the whole pure, so the conditional spectrum is
+    {1, lambda_3, lambda_4}: lambda_3^2 + lambda_4^2 = tr(XP) - 1 and
+    lambda_3 lambda_4 = det X.  With the added noise
+    N = (1 - eta_d) v_d + 1 and the outcome variance s = eta_d b + N, these
+    reduce to
+        lambda_3 lambda_4 = (det N + eta_d a) / s,
+        |lambda_3 - lambda_4| = |eta_d (1 - det) + N (b - a)| / s,
+    which, unlike the roots of the quadratic in tr(XP) and det X, keep full
+    precision when the two are close (a nearly pure state, where both tend
+    to 1).  ab - c^2 <= 0 or a <= 0 raises ValidationError; the spectra are
+    checked and clamped by `spectrum_entropy`.
+    """
+    det = a * b - c * c
+    if not (a > 0.0 and det > 0.0):
+        raise ValidationError("covariance matrix must be positive definite")
+    noise = (1.0 - eta_d) * v_d + 1.0
+    outcome = eta_d * b + noise
+    measured = _symplectic_pair(
+        abs(eta_d * (1.0 - det) + noise * (b - a)) / outcome,
+        (det * noise + eta_d * a) / outcome,
+    )
+    return spectrum_entropy(_symplectic_pair(abs(a - b), det)) - spectrum_entropy(measured)
+
+
+def holevo_untrusted(params: NetworkParams, k: int) -> float:
+    """Holevo bound with all other users assigned to the eavesdropper.
+
+    The bound is read on the reduced state (A, Bk): a, b and c are the
+    entries (0, 0), (k+1, k+1) and (0, k+1) of the channel output's x block,
+    and `_two_mode_holevo` evaluates them in closed form.
+    """
+    _check_user(params, k)
+    gamma = build_channel_output_cm(params).matrix
+    i = 2 * (k + 1)
+    receiver = trusted_receiver(params.detector_efficiency, params.trusted_noise(k))
+    a, c = gamma[0, [0, i]].tolist()
+    return _two_mode_holevo(a, gamma[i, i].item(), c, *receiver)
+
+
+def holevo_trusted(params: NetworkParams, k: int) -> float:
+    """Holevo bound with all other users excluded from the eavesdropper:
+    S(global) - S(global after user k's trusted measurement), on matrices."""
+    cm = build_channel_output_cm(params)
     conditional = measure_reference_user(
         cm, user_label(k), params.detector_efficiency, params.trusted_noise(k)
     )
     return von_neumann_entropy(cm) - von_neumann_entropy(conditional)
-
-
-def holevo_untrusted(params: NetworkParams, k: int) -> float:
-    """Holevo bound with all other users assigned to the eavesdropper."""
-    cm = build_channel_output_cm(params)
-    return _reference_holevo(cm.reduce([ALICE_LABEL, user_label(k)]), params, k)
-
-
-def holevo_trusted(params: NetworkParams, k: int) -> float:
-    """Holevo bound with all other users excluded from the eavesdropper."""
-    return _reference_holevo(build_channel_output_cm(params), params, k)
 
 
 def holevo_collaborative(params: NetworkParams, k: int) -> float:
@@ -225,23 +284,29 @@ def holevo_collaborative(params: NetworkParams, k: int) -> float:
     each scales its mode's rows and columns by sqrt(eta_d) and adds
     (1 - eta_d) + nu_el to its diagonal, so the disclosed data carry the
     receiver's loss and noise but nothing is purified for them.  The state
-    is then conditioned jointly on their heterodyne outcomes.  The
-    reference user's own receiver stays trusted.
+    is then conditioned jointly on their heterodyne outcomes, which leaves
+    the two-mode state (A, Bk) for `_two_mode_holevo`.  The reference user's
+    own receiver stays trusted.
+
+    Only the (M+1) x (M+1) x block is conditioned.  Every state the builder
+    makes has p block P = D X D with D = diag(-1, 1, ..., 1): only Alice's
+    cross entries change sign.  Receivers and heterodyne conditioning on user
+    modes keep that form, so the conditioned p block is [[a, -c], [-c, b]].
     """
     if params.n_users == 1:
         return holevo_untrusted(params, k)
-    cm = build_channel_output_cm(params)
+    _check_user(params, k)
     others = [j for j in range(params.n_users) if j != k]
+    rows = 2 * np.array([0, k + 1] + [j + 1 for j in others])  # x rows of A, Bk, the others
+    x = build_channel_output_cm(params).matrix[rows[:, None], rows]
     eta_d = params.detector_efficiency
-    labels = [user_label(j) for j in others]
-    rows = np.array([2 * cm.mode_index(label) + q for label in labels for q in (0, 1)])
-    scale = np.ones(cm.matrix.shape[0])
-    scale[rows] = np.sqrt(eta_d)
-    gamma = scale[:, None] * cm.matrix * scale[None, :]
-    gamma[rows, rows] += [(1.0 - eta_d) + params.trusted_noise(j) for j in others for _ in (0, 1)]
-    assisted = CovarianceMatrix(gamma, cm.mode_labels)
-    conditional_ab = condition_on_heterodyne(assisted, labels)
-    return _reference_holevo(conditional_ab, params, k)
+    cross = math.sqrt(eta_d) * x[:2, 2:]
+    outcome = eta_d * x[2:, 2:] + np.diag(
+        [(1.0 - eta_d) + params.trusted_noise(j) + 1.0 for j in others]
+    )
+    (a, c01), (c10, b) = (x[:2, :2] - cross @ np.linalg.solve(outcome, cross.T)).tolist()
+    receiver = trusted_receiver(params.detector_efficiency, params.trusted_noise(k))
+    return _two_mode_holevo(a, b, (c01 + c10) / 2.0, *receiver)
 
 
 _HOLEVO = {
@@ -282,8 +347,7 @@ def key_rate(
     and the given params are used directly (maximum-likelihood reading).
     """
     delta = _mode_delta(params, mode)
-    if not 0 <= k < params.n_users:
-        raise ValidationError(f"user index {k} out of range")
+    _check_user(params, k)
     if mode == "asymptotic":
         eval_params = params
         source = "ml-asymptotic"

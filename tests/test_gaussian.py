@@ -14,7 +14,7 @@ from cvqnet import (
     von_neumann_entropy,
 )
 from cvqnet.errors import NumericalError, UnphysicalStateError, ValidationError
-from cvqnet.gaussian import block_entropies
+from cvqnet.gaussian import block_entropies, spectrum_entropy
 from cvqnet.keyrates import measure_reference_user
 
 from conftest import random_params
@@ -283,6 +283,12 @@ class TestEntropy:
     def test_unphysical_raises(self):
         with pytest.raises(UnphysicalStateError):
             von_neumann_entropy(cm(0.5 * np.eye(2), "a"))
+
+    def test_spectrum_clamp_and_check(self):
+        # within PHYSICALITY_TOL below 1: clamped to 1, entropy 0; beyond it: raises
+        assert spectrum_entropy([3.0, 1.0 - 1e-10]) == pytest.approx(2.0, abs=1e-12)
+        with pytest.raises(UnphysicalStateError):
+            spectrum_entropy([3.0, 1.0 - 1e-8])
 
     def test_additive_for_direct_sums(self):
         rng = np.random.default_rng(11)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from cvqnet import (
     mutual_information,
     rate_table,
 )
-from cvqnet.errors import ModelError, ValidationError
+from cvqnet.errors import ModelError, UnphysicalStateError, ValidationError
 from cvqnet.gaussian import CovarianceMatrix, condition_on_heterodyne, von_neumann_entropy
-from cvqnet.keyrates import measure_reference_user, measure_reference_user_blocks
+from cvqnet.keyrates import _two_mode_holevo, measure_reference_user, measure_reference_user_blocks
 from cvqnet.network import ALICE_LABEL, trusted_receiver, user_label
 
 from conftest import random_params, unphysical_pair
@@ -235,13 +236,71 @@ class TestHolevoBounds:
         )
 
 
-def sequential_collaborative_holevo(params, k):
-    """Reference for the collaborative Holevo bound: the assisting receivers
-    applied one user at a time as a full scale @ Gamma @ scale^T product."""
-    state = build_channel_output_cm(params)
+def pair_state(a, b, c):
+    return CovarianceMatrix(np.array([[a, 0, c, 0], [0, a, 0, -c], [c, 0, b, 0], [0, -c, 0, b]]),
+                            (ALICE_LABEL, "B"))
+
+
+def matrix_path_holevo(state, label, eta_d, nu):
+    """S(state) - S(state after the trusted measurement of `label`), on matrices."""
+    return von_neumann_entropy(state) - von_neumann_entropy(
+        measure_reference_user(state, label, eta_d, nu)
+    )
+
+
+def collaborative_blocks(params, k):
+    """x and p blocks of (A, Bk) after the assisting receivers and conditioning
+    on the other users, each quadrature block conditioned apart by the same
+    steps."""
+    gamma = build_channel_output_cm(params).matrix
     eta_d = params.detector_efficiency
     others = [j for j in range(params.n_users) if j != k]
-    for j in others:
+    kept, assisting = [0, k + 1], [j + 1 for j in others]
+    noise = np.diag([(1.0 - eta_d) + params.trusted_noise(j) + 1.0 for j in others])
+    blocks = []
+    for block in (gamma[0::2, 0::2], gamma[1::2, 1::2]):
+        cross = np.sqrt(eta_d) * block[np.ix_(kept, assisting)]
+        outcome = eta_d * block[np.ix_(assisting, assisting)] + noise
+        blocks.append(block[np.ix_(kept, kept)] - cross @ np.linalg.solve(outcome, cross.T))
+    return blocks
+
+
+def reference_two_mode_holevo(mp, a, b, c, eta_d, v_d):
+    """chi of `_two_mode_holevo` at the working precision of `mp`: the spectra
+    are the square roots of eig(X P) of the pair and of the conditional
+    (A, D1, D2) blocks of `measure_reference_user`, each quadrature built
+    from its own formula."""
+    a, b, c, eta_d, v_d = map(mp.mpf, (a, b, c, eta_d, v_d))
+
+    def entropy(x, p):
+        total = mp.mpf(0)
+        for ev in mp.eig(x * p, left=False, right=False):
+            y = (max(mp.sqrt(mp.re(ev)), 1) - 1) / 2
+            total += (y + 1) * mp.log(y + 1, 2) - (y * mp.log(y, 2) if y > 0 else 0)
+        return total
+
+    t, r, e = mp.sqrt(eta_d), mp.sqrt(1 - eta_d), mp.sqrt(v_d * v_d - 1)
+    outcome = eta_d * b + (1 - eta_d) * v_d + 1
+    conditional = []
+    for sign in (1, -1):  # Alice's cross entry and the ancilla correlation flip in p
+        cq, tc = sign * c, sign * t * e
+        retained = mp.matrix([[a, -r * cq, 0],
+                              [-r * cq, r * r * b + eta_d * v_d, tc],
+                              [0, tc, v_d]])
+        sigma = mp.matrix([t * cq, t * r * (v_d - b), sign * r * e])
+        conditional.append(retained - sigma * sigma.T / outcome)
+    pair = [mp.matrix([[a, sign * c], [sign * c, b]]) for sign in (1, -1)]
+    return entropy(*pair) - entropy(*conditional)
+
+
+def assisted_state(params, k):
+    """The channel output after every assisting receiver but user k's, applied
+    one user at a time as a full scale @ Gamma @ scale^T product."""
+    state = build_channel_output_cm(params)
+    eta_d = params.detector_efficiency
+    for j in range(params.n_users):
+        if j == k:
+            continue
         i = 2 * (j + 1)
         scale = np.eye(state.matrix.shape[0])
         scale[i : i + 2, i : i + 2] = np.sqrt(eta_d) * np.eye(2)
@@ -249,9 +308,16 @@ def sequential_collaborative_holevo(params, k):
         out[i, i] += (1.0 - eta_d) + params.trusted_noise(j)
         out[i + 1, i + 1] += (1.0 - eta_d) + params.trusted_noise(j)
         state = CovarianceMatrix(out, state.mode_labels)
-    state = condition_on_heterodyne(state, [f"B{j + 1}" for j in others])
-    measured = measure_reference_user(state, f"B{k + 1}", eta_d, params.trusted_noise(k))
-    return von_neumann_entropy(state) - von_neumann_entropy(measured)
+    return state
+
+
+def sequential_collaborative_holevo(params, k):
+    """Reference for the collaborative Holevo bound on matrices: the assisting
+    receivers one at a time, then joint heterodyne conditioning."""
+    others = [f"B{j + 1}" for j in range(params.n_users) if j != k]
+    state = condition_on_heterodyne(assisted_state(params, k), others)
+    return matrix_path_holevo(state, f"B{k + 1}", params.detector_efficiency,
+                              params.trusted_noise(k))
 
 
 class TestOneShotAssistingMap:
@@ -288,6 +354,130 @@ class TestOneShotAssistingMap:
             for k in range(params.n_users):
                 with pytest.raises(ModelError):
                     key_rate(params, trust, k)
+
+
+class TestTwoModeClosedForm:
+    @staticmethod
+    def pairs(params):
+        """(user, trust model, (a, b, c)) of every untrusted pair (A, Bk) and,
+        with more than one user, every collaborative conditional pair."""
+        gamma = build_channel_output_cm(params).matrix
+        for k in range(params.n_users):
+            i = 2 * k + 2
+            yield k, TrustModel.UNTRUSTED, (gamma[0, 0], gamma[i, i], gamma[0, i])
+            if params.n_users > 1:
+                x = collaborative_blocks(params, k)[0]
+                yield k, TrustModel.COLLABORATIVE, (x[0, 0], x[1, 1], x[0, 1])
+
+    def test_matches_50_digit_reference(self, table1):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(81)
+        # a pure and two nearly pure lossy pairs, then network pairs
+        states = [(6.0, (1.0 - loss) * 5.0 + 1.0, np.sqrt((1.0 - loss) * 35.0))
+                  for loss in (0.0, 1e-9, 1e-4)]
+        for params in [table1] + [random_params(rng, n_users=4) for _ in range(5)]:
+            states += [state for _, _, state in self.pairs(params)]
+        receivers = [(1.0, 0.0), (1.0, 0.05), (0.7, 0.0)]
+        receivers += [(rng.uniform(0.4, 1.0), rng.uniform(0.0, 0.2)) for _ in states[3:]]
+        receivers[3::5] = [(1.0, 0.05)] * len(receivers[3::5])  # detuned
+        receivers[4::5] = [(rng.uniform(0.4, 1.0), 0.0)] * len(receivers[4::5])  # v_d = 1
+        assert len(states) >= 40
+        worst = 0.0
+        with mpmath.workdps(50):
+            for (a, b, c), (eta_d, nu) in zip(states, receivers):
+                receiver = trusted_receiver(eta_d, nu)
+                reference = reference_two_mode_holevo(mpmath.mp, a, b, c, *receiver)
+                worst = max(worst, abs(_two_mode_holevo(a, b, c, *receiver) - float(reference)))
+        assert worst <= 1e-11
+
+    def test_matches_matrix_path(self, table1):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(82)
+        far = []  # (closed form, matrix path, a, b, c, receiver) more than 1e-10 apart
+        for params in [table1] + [random_params(rng) for _ in range(300)]:
+            global_state = build_channel_output_cm(params)
+            for k, trust, (a, b, c) in self.pairs(params):
+                label, eta_d, nu = user_label(k), params.detector_efficiency, params.trusted_noise(k)
+                if trust is TrustModel.UNTRUSTED:
+                    pair = global_state.reduce([ALICE_LABEL, label])
+                    closed = holevo_untrusted(params, k)
+                    matrix = matrix_path_holevo(pair, label, eta_d, nu)
+                else:
+                    closed = holevo_collaborative(params, k)
+                    matrix = sequential_collaborative_holevo(params, k)
+                if abs(closed - matrix) > 1e-10:
+                    far.append((closed, matrix, a, b, c, trusted_receiver(eta_d, nu)))
+        # The matrix path loses digits behind a receiver with electronic noise
+        # and eta_d near 1 (v_d in the hundreds); there, and only there, the
+        # 50-digit reference sides with the closed form.
+        assert len(far) <= 5
+        with mpmath.workdps(50):
+            for closed, matrix, a, b, c, receiver in far:
+                reference = float(reference_two_mode_holevo(mpmath.mp, a, b, c, *receiver))
+                assert receiver[1] > 100.0
+                assert abs(closed - reference) <= 1e-11 < abs(matrix - reference)
+
+    @pytest.mark.parametrize("eta_d,nu", [(0.68, 0.0), (1.0, 0.05), (1.0, 0.0)],
+                             ids=["no-electronic-noise", "detuned-unit-efficiency", "ideal"])
+    def test_receiver_edge_cases(self, table1, eta_d, nu):
+        # the detuned receiver has v_d = 501, where the matrix path is off by
+        # up to about 1e-9, so the closed form is held to the 50-digit reference
+        mpmath = pytest.importorskip("mpmath")
+        receiver = trusted_receiver(eta_d, nu)
+        assert (receiver[1] == 1.0) == (nu == 0.0)
+        with mpmath.workdps(50):
+            for _, _, (a, b, c) in self.pairs(table1):
+                reference = float(reference_two_mode_holevo(mpmath.mp, a, b, c, *receiver))
+                assert _two_mode_holevo(a, b, c, *receiver) == pytest.approx(reference, abs=1e-12)
+
+    def test_zero_transmittance_link(self, table1):
+        params = with_first_transmittance(table1, 0.0)
+        gamma = build_channel_output_cm(params).matrix
+        assert gamma[0, 2] == 0.0
+        pair = gamma[0, 0], gamma[2, 2], gamma[0, 2]
+        # Alice decouples: chi is what the measurement learns of B1's own noise
+        expected = matrix_path_holevo(pair_state(*pair), "B", params.detector_efficiency,
+                                      params.trusted_noise(0))
+        assert holevo_untrusted(params, 0) == pytest.approx(expected, abs=1e-12)
+        # its rate is 0 in every trust model: test_zero_transmittance_user_has_no_key
+
+    def test_one_user(self):
+        params = single_user(eta=0.4, eps=0.01, eta_d=0.7, nu=0.05)
+        pair = build_channel_output_cm(params)
+        expected = matrix_path_holevo(pair, "B1", 0.7, 0.05)
+        assert holevo_untrusted(params, 0) == pytest.approx(expected, abs=1e-12)
+        assert holevo_collaborative(params, 0) == holevo_untrusted(params, 0)
+        assert abs(holevo_untrusted(single_user(), 0)) <= 1e-15  # pure: both spectra are 1
+
+    @pytest.mark.parametrize("a,b,c", [(2.0, 2.0, 2.0), (2.0, 2.0, 3.0), (-2.0, -3.0, 0.0),
+                                       (math.nan, 2.0, 0.0)],
+                             ids=["singular", "indefinite", "negative", "nan"])
+    def test_rejects_non_positive_definite(self, a, b, c):
+        with pytest.raises(ValidationError):
+            _two_mode_holevo(a, b, c, 0.7, 1.0)
+
+    def test_rejects_unphysical_pair(self):
+        # positive definite, but both symplectic eigenvalues are sqrt(0.39) < 1
+        with pytest.raises(UnphysicalStateError):
+            _two_mode_holevo(2.0, 2.0, 1.9, 0.7, 1.0)
+
+    def test_p_block_mirrors_x_block(self, table1):
+        # the closed form reads only x blocks: every p block must be D X D exactly
+        rng = np.random.default_rng(83)
+        for params in [table1] + [random_params(rng, max_users=8) for _ in range(40)]:
+            gamma = build_channel_output_cm(params).matrix
+            mirror = np.diag([-1.0] + [1.0] * params.n_users)
+            assert np.array_equal(gamma[1::2, 1::2], mirror @ gamma[0::2, 0::2] @ mirror)
+            if params.n_users == 1:
+                continue
+            for k in range(params.n_users):
+                x, p = collaborative_blocks(params, k)
+                assert np.array_equal(p, mirror[:2, :2] @ x @ mirror[:2, :2])
+                # and these are the blocks of the collaborative state on matrices
+                others = [user_label(j) for j in range(params.n_users) if j != k]
+                state = condition_on_heterodyne(assisted_state(params, k), others).matrix
+                for block, reference in ((x, state[0::2, 0::2]), (p, state[1::2, 1::2])):
+                    assert np.abs(block - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 class TestTrustOrdering:
