@@ -17,7 +17,6 @@ from .gaussian import (
     condition_on_heterodyne,
     g_function,
     symplectic_eigenvalues,
-    symplectic_form,
     von_neumann_entropy,
 )
 from .keyrates import (

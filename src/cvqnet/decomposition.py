@@ -33,7 +33,7 @@ from .keyrates import (
     _outcome_snrs,
     measure_reference_user_blocks,
 )
-from .network import NetworkParams, build_channel_output_cm, trusted_receiver, user_label
+from .network import NetworkParams, build_channel_output_cm, trusted_receiver
 from .simulate import check_seed
 
 MAX_ENUMERATED_USERS = 8
@@ -83,7 +83,8 @@ class CoalitionValues:
         already in `terms` keep their values.  A layer is one stacked step in
         which every member measures its own mode behind its own receiver.  A
         measured mode leaves the state and its ancillae go last, so user k
-        sits at its channel-output position less the measured users before it.
+        sits at its channel-output position k + 1 in (A, B1..BM) less the
+        measured users before it.
         """
         m = self.params.n_users
         layers = [{} for _ in range(m)]  # by size - 1: coalition -> (parent, joining user)
@@ -96,13 +97,11 @@ class CoalitionValues:
             return
         gamma = self._root.matrix
         x, p = gamma[None, 0::2, 0::2], gamma[None, 1::2, 1::2]
-        start = [self._root.mode_index(user_label(k)) for k in range(m)]
         position = {frozenset(): 0}
         for layer in layers:
             parents = np.array([position[parent] for parent, _ in layer.values()])
             joining = np.array([k for _, k in layer.values()])
-            index = np.array([start[k] - sum(start[j] < start[k] for j in parent)
-                              for parent, k in layer.values()])
+            index = np.array([k + 1 - sum(j < k for j in parent) for parent, k in layer.values()])
             x, p = measure_reference_user_blocks(
                 x[parents], p[parents], index, self._eta_d[joining], self._v_d[joining]
             )

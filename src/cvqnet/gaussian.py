@@ -7,13 +7,13 @@ silently shift mode positions.
 
 Every channel and receiver in the model is phase-insensitive and Alice's x
 and p are drawn independently, so every state the package builds has zero
-x-p cross entries.  `symplectic_eigenvalues` then reads the spectrum from the
-real n x n blocks: nu = sqrt(eig(L^T P L)) with X = L L^T, since
-(i Omega Gamma)^2 = diag(PX, XP) in xxpp ordering.  Only a state with x-p
-correlation (a phase-rotated one, say) takes the complex Hermitian 2n x 2n
-path.  `block_entropies` is the stacked entry point: the entropies of a
-stack of such states held as their (B, n, n) X and P blocks, with one
-batched Cholesky and one batched `eigvalsh` for the whole stack.
+x-p cross entries, and a state with x-p correlation is rejected.
+`block_spectrum` reads the spectrum from the real n x n quadrature blocks:
+nu = sqrt(eig(L^T P L)) with X = L L^T, since (i Omega Gamma)^2 =
+diag(PX, XP) in xxpp ordering.  It takes one state or a stack of states
+held as their (B, n, n) X and P blocks, with one batched Cholesky and one
+batched `eigvalsh` for the whole stack; `symplectic_eigenvalues` is its
+entry point for a `CovarianceMatrix` and `block_entropies` for a stack.
 `spectrum_entropy` is the entropy of a spectrum found some other way (a
 closed form, say) under the same clamp and physicality check as
 `von_neumann_entropy`.
@@ -56,8 +56,8 @@ class CovarianceMatrix:
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=float)
         labels = _as_label_tuple(self.mode_labels)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
-            raise ValidationError(f"covariance matrix must be square 2n x 2n, got {m.shape}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 or not m.size:
+            raise ValidationError(f"covariance matrix must be square 2n x 2n, n > 0, got {m.shape}")
         n = m.shape[0] // 2
         if len(labels) != n:
             raise ValidationError(
@@ -106,61 +106,43 @@ class CovarianceMatrix:
         return CovarianceMatrix(self.block(labels, labels), tuple(labels))
 
 
-_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
-def symplectic_form(n: int) -> np.ndarray:
-    """Symplectic form for n modes in interleaved ordering (a fresh array).
-
-    Block-diagonal with 2x2 blocks [[0, 1], [-1, 0]]; satisfies
-    Omega^2 = -I and Omega Omega^T = I.
-    """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValidationError(f"mode count must be a positive integer, got {n!r}")
-    return np.kron(np.eye(n), _J)
-
-
 def symplectic_eigenvalues(cm: CovarianceMatrix) -> np.ndarray:
     """Symplectic spectrum of a positive-definite covariance matrix, one
-    value per mode, sorted descending.
+    value per mode, sorted descending: `block_spectrum` of its quadrature
+    blocks X = Gamma[0::2, 0::2] and P = Gamma[1::2, 1::2].
 
-    Every state the package builds has no x-p correlation: Gamma is X (+) P
-    with X = Gamma[0::2, 0::2] and P = Gamma[1::2, 1::2].  In xxpp ordering
-    (i Omega Gamma)^2 = diag(PX, XP), so with X = L L^T the spectrum is
-    sqrt(eig(L^T P L)), one real symmetric n x n problem.  Gamma is positive
-    definite exactly when X and P are: the Cholesky factor of X and a
-    positive smallest eigenvalue of L^T P L (congruent to P) check that.
-
-    A state with x-p correlation (a phase rotation, say) takes the general
-    path: with Gamma = L L^T, the Hermitian 2n x 2n matrix i L^T Omega L has
-    eigenvalues +/- nu_j (Weedbrook et al., RMP 84, 621 (2012)), and the
-    spectrum is its positive half.
+    A state with x-p correlation (a phase rotation, say) raises
+    ValidationError: Gamma is X (+) P only without it.
     """
     gamma = cm.matrix
     if gamma[0::2, 1::2].any():
-        chol = _cholesky(gamma)
-        ev = _eigvalsh(1j * (chol.T @ symplectic_form(cm.dim_modes) @ chol), gamma)
-        return ev[cm.dim_modes :][::-1]
-    chol = _cholesky(gamma[0::2, 0::2])
-    ev = _eigvalsh(chol.T @ gamma[1::2, 1::2] @ chol, gamma)
-    if not ev[0] > 0.0:
-        raise ValidationError("covariance matrix must be positive definite")
-    return np.sqrt(ev[::-1])
+        raise ValidationError("covariance matrix has x-p correlation; it must be X (+) P")
+    return block_spectrum(gamma[0::2, 0::2], gamma[1::2, 1::2])
 
 
-def _cholesky(matrix: np.ndarray) -> np.ndarray:
+def block_spectrum(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Symplectic spectrum, sorted descending, of the state X (+) P given its
+    (n, n) quadrature blocks; of each member of a (B, n, n) stack, one row
+    per member.
+
+    In xxpp ordering (i Omega Gamma)^2 = diag(PX, XP), so with X = L L^T the
+    spectrum is sqrt(eig(L^T P L)), one real symmetric n x n problem
+    (Weedbrook et al., RMP 84, 621 (2012)).  Gamma is positive definite
+    exactly when X and P are: a failed Cholesky of X or a non-positive
+    smallest eigenvalue of L^T P L (congruent to P) raises ValidationError.
+    """
     try:
-        return np.linalg.cholesky(matrix)
+        chol = np.linalg.cholesky(x)
     except np.linalg.LinAlgError:
         raise ValidationError("covariance matrix must be positive definite") from None
-
-
-def _eigvalsh(hermitian: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     try:
-        return np.linalg.eigvalsh(hermitian)
+        ev = np.linalg.eigvalsh(chol.swapaxes(-1, -2) @ p @ chol)
     except np.linalg.LinAlgError as exc:
-        size = hermitian.shape[-1]
-        raise NumericalError(f"eigensolver failed on {size}x{size} matrix:\n{gamma}") from exc
+        n = x.shape[-1]
+        raise NumericalError(f"eigensolver failed on {n}x{n} matrix:\n{p}") from exc
+    if not ev.min() > 0.0:
+        raise ValidationError("covariance matrix must be positive definite")
+    return np.sqrt(ev[..., ::-1])
 
 
 def g_function(x: float) -> float:
@@ -201,15 +183,11 @@ def block_entropies(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     their (B, n, n) quadrature blocks X and P; one value per member.
 
     Member by member this is `von_neumann_entropy` on the state X (+) P, with
-    the same checks: a failed Cholesky of X or a non-positive smallest
-    eigenvalue of L^T P L raises ValidationError, an eigenvalue below 1 beyond
-    PHYSICALITY_TOL raises UnphysicalStateError, and the rest are clamped to 1.
+    the same checks: `block_spectrum` raises ValidationError on a state that
+    is not positive definite, an eigenvalue below 1 beyond PHYSICALITY_TOL
+    raises UnphysicalStateError, and the rest are clamped to 1.
     """
-    chol = _cholesky(x)
-    ev = _eigvalsh(np.swapaxes(chol, -1, -2) @ p @ chol, p)
-    if not (ev[:, 0] > 0.0).all():
-        raise ValidationError("covariance matrix must be positive definite")
-    nu = np.sqrt(ev)
+    nu = block_spectrum(x, p)[:, ::-1]  # summed in ascending order, as the tables were
     low = nu[:, 0].min()
     if low < 1.0 - PHYSICALITY_TOL:
         raise UnphysicalStateError(

@@ -14,11 +14,12 @@ supported.  For a reference user k:
 Reverse reconciliation throughout: Holevo bounds are conditioned on the
 reference user's own measurement, whose receiver loss and electronic noise
 are trusted (purified) in every interpretation.  `measure_reference_user`
-does that measurement in one closed-form step on the state it is given,
-`measure_reference_user_blocks` on a stack of states held as x and p blocks;
-`attach_trusted_detector` followed by `condition_on_heterodyne` is the same
-map written out on the extended state.  The trusted bound applies it to the
-global state and takes the entropies from the matrices.  The untrusted and
+does that measurement in one closed-form step on the x and p blocks of one
+state, `measure_reference_user_blocks` on a stack of them with the same
+rounding; `attach_trusted_detector` followed by `condition_on_heterodyne` is
+the same map written out on the labelled extended state.  The trusted bound
+applies the single-state step to the blocks of the global state and reads
+the conditional spectrum from the blocks it returns.  The untrusted and
 collaborative bounds are read on a two-mode state (A, Bk) with x block
 [[a, c], [c, b]] and p block [[a, -c], [-c, b]], where chi is a closed form
 in the scalars a, b, c and the receiver (`_two_mode_holevo`; Lodewyck et
@@ -41,14 +42,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .gaussian import CovarianceMatrix, spectrum_entropy, von_neumann_entropy
-from .network import (
-    NetworkParams,
-    build_channel_output_cm,
-    measured_outcome_model,
-    trusted_receiver,
-    user_label,
-)
+from .gaussian import block_spectrum, spectrum_entropy, von_neumann_entropy
+from .network import NetworkParams, build_channel_output_cm, measured_outcome_model, trusted_receiver
 from .simulate import EstimateReport, worst_case_params
 
 
@@ -120,53 +115,47 @@ def mutual_information(
 
 
 def measure_reference_user(
-    cm: CovarianceMatrix, label: str, detector_efficiency: float, electronic_noise: float
-) -> CovarianceMatrix:
-    """State of everything retained after the reference user's measurement.
+    x: np.ndarray, p: np.ndarray, index: int, eta_d: float, v_d: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature blocks of everything retained after the reference user's
+    measurement, for one state without x-p correlation given as its (n, n)
+    blocks x and p.
 
-    One closed-form step for heterodyning `label` behind its trusted
-    receiver, equal to `condition_on_heterodyne(attach_trusted_detector(cm,
-    label, ...), [label])` without forming the extended state.  With the
-    mode's block W, its cross block C with the other modes O, t^2 = eta_d,
-    r^2 = 1 - eta_d, the ancilla EPR variance v_d and c = sqrt(v_d^2 - 1),
-    the retained modes (O, D1, D2) have the block
-        [[Gamma_O, -r C, 0], [-r C^T, r^2 W + t^2 v_d I, t c Z], [0, t c Z, v_d I]],
-    their cross block with the detected mode is [t C; t r (v_d I - W); r c Z],
-    and they are conditioned on its outcome covariance t^2 W + (r^2 v_d + 1) I.
-    Labels: the other modes in order, then D1_<label>, D2_<label>.
+    One closed-form step for heterodyning mode `index` behind its trusted
+    receiver (eta_d, v_d), the pair `trusted_receiver` returns; the same
+    map as `condition_on_heterodyne(attach_trusted_detector(...))` without
+    forming the extended state.  In the quadrature with block Q, with the
+    mode's entry w, its cross column C with the other modes O, t^2 = eta_d,
+    r^2 = 1 - eta_d, c = sqrt(v_d^2 - 1) and z = +1 in x, -1 in p, the
+    retained modes (O, D1, D2) have the block
+        [[Q_O, -r C, 0], [-r C^T, r^2 w + t^2 v_d, z t c], [0, z t c, v_d]],
+    their cross column with the detected mode is [t C; t r (v_d - w); z r c],
+    and they are conditioned on its outcome variance t^2 w + r^2 v_d + 1.
+    The rounding is that of `measure_reference_user_blocks`.  Returns the
+    (n + 1, n + 1) blocks: the other modes in order, then D1, D2.
     """
-    eta_d, v_d = trusted_receiver(detector_efficiency, electronic_noise)
-    i = 2 * cm.mode_index(label)
-    d1, d2 = f"D1_{label}", f"D2_{label}"
-    if d1 in cm.mode_labels or d2 in cm.mode_labels:
-        raise ValidationError(f"detector already attached to {label}")
     t, r, c = math.sqrt(eta_d), math.sqrt(1.0 - eta_d), math.sqrt(v_d * v_d - 1.0)
-    gamma = cm.matrix
-    rows = np.array([*range(i), *range(i + 2, gamma.shape[0])], dtype=np.intp)  # the other modes
-    (w00, w01), (_, w11) = gamma[i : i + 2, i : i + 2].tolist()
-    cross = gamma[rows, i : i + 2]
-    o = len(rows)
-    retained = np.zeros((o + 4, o + 4))
-    retained[:o, :o] = gamma[rows[:, None], rows]
-    retained[:o, o : o + 2] = -r * cross
-    retained[o : o + 2, :o] = -r * cross.T
-    rr, ttv, tc = r * r, t * t * v_d, t * c
-    retained[o:, o:] = [
-        [rr * w00 + ttv, rr * w01, tc, 0.0],
-        [rr * w01, rr * w11 + ttv, 0.0, -tc],
-        [tc, 0.0, v_d, 0.0],
-        [0.0, -tc, 0.0, v_d],
-    ]
-    sigma = np.empty((o + 4, 2))
-    sigma[:o] = t * cross
-    tr, rc = t * r, r * c
-    sigma[o:] = [[tr * (v_d - w00), -tr * w01], [-tr * w01, tr * (v_d - w11)],
-                 [rc, 0.0], [0.0, -rc]]
-    vacuum = rr * v_d + 1.0
-    a, b, d = t * t * w00 + vacuum, t * t * w01, t * t * w11 + vacuum
-    retained -= sigma @ (np.array([[d, -b], [-b, a]]) / (a * d - b * b)) @ sigma.T
-    labels = tuple(lab for lab in cm.mode_labels if lab != label) + (d1, d2)
-    return CovarianceMatrix(retained, labels)
+    vacuum = r * r * v_d + 1.0
+    o = len(x) - 1
+    others = np.arange(o)
+    others[index:] += 1
+    w = [block[index, index] for block in (x, p)]
+    a = [t * t * wq + vacuum for wq in w]
+    out = []
+    for q, (block, sign) in enumerate(((x, 1.0), (p, -1.0))):
+        cross = block[others, index]
+        retained = np.zeros((o + 2, o + 2))
+        retained[:o, :o] = block[others[:, None], others]
+        retained[:o, o] = retained[o, :o] = -r * cross
+        retained[o, o] = r * r * w[q] + t * t * v_d
+        retained[o, o + 1] = retained[o + 1, o] = sign * t * c
+        retained[o + 1, o + 1] = v_d
+        sigma = np.empty(o + 2)
+        sigma[:o] = t * cross
+        sigma[o:] = t * r * (v_d - w[q]), sign * r * c
+        retained -= np.outer(sigma * (a[1 - q] / (a[0] * a[1])), sigma)
+        out.append((retained + retained.T) / 2.0)
+    return out[0], out[1]
 
 
 def measure_reference_user_blocks(
@@ -176,12 +165,10 @@ def measure_reference_user_blocks(
 
     Member b is held as its (n, n) quadrature blocks x[b], p[b]; it measures
     its mode index[b] behind its own trusted receiver (eta_d[b], v_d[b]), the
-    pair `trusted_receiver` returns.  Each quadrature is conditioned apart,
-    with the x or p block of the single-state formula (Z = diag(1, -1) gives
-    the ancilla correlation +tc in x and -tc in p) and the same rounding: the
-    outcome variance is inverted as the 2 x 2 diagonal [[d, 0], [0, a]] / (a d).
-    Returns the (B, n + 1, n + 1) blocks of the retained modes: the other
-    modes in order, then D1, D2.
+    pair `trusted_receiver` returns.  The formula and the rounding are those
+    of the single-state step, so each member equals it exactly.  Returns the
+    (B, n + 1, n + 1) blocks of the retained modes: the other modes in order,
+    then D1, D2.
     """
     members = np.arange(len(index))
     n = x.shape[-1]
@@ -269,12 +256,14 @@ def holevo_untrusted(params: NetworkParams, k: int) -> float:
 
 def holevo_trusted(params: NetworkParams, k: int) -> float:
     """Holevo bound with all other users excluded from the eavesdropper:
-    S(global) - S(global after user k's trusted measurement), on matrices."""
+    S(global) - S(global after user k's trusted measurement).  User k sits
+    at position k + 1 of the channel output (A, B1..BM), and the state
+    after its measurement is read on its quadrature blocks."""
+    _check_user(params, k)
     cm = build_channel_output_cm(params)
-    conditional = measure_reference_user(
-        cm, user_label(k), params.detector_efficiency, params.trusted_noise(k)
-    )
-    return von_neumann_entropy(cm) - von_neumann_entropy(conditional)
+    receiver = trusted_receiver(params.detector_efficiency, params.trusted_noise(k))
+    x, p = measure_reference_user(cm.matrix[0::2, 0::2], cm.matrix[1::2, 1::2], k + 1, *receiver)
+    return von_neumann_entropy(cm) - spectrum_entropy(block_spectrum(x, p).tolist())
 
 
 def holevo_collaborative(params: NetworkParams, k: int) -> float:

@@ -10,7 +10,9 @@ from cvqnet import (
     TrustModel,
     UserLink,
     all_orderings,
+    attach_trusted_detector,
     build_channel_output_cm,
+    condition_on_heterodyne,
     decompose,
     delta_fs,
     holevo_untrusted,
@@ -23,7 +25,6 @@ from cvqnet import (
 )
 from cvqnet.decomposition import CoalitionValues
 from cvqnet.errors import GuardRefusalError, ValidationError
-from cvqnet.keyrates import measure_reference_user
 
 from conftest import random_params
 from oracles import _joint_information, _outcome_information, oracle_joint_rate
@@ -241,14 +242,15 @@ class TestJointRate:
 
 def rebuilt_row(params, order):
     """Finite-mode contributions from a per-order rebuild: condition the
-    channel output along `order` from scratch and take each mutual
-    information term as a Schur complement."""
+    channel output along `order` from scratch, each user's trusted receiver
+    attached and then heterodyned, and take each mutual information term as
+    a Schur complement."""
     cm = build_channel_output_cm(params)
     entropies = [von_neumann_entropy(cm)]
     for k in order:
-        cm = measure_reference_user(
-            cm, user_label(k), params.detector_efficiency, params.trusted_noise(k)
-        )
+        label = user_label(k)
+        cm = attach_trusted_detector(cm, label, params.detector_efficiency, params.trusted_noise(k))
+        cm = condition_on_heterodyne(cm, [label])
         entropies.append(von_neumann_entropy(cm))
     delta = delta_fs(params.block_size)
     return [

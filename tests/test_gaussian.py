@@ -10,15 +10,14 @@ from cvqnet import (
     condition_on_heterodyne,
     g_function,
     symplectic_eigenvalues,
-    symplectic_form,
     von_neumann_entropy,
 )
 from cvqnet.errors import NumericalError, UnphysicalStateError, ValidationError
 from cvqnet.gaussian import block_entropies, spectrum_entropy
-from cvqnet.keyrates import measure_reference_user
 
 from conftest import random_params
 from oracles import (
+    OMEGA1,
     direct_sum,
     epr_cm,
     hermitian_symplectic_spectrum,
@@ -32,7 +31,15 @@ def cm(matrix, labels):
     return CovarianceMatrix(np.asarray(matrix, dtype=float), tuple(labels))
 
 
+def symplectic_form(n):
+    """Omega for n modes in interleaved ordering, as the reference spectra of
+    `oracles` build it."""
+    return np.kron(np.eye(n), OMEGA1)
+
+
 class TestSymplecticForm:
+    """The form that the reference spectra below are taken with."""
+
     def test_single_mode(self):
         assert np.array_equal(symplectic_form(1), [[0.0, 1.0], [-1.0, 0.0]])
 
@@ -47,11 +54,6 @@ class TestSymplecticForm:
         omega = symplectic_form(n)
         assert np.allclose(omega @ omega.T, np.eye(2 * n))
         assert np.allclose(omega @ omega, -np.eye(2 * n))
-
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_rejects_non_positive(self, n):
-        with pytest.raises(ValidationError):
-            symplectic_form(n)
 
 
 class TestSymplecticEigenvalues:
@@ -115,9 +117,11 @@ def measured_chain(params):
     state = build_channel_output_cm(params)
     states = [state]
     for k in range(params.n_users - 1):
-        state = measure_reference_user(
-            state, f"B{k + 1}", params.detector_efficiency, params.trusted_noise(k)
+        label = f"B{k + 1}"
+        state = attach_trusted_detector(
+            state, label, params.detector_efficiency, params.trusted_noise(k)
         )
+        state = condition_on_heterodyne(state, [label])
         states.append(state)
     return states
 
@@ -162,14 +166,6 @@ class TestHermitianKernel:
                 symplectic_eigenvalues(state), np.repeat(expected, 2), rtol=1e-12, atol=0.0
             )
 
-    def test_symplectic_form_copy_cannot_corrupt_spectra(self, table1):
-        state = build_channel_output_cm(table1)
-        before = symplectic_eigenvalues(state).copy()
-        n = state.dim_modes
-        symplectic_form(n)[:] = 7.0
-        assert np.array_equal(symplectic_form(n), np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]]))
-        assert np.array_equal(symplectic_eigenvalues(state), before)
-
 
 def quadrature_blocks(x, p, labels):
     """Uncoupled state X (+) P in interleaved ordering."""
@@ -211,12 +207,13 @@ class TestQuadratureBlockKernel:
         assert np.allclose(symplectic_eigenvalues(state), [4.0, 3.0 ** 0.5, 1.5], rtol=1e-15)
 
     def assert_paths_agree(self, state, rng):
+        # phase rotations are symplectic: the rotated state, coupled, has the
+        # spectrum that the blocks of the uncoupled one give
         assert not state.matrix[0::2, 1::2].any()
         rotated = phase_rotated(state, rng)
-        assert rotated.matrix[0::2, 1::2].any()  # coupled: takes the Hermitian path
-        assert np.allclose(
-            symplectic_eigenvalues(rotated), symplectic_eigenvalues(state), rtol=1e-12, atol=0.0
-        )
+        assert rotated.matrix[0::2, 1::2].any()
+        assert np.allclose(hermitian_symplectic_spectrum(rotated.matrix)[::-1],
+                           symplectic_eigenvalues(state), rtol=1e-12, atol=0.0)
 
     def test_table1_chain_agrees_with_hermitian_path(self, table1):
         rng = np.random.default_rng(41)
@@ -228,6 +225,14 @@ class TestQuadratureBlockKernel:
         for _ in range(25):
             for state in measured_chain(random_params(rng)):
                 self.assert_paths_agree(state, rng)
+
+    def test_rejects_coupled_state(self, table1):
+        rng = np.random.default_rng(43)
+        for state in measured_chain(table1):
+            rotated = phase_rotated(state, rng)
+            for read in (symplectic_eigenvalues, von_neumann_entropy, check_physicality):
+                with pytest.raises(ValidationError, match="x-p correlation"):
+                    read(rotated)
 
 
 class TestGFunction:
@@ -315,9 +320,9 @@ class TestEntropy:
                 [np.cos(theta), np.sin(theta)],
                 [-np.sin(theta), np.cos(theta)],
             ]
-            rotated = cm(rot @ gamma.matrix @ rot.T, gamma.mode_labels)
+            rotated = rot @ gamma.matrix @ rot.T
             assert np.allclose(
-                symplectic_eigenvalues(rotated),
+                hermitian_symplectic_spectrum(rotated)[::-1],
                 symplectic_eigenvalues(gamma),
                 atol=1e-10,
             )
@@ -465,6 +470,13 @@ class TestPhysicality:
 
 
 class TestCovarianceMatrixType:
+    @pytest.mark.parametrize(
+        "shape", [(2, 4), (3, 3), (2, 2, 2), (0, 0)], ids=["non-square", "odd", "3-d", "no-modes"]
+    )
+    def test_rejects_bad_shape(self, shape):
+        with pytest.raises(ValidationError, match="square 2n x 2n"):
+            CovarianceMatrix(np.zeros(shape), ())
+
     def test_label_count_must_match(self):
         with pytest.raises(ValidationError):
             cm(np.eye(4), "abc")
