@@ -33,7 +33,7 @@ from .keyrates import (
     _outcome_snrs,
     measure_reference_user_blocks,
 )
-from .network import NetworkParams, build_channel_output_cm, trusted_receiver
+from .network import NetworkParams, build_channel_output_cm
 from .simulate import check_seed
 
 MAX_ENUMERATED_USERS = 8
@@ -53,11 +53,8 @@ class CoalitionValues:
     def __init__(self, params: NetworkParams):
         self.params = params
         self._snrs = _outcome_snrs(params)
-        receivers = [
-            trusted_receiver(params.detector_efficiency, params.trusted_noise(k))
-            for k in range(params.n_users)
-        ]
-        self._eta_d, self._v_d = np.array(receivers).T
+        self._eta_d = np.full(params.n_users, params.detector_efficiency)
+        self._nu_el = np.array([params.trusted_noise(k) for k in range(params.n_users)])
         self._root = build_channel_output_cm(params)
         self.terms = {frozenset(): (0.0, von_neumann_entropy(self._root))}
         self._steps: dict[tuple[frozenset, int], frozenset] = {}  # (S, k) -> S + {k}
@@ -82,7 +79,7 @@ class CoalitionValues:
         each coalition measured from the prefix it first follows; coalitions
         already in `terms` keep their values.  A layer is one stacked step in
         which every member measures its own mode behind its own receiver.  A
-        measured mode leaves the state and its ancillae go last, so user k
+        measured mode leaves the state and its ancilla goes last, so user k
         sits at its channel-output position k + 1 in (A, B1..BM) less the
         measured users before it.
         """
@@ -103,7 +100,7 @@ class CoalitionValues:
             joining = np.array([k for _, k in layer.values()])
             index = np.array([k + 1 - sum(j < k for j in parent) for parent, k in layer.values()])
             x, p = measure_reference_user_blocks(
-                x[parents], p[parents], index, self._eta_d[joining], self._v_d[joining]
+                x[parents], p[parents], index, self._eta_d[joining], self._nu_el[joining]
             )
             for coalition, entropy in zip(layer, block_entropies(x, p).tolist()):
                 if coalition not in self.terms:

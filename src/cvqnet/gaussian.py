@@ -1,9 +1,10 @@
 """Symplectic linear algebra over quadrature covariance matrices.
 
 All matrices are in shot-noise units (vacuum variance = 1) with the
-interleaved quadrature ordering (x1, p1, x2, p2, ...).  Modes are always
-addressed by label, never by raw index, so that conditioning chains cannot
-silently shift mode positions.
+interleaved quadrature ordering (x1, p1, x2, p2, ...).  A `CovarianceMatrix`
+addresses its modes by label; the block kernels (`block_spectrum`,
+`block_entropies`) and the measurement steps built on them take bare
+quadrature blocks and address modes by position.
 
 Every channel and receiver in the model is phase-insensitive and Alice's x
 and p are drawn independently, so every state the package builds has zero

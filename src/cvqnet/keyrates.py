@@ -12,18 +12,20 @@ supported.  For a reference user k:
                 outcomes (no trust placed on the assisting receivers).
 
 Reverse reconciliation throughout: Holevo bounds are conditioned on the
-reference user's own measurement, whose receiver loss and electronic noise
-are trusted (purified) in every interpretation.  `measure_reference_user`
-does that measurement in one closed-form step on the x and p blocks of one
-state, `measure_reference_user_blocks` on a stack of them with the same
-rounding; `attach_trusted_detector` followed by `condition_on_heterodyne` is
-the same map written out on the labelled extended state.  The trusted bound
-applies the single-state step to the blocks of the global state and reads
-the conditional spectrum from the blocks it returns.  The untrusted and
+reference user's own measurement, behind a trusted receiver of efficiency
+eta_d and electronic noise nu_el (`receiver_map`) in every interpretation.
+`measure_reference_user` does that measurement in one closed-form step on
+the x and p blocks of one state, `measure_reference_user_blocks` on a stack
+of them with the same rounding; the measurement keeps one ancilla, and
+`attach_trusted_detector` followed by `condition_on_heterodyne` is the same
+map written out on the labelled extended state.  The trusted bound applies
+the single-state step to the blocks of the global state and reads the
+conditional spectrum from the blocks it returns.  The untrusted and
 collaborative bounds are read on a two-mode state (A, Bk) with x block
 [[a, c], [c, b]] and p block [[a, -c], [-c, b]], where chi is a closed form
-in the scalars a, b, c and the receiver (`_two_mode_holevo`; Lodewyck et
-al., PRA 76, 042305 (2007)).  Mutual information is the closed form
+in the scalars a, b, c, eta_d and the receiver's added noise
+N = 2 - eta_d + nu_el (`_two_mode_holevo`; Lodewyck et al., PRA 76, 042305
+(2007)).  Mutual information is the closed form
 log2(1 + sum_k V_mod g_k^2 / N_k) of the classical outcome model, built from
 the outcome models of the users it involves only.
 
@@ -43,7 +45,12 @@ import numpy as np
 
 from .errors import ValidationError
 from .gaussian import block_spectrum, spectrum_entropy, von_neumann_entropy
-from .network import NetworkParams, build_channel_output_cm, measured_outcome_model, trusted_receiver
+from .network import (
+    NetworkParams,
+    build_channel_output_cm,
+    measured_outcome_model,
+    receiver_map,
+)
 from .simulate import EstimateReport, worst_case_params
 
 
@@ -115,87 +122,71 @@ def mutual_information(
 
 
 def measure_reference_user(
-    x: np.ndarray, p: np.ndarray, index: int, eta_d: float, v_d: float
+    x: np.ndarray, p: np.ndarray, index: int, eta_d: float, nu_el: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature blocks of everything retained after the reference user's
     measurement, for one state without x-p correlation given as its (n, n)
     blocks x and p.
 
     One closed-form step for heterodyning mode `index` behind its trusted
-    receiver (eta_d, v_d), the pair `trusted_receiver` returns; the same
-    map as `condition_on_heterodyne(attach_trusted_detector(...))` without
-    forming the extended state.  In the quadrature with block Q, with the
-    mode's entry w, its cross column C with the other modes O, t^2 = eta_d,
-    r^2 = 1 - eta_d, c = sqrt(v_d^2 - 1) and z = +1 in x, -1 in p, the
-    retained modes (O, D1, D2) have the block
-        [[Q_O, -r C, 0], [-r C^T, r^2 w + t^2 v_d, z t c], [0, z t c, v_d]],
-    their cross column with the detected mode is [t C; t r (v_d - w); z r c],
-    and they are conditioned on its outcome variance t^2 w + r^2 v_d + 1.
+    receiver (eta_d, nu_el); the same map as
+    `condition_on_heterodyne(attach_trusted_detector(...))` without forming
+    the extended state, less the ancilla D2, which that leaves in vacuum
+    (`receiver_map`).  In either quadrature, with block Q, the mode's entry
+    w, its cross column C with the other modes O and the outcome variance
+    a = eta_d w + N, the retained modes (O, D1) have the block
+        [[Q_O - eta_d C C^T / a, -2 s ru C / a], [., (N w + eta_d) / a]].
     The rounding is that of `measure_reference_user_blocks`.  Returns the
-    (n + 1, n + 1) blocks: the other modes in order, then D1, D2.
+    (n, n) blocks: the other modes in order, then D1.
     """
-    t, r, c = math.sqrt(eta_d), math.sqrt(1.0 - eta_d), math.sqrt(v_d * v_d - 1.0)
-    vacuum = r * r * v_d + 1.0
+    receiver = receiver_map(eta_d, nu_el)
     o = len(x) - 1
     others = np.arange(o)
     others[index:] += 1
-    w = [block[index, index] for block in (x, p)]
-    a = [t * t * wq + vacuum for wq in w]
     out = []
-    for q, (block, sign) in enumerate(((x, 1.0), (p, -1.0))):
+    for block in (x, p):
+        w = block[index, index]
+        outcome = eta_d * w + receiver.noise
         cross = block[others, index]
-        retained = np.zeros((o + 2, o + 2))
-        retained[:o, :o] = block[others[:, None], others]
-        retained[:o, o] = retained[o, :o] = -r * cross
-        retained[o, o] = r * r * w[q] + t * t * v_d
-        retained[o, o + 1] = retained[o + 1, o] = sign * t * c
-        retained[o + 1, o + 1] = v_d
-        sigma = np.empty(o + 2)
-        sigma[:o] = t * cross
-        sigma[o:] = t * r * (v_d - w[q]), sign * r * c
-        retained -= np.outer(sigma * (a[1 - q] / (a[0] * a[1])), sigma)
-        out.append((retained + retained.T) / 2.0)
+        scaled = (receiver.t / math.sqrt(outcome)) * cross
+        retained = np.empty((o + 1, o + 1))
+        retained[:o, :o] = block[others[:, None], others] - np.outer(scaled, scaled)
+        retained[:o, o] = retained[o, :o] = (-2.0 * receiver.s * receiver.ru / outcome) * cross
+        retained[o, o] = (receiver.noise * w + eta_d) / outcome
+        out.append(retained)
     return out[0], out[1]
 
 
 def measure_reference_user_blocks(
-    x: np.ndarray, p: np.ndarray, index: np.ndarray, eta_d: np.ndarray, v_d: np.ndarray
+    x: np.ndarray, p: np.ndarray, index: np.ndarray, eta_d: np.ndarray, nu_el: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """`measure_reference_user` on a stack of states without x-p correlation.
 
     Member b is held as its (n, n) quadrature blocks x[b], p[b]; it measures
-    its mode index[b] behind its own trusted receiver (eta_d[b], v_d[b]), the
-    pair `trusted_receiver` returns.  The formula and the rounding are those
-    of the single-state step, so each member equals it exactly.  Returns the
-    (B, n + 1, n + 1) blocks of the retained modes: the other modes in order,
-    then D1, D2.
+    its mode index[b] behind its own trusted receiver (eta_d[b], nu_el[b]).
+    The formula and the rounding are those of the single-state step, so each
+    member equals it exactly.  Returns the (B, n, n) blocks of the retained
+    modes: the other modes in order, then D1.
     """
     members = np.arange(len(index))
     n = x.shape[-1]
     o = n - 1
     keep = np.arange(n) != index[:, None]  # the other modes of each member
     kept = keep[:, :, None] & keep[:, None, :]
-    t, r, c = np.sqrt(eta_d), np.sqrt(1.0 - eta_d), np.sqrt(v_d * v_d - 1.0)
-    rr, ttv, tc, tr, rc = r * r, t * t * v_d, t * c, t * r, r * c
-    vacuum = rr * v_d + 1.0
-    w = [block[members, index, index] for block in (x, p)]
-    a = [t * t * wq + vacuum for wq in w]
-    det = a[0] * a[1]
+    receiver = receiver_map(eta_d, nu_el)
     out = []
-    for q, (block, sign) in enumerate(((x, 1.0), (p, -1.0))):
+    for block in (x, p):
+        w = block[members, index, index]
+        outcome = eta_d * w + receiver.noise
         cross = block[members, :, index][keep].reshape(-1, o)
-        retained = np.zeros((len(index), n + 1, n + 1))
-        retained[:, :o, :o] = block[kept].reshape(-1, o, o)
-        retained[:, :o, o] = retained[:, o, :o] = -r[:, None] * cross
-        retained[:, o, o] = rr * w[q] + ttv
-        retained[:, o, o + 1] = retained[:, o + 1, o] = sign * tc
-        retained[:, o + 1, o + 1] = v_d
-        sigma = np.concatenate(
-            [t[:, None] * cross, (tr * (v_d - w[q]))[:, None], (sign * rc)[:, None]], axis=1
+        scaled = (receiver.t / np.sqrt(outcome))[:, None] * cross
+        retained = np.empty((len(index), n, n))
+        retained[:, :o, :o] = block[kept].reshape(-1, o, o) - scaled[:, :, None] * scaled[:, None, :]
+        retained[:, :o, o] = retained[:, o, :o] = (
+            (-2.0 * receiver.s * receiver.ru / outcome)[:, None] * cross
         )
-        scaled = sigma * (a[1 - q] / det)[:, None]
-        retained -= scaled[:, :, None] * sigma[:, None, :]
-        out.append((retained + np.swapaxes(retained, 1, 2)) / 2.0)
+        retained[:, o, o] = (receiver.noise * w + eta_d) / outcome
+        out.append(retained)
     return out[0], out[1]
 
 
@@ -205,32 +196,28 @@ def _symplectic_pair(split: float, product: float) -> tuple[float, float]:
     return larger, product / larger
 
 
-def _two_mode_holevo(a: float, b: float, c: float, eta_d: float, v_d: float) -> float:
+def _two_mode_holevo(a: float, b: float, c: float, eta_d: float, noise: float) -> float:
     """S(A, B) - S(A, D1, D2 | y_B) in bits for the two-mode state with x block
-    [[a, c], [c, b]] and p block [[a, -c], [-c, b]], B heterodyned behind the
-    trusted receiver (eta_d, v_d) that `trusted_receiver` returns.
+    [[a, c], [c, b]] and p block [[a, -c], [-c, b]], B heterodyned behind a
+    trusted receiver of efficiency eta_d and added noise N = `noise`
+    (`receiver_map`), so with outcome variance s = eta_d b + N.
 
     With det = ab - c^2, the spectrum before the measurement has
     nu_+ nu_- = det and nu_+ - nu_- = |a - b|, so nu_+^2 + nu_-^2 =
     a^2 + b^2 - 2c^2 (Weedbrook et al., RMP 84, 621 (2012)).  The conditional
-    state is `measure_reference_user` with O = {A}: a 3 x 3 x block X and the
-    p block D X D, D = diag(-1, 1, -1).  (A, B) is purified by two modes and
-    the measurement keeps the whole pure, so the conditional spectrum is
-    {1, lambda_3, lambda_4}: lambda_3^2 + lambda_4^2 = tr(XP) - 1 and
-    lambda_3 lambda_4 = det X.  With the added noise
-    N = (1 - eta_d) v_d + 1 and the outcome variance s = eta_d b + N, these
-    reduce to
+    state is `measure_reference_user` with O = {A}: the pair (A, D1) with
+    x block [[a - eta_d c^2 / s, -2 s' ru c / s], [., (N b + eta_d) / s]]
+    (s' the receiver's s) and the same p block up to the sign of c, so the
+    same two relations give its spectrum.  They reduce to
         lambda_3 lambda_4 = (det N + eta_d a) / s,
         |lambda_3 - lambda_4| = |eta_d (1 - det) + N (b - a)| / s,
-    which, unlike the roots of the quadratic in tr(XP) and det X, keep full
-    precision when the two are close (a nearly pure state, where both tend
-    to 1).  ab - c^2 <= 0 or a <= 0 raises ValidationError; the spectra are
-    checked and clamped by `spectrum_entropy`.
+    which keep full precision when the two are close (a nearly pure state,
+    where both tend to 1).  ab - c^2 <= 0 or a <= 0 raises ValidationError;
+    the spectra are checked and clamped by `spectrum_entropy`.
     """
     det = a * b - c * c
     if not (a > 0.0 and det > 0.0):
         raise ValidationError("covariance matrix must be positive definite")
-    noise = (1.0 - eta_d) * v_d + 1.0
     outcome = eta_d * b + noise
     measured = _symplectic_pair(
         abs(eta_d * (1.0 - det) + noise * (b - a)) / outcome,
@@ -249,9 +236,10 @@ def holevo_untrusted(params: NetworkParams, k: int) -> float:
     _check_user(params, k)
     gamma = build_channel_output_cm(params).matrix
     i = 2 * (k + 1)
-    receiver = trusted_receiver(params.detector_efficiency, params.trusted_noise(k))
+    eta_d = params.detector_efficiency
+    noise = receiver_map(eta_d, params.trusted_noise(k)).noise
     a, c = gamma[0, [0, i]].tolist()
-    return _two_mode_holevo(a, gamma[i, i].item(), c, *receiver)
+    return _two_mode_holevo(a, gamma[i, i].item(), c, eta_d, noise)
 
 
 def holevo_trusted(params: NetworkParams, k: int) -> float:
@@ -261,8 +249,8 @@ def holevo_trusted(params: NetworkParams, k: int) -> float:
     after its measurement is read on its quadrature blocks."""
     _check_user(params, k)
     cm = build_channel_output_cm(params)
-    receiver = trusted_receiver(params.detector_efficiency, params.trusted_noise(k))
-    x, p = measure_reference_user(cm.matrix[0::2, 0::2], cm.matrix[1::2, 1::2], k + 1, *receiver)
+    x, p = measure_reference_user(cm.matrix[0::2, 0::2], cm.matrix[1::2, 1::2], k + 1,
+                                  params.detector_efficiency, params.trusted_noise(k))
     return von_neumann_entropy(cm) - spectrum_entropy(block_spectrum(x, p).tolist())
 
 
@@ -270,12 +258,12 @@ def holevo_collaborative(params: NetworkParams, k: int) -> float:
     """Holevo bound after conditioning on all other users' disclosed outcomes.
 
     Assisting receivers are applied as untrusted maps, all in one step:
-    each scales its mode's rows and columns by sqrt(eta_d) and adds
-    (1 - eta_d) + nu_el to its diagonal, so the disclosed data carry the
-    receiver's loss and noise but nothing is purified for them.  The state
-    is then conditioned jointly on their heterodyne outcomes, which leaves
-    the two-mode state (A, Bk) for `_two_mode_holevo`.  The reference user's
-    own receiver stays trusted.
+    each scales its mode's rows and columns by sqrt(eta_d), and its outcome
+    variance is eta_d W + N with the N of `receiver_map`, so the disclosed
+    data carry the receiver's loss and noise but nothing is purified for
+    them.  The state is then conditioned jointly on their heterodyne
+    outcomes, which leaves the two-mode state (A, Bk) for
+    `_two_mode_holevo`.  The reference user's own receiver stays trusted.
 
     Only the (M+1) x (M+1) x block is conditioned.  Every state the builder
     makes has p block P = D X D with D = diag(-1, 1, ..., 1): only Alice's
@@ -290,12 +278,10 @@ def holevo_collaborative(params: NetworkParams, k: int) -> float:
     x = build_channel_output_cm(params).matrix[rows[:, None], rows]
     eta_d = params.detector_efficiency
     cross = math.sqrt(eta_d) * x[:2, 2:]
-    outcome = eta_d * x[2:, 2:] + np.diag(
-        [(1.0 - eta_d) + params.trusted_noise(j) + 1.0 for j in others]
-    )
+    noise = [receiver_map(eta_d, params.trusted_noise(j)).noise for j in [k] + others]
+    outcome = eta_d * x[2:, 2:] + np.diag(noise[1:])
     (a, c01), (c10, b) = (x[:2, :2] - cross @ np.linalg.solve(outcome, cross.T)).tolist()
-    receiver = trusted_receiver(params.detector_efficiency, params.trusted_noise(k))
-    return _two_mode_holevo(a, b, (c01 + c10) / 2.0, *receiver)
+    return _two_mode_holevo(a, b, (c01 + c10) / 2.0, eta_d, noise[0])
 
 
 _HOLEVO = {

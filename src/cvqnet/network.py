@@ -2,9 +2,11 @@
 
 The entanglement-based picture is used throughout: Alice holds one arm of a
 two-mode squeezed vacuum of variance V = V_mod + 1, the other arm is split
-among M users, each link adding loss and excess noise.  Receiver loss and
-electronic noise are trusted and modelled by an EPR ancilla pair coupled
-through a beamsplitter in front of an ideal heterodyne detector.
+among M users, each link adding loss and excess noise.  Each receiver is
+described by its calibrated efficiency eta_d and electronic noise nu_el
+alone.  Both are trusted: `receiver_map` states the receiver once, as a
+symplectic map of the measured mode and two vacuum ancillae with bounded
+coefficients, so eta_d = 1 is an exact case.
 """
 
 from __future__ import annotations
@@ -19,17 +21,9 @@ import numpy as np
 from .errors import ModelError, ValidationError
 from .gaussian import CovarianceMatrix, check_physicality, symplectic_eigenvalues
 
-I2 = np.eye(2)
-SIGMA_Z = np.diag([1.0, -1.0])
+SIGMA_P = np.diag([1.0, 1.0, -1.0])  # p flips the sign of D2 and V2
 
 ALICE_LABEL = "A"
-
-# Beamsplitter detuning used when a unit-efficiency detector still carries
-# electronic noise; the EPR-purification variance diverges at eta_d = 1.
-# 1e-4 keeps the ancilla variance small enough that the conditioned state's
-# symplectic eigenvalues stay inside the 1e-9 physicality band in float64,
-# while distorting the receiver variance by under 1e-4 relative.
-UNIT_EFFICIENCY_DETUNING = 1e-4
 
 SPLITTER_BUDGET_SLACK = 1e-6
 
@@ -166,23 +160,48 @@ def build_channel_output_cm(params: NetworkParams) -> CovarianceMatrix:
     return cm
 
 
-def trusted_receiver(detector_efficiency: float, electronic_noise: float) -> tuple[float, float]:
-    """(eta_d, v_d): beamsplitter transmittance and EPR variance of the
-    trusted-receiver purification, v_d = 1 + nu_el / (1 - eta_d).
+class ReceiverMap(NamedTuple):
+    """A trusted receiver as the bounded coefficients of its map on the
+    measured mode; each field is a float, or an array with one entry per
+    member (see `receiver_map`)."""
 
-    A unit-efficiency detector with electronic noise is detuned to
-    1 - UNIT_EFFICIENCY_DETUNING, where v_d stays finite.
+    t: float  # sqrt(eta_d)
+    ru: float  # sqrt(1 - eta_d + nu_el / 2)
+    rw: float  # sqrt(nu_el / 2)
+    s: float  # sqrt(1 + nu_el / 2)
+    noise: float  # N = 2 - eta_d + nu_el: the outcome variance is eta_d W + N
+
+
+def receiver_map(detector_efficiency, electronic_noise) -> ReceiverMap:
+    """The trusted receiver (eta_d, nu_el) on a measured mode B, for scalars
+    or for per-member arrays alike.
+
+    The receiver mixes B with one arm of an EPR pair on a beamsplitter of
+    transmittance eta_d, which gives the calibrated variance
+    eta_d W + (1 - eta_d) + nu_el of a mode of variance W.  Written as a
+    two-mode squeeze of two vacua V1, V2 (u = cosh, w = sinh of the squeeze,
+    r^2 = 1 - eta_d, r^2 w^2 = nu_el / 2), the pair's variance
+    1 + nu_el / (1 - eta_d) diverges as eta_d -> 1, but the measured mode
+    does not: B' = t B + ru V1 + rw V2 in x (- rw V2 in p).  Any symplectic
+    map on the two ancillae leaves every entropy unchanged, so they are
+    taken in the basis where the map (B, V1, V2) -> (B', D1, D2) is, in x,
+        [[t, ru, rw], [-ru/s, t/s, 0], [t rw/s, ru rw/s, s]]
+    (in p the V2 column and the D2 row change sign).  Every coefficient
+    stays bounded, so eta_d = 1 is an exact case.  B' is heterodyned with
+    outcome variance a = eta_d W + N, N = 2 - eta_d + nu_el = ru^2 + s^2
+    (the +1 is the heterodyne vacuum unit), and after it D2 is a vacuum
+    uncorrelated with the rest: D2 - (rw/s) y is V2 and the heterodyne
+    noise only.  So the measurement keeps one ancilla, D1.
     """
-    if not 0.0 < detector_efficiency <= 1.0:
-        raise ValidationError("detector efficiency must be in (0, 1]")
-    if electronic_noise < 0.0:
-        raise ValidationError("electronic noise must be >= 0")
-    eta_d = detector_efficiency
-    if not electronic_noise > 0.0:
-        return eta_d, 1.0
-    if eta_d == 1.0:
-        eta_d = 1.0 - UNIT_EFFICIENCY_DETUNING
-    return eta_d, 1.0 + electronic_noise / (1.0 - eta_d)
+    sqrt = np.sqrt if isinstance(detector_efficiency, np.ndarray) else math.sqrt
+    eta_d, nu_el = detector_efficiency, electronic_noise
+    return ReceiverMap(
+        sqrt(eta_d),
+        sqrt(1.0 - eta_d + nu_el / 2.0),
+        sqrt(nu_el / 2.0),
+        sqrt(1.0 + nu_el / 2.0),
+        2.0 - eta_d + nu_el,
+    )
 
 
 def attach_trusted_detector(
@@ -193,13 +212,16 @@ def attach_trusted_detector(
 ) -> CovarianceMatrix:
     """Couple `mode` to a trusted-receiver purification.
 
-    Appends an EPR pair (D1, D2) of variance v_d = 1 + nu_el / (1 - eta_d)
-    and applies a beamsplitter of transmittance eta_d between `mode` and D1.
-    The transformed mode (kept under its original label) then has variance
-    eta_d W + (1 - eta_d) + nu_el, i.e. the calibrated receiver variance,
-    while the noise purification stays out of the eavesdropper's hands.
+    Appends two vacuum modes (D1, D2) and applies `receiver_map` to
+    (`mode`, D1, D2).  The transformed mode (kept under its original label)
+    then has variance eta_d W + (1 - eta_d) + nu_el, i.e. the calibrated
+    receiver variance, while the noise purification stays out of the
+    eavesdropper's hands.
     """
-    eta_d, v_d = trusted_receiver(detector_efficiency, electronic_noise)
+    if not 0.0 < detector_efficiency <= 1.0:
+        raise ValidationError("detector efficiency must be in (0, 1]")
+    if not 0.0 <= electronic_noise < math.inf:
+        raise ValidationError("electronic noise must be finite and >= 0")
     idx = cm.mode_index(mode)
     n = cm.dim_modes
     d1 = f"D1_{mode}"
@@ -207,24 +229,16 @@ def attach_trusted_detector(
     if d1 in cm.mode_labels or d2 in cm.mode_labels:
         raise ValidationError(f"detector already attached to {mode}")
 
-    ext = np.zeros((2 * (n + 2), 2 * (n + 2)))
+    ext = np.eye(2 * (n + 2))
     ext[: 2 * n, : 2 * n] = cm.matrix
-    i1, i2 = 2 * n, 2 * n + 2
-    ext[i1 : i1 + 2, i1 : i1 + 2] = v_d * I2
-    ext[i2 : i2 + 2, i2 : i2 + 2] = v_d * I2
-    epr_cross = np.sqrt(v_d * v_d - 1.0) * SIGMA_Z
-    ext[i1 : i1 + 2, i2 : i2 + 2] = epr_cross
-    ext[i2 : i2 + 2, i1 : i1 + 2] = epr_cross
-
-    s = np.eye(2 * (n + 2))
-    t, r = np.sqrt(eta_d), np.sqrt(1.0 - eta_d)
-    mm = 2 * idx
-    s[mm : mm + 2, mm : mm + 2] = t * I2
-    s[mm : mm + 2, i1 : i1 + 2] = r * I2
-    s[i1 : i1 + 2, mm : mm + 2] = -r * I2
-    s[i1 : i1 + 2, i1 : i1 + 2] = t * I2
-
-    return CovarianceMatrix(s @ ext @ s.T, cm.mode_labels + (d1, d2))
+    t, ru, rw, s, _ = receiver_map(detector_efficiency, electronic_noise)
+    x_map = np.array([[t, ru, rw], [-ru / s, t / s, 0.0], [t * rw / s, ru * rw / s, s]])
+    x_rows = [2 * idx, 2 * n, 2 * n + 2]  # (mode, D1, D2)
+    p_rows = [row + 1 for row in x_rows]
+    symplectic = np.eye(2 * (n + 2))
+    symplectic[np.ix_(x_rows, x_rows)] = x_map
+    symplectic[np.ix_(p_rows, p_rows)] = SIGMA_P @ x_map @ SIGMA_P
+    return CovarianceMatrix(symplectic @ ext @ symplectic.T, cm.mode_labels + (d1, d2))
 
 
 class OutcomeModel(NamedTuple):

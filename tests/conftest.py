@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -56,3 +58,20 @@ def unphysical_pair() -> NetworkParams:
         ),
         enforce_splitter_budget=False,
     )
+
+
+def receiver_cases(table1: NetworkParams, rng: np.random.Generator):
+    """Networks for the high-precision receiver checks: `table1` as given and
+    with every user's electronic noise at 0.15, and two random networks
+    of up to four users (electronic noise up to 0.15), each at detector
+    efficiency 0.68, 0.9999, 0.99999 and exactly 1.  The purification
+    variance 1 + nu_el / (1 - eta_d) reaches 1.5e4 below 1."""
+    noisy = dataclasses.replace(
+        table1, users=tuple(dataclasses.replace(u, trusted_noise=0.15) for u in table1.users)
+    )
+    networks = [table1, noisy] + [random_params(rng, max_users=4) for _ in range(2)]
+    return [
+        dataclasses.replace(params, detector_efficiency=eta_d)
+        for params in networks
+        for eta_d in (0.68, 0.9999, 0.99999, 1.0)
+    ]

@@ -361,3 +361,95 @@ def lodewyck_untrusted_rate(
     lam34 = np.sqrt([(c + root) / 2.0, (c - root) / 2.0])
     chi = sum(_g((x - 1.0) / 2.0) for x in lam12) - sum(_g((x - 1.0) / 2.0) for x in lam34)
     return float(beta * info - chi - oracle_delta(n))
+
+
+def precise_coalition_terms(params: NetworkParams, coalitions, dps: int = 50) -> dict:
+    """(I(A : y_S), S(sigma_S)) in bits of each coalition S (a set of 0-based
+    users) to `dps` significant digits, with mpmath.
+
+    The channel output's x block is assembled from its documented entries
+    and its p block mirrors Alice's cross entries.  The users of S are
+    measured in ascending order, each behind a receiver purified as in
+    `_purify` (an EPR pair of variance 1 + nu_el / (1 - eta_d) on a
+    beamsplitter of transmittance eta_d), then heterodyned as a Schur
+    complement per quadrature.  Spectra are sqrt(eig(L^T P L)) with X = L L^T.
+    At eta_d = 1 the purification diverges, so the limit is taken at
+    eta_d = 1 - 1e-20 with 90 digits.  I(A : y_S) is log2(1 + sum_k snr_k) of
+    the outcome models.  mpmath is imported here only, so importing this
+    module does not load it.
+    """
+    import mpmath
+
+    mp = mpmath.mp
+    with mpmath.workdps(max(dps, 90) if params.detector_efficiency == 1.0 else dps):
+        eta_d = mp.mpf(params.detector_efficiency)
+        if eta_d == 1:
+            eta_d -= mp.mpf("1e-20")
+        v_mod = mp.mpf(params.modulation_variance)
+        eta = [mp.mpf(u.transmittance) for u in params.users]
+        eps = [mp.mpf(u.excess_noise) for u in params.users]
+        nu = [mp.mpf(params.trusted_noise(k)) for k in range(params.n_users)]
+        m = params.n_users
+        x = mp.matrix(m + 1, m + 1)
+        x[0, 0] = v_mod + 1
+        for j in range(m):
+            x[0, j + 1] = x[j + 1, 0] = mp.sqrt(eta[j] * ((v_mod + 1) ** 2 - 1))
+            for k in range(m):
+                x[j + 1, k + 1] = mp.sqrt(eta[j] * eta[k]) * v_mod
+            x[j + 1, j + 1] = eta[j] * v_mod + 1 + eps[j]
+        mirror = mp.diag([-1] + [1] * m)
+        p = mirror * x * mirror
+
+        def measure(block, i, k, sign):
+            n = block.rows
+            v = 1 + nu[k] / (1 - eta_d)
+            ext = mp.matrix(n + 2, n + 2)
+            for a in range(n):
+                for b in range(n):
+                    ext[a, b] = block[a, b]
+            ext[n, n] = ext[n + 1, n + 1] = v
+            ext[n, n + 1] = ext[n + 1, n] = sign * mp.sqrt(v * v - 1)
+            split = mp.eye(n + 2)
+            t, r = mp.sqrt(eta_d), mp.sqrt(1 - eta_d)
+            split[i, i] = split[n, n] = t
+            split[i, n], split[n, i] = r, -r
+            ext = split * ext * split.T
+            kept = [a for a in range(n + 2) if a != i]
+            out = mp.matrix(n + 1, n + 1)
+            for a, ra in enumerate(kept):
+                for b, rb in enumerate(kept):
+                    out[a, b] = ext[ra, rb] - ext[ra, i] * ext[i, rb] / (ext[i, i] + 1)
+            return out
+
+        states = {(): (x, p)}
+
+        def state(users):
+            if users not in states:
+                xq, pq = state(users[:-1])
+                k = users[-1]
+                i = k + 1 - len(users[:-1])  # every earlier user is below k
+                states[users] = (measure(xq, i, k, 1), measure(pq, i, k, -1))
+            return states[users]
+
+        def entropy(xq, pq):
+            chol = mp.cholesky(xq)
+            inner = chol.T * pq * chol
+            total = mp.mpf(0)
+            for ev in mp.eigsy((inner + inner.T) / 2, eigvals_only=True):
+                y = (max(mp.sqrt(ev), 1) - 1) / 2
+                total += (y + 1) * mp.log(y + 1, 2) - (y * mp.log(y, 2) if y > 0 else 0)
+            return total
+
+        def information(users):
+            snr = mp.mpf(0)
+            for k in users:
+                gain2 = eta[k] * eta_d / 2
+                noise = (eta_d * (1 + eps[k]) + (1 - eta_d) + nu[k] + 1) / 2
+                snr += v_mod * gain2 / noise
+            return mp.log(1 + snr, 2)
+
+        out = {}
+        for coalition in coalitions:
+            users = tuple(sorted(coalition))
+            out[frozenset(users)] = (information(users), entropy(*state(users)))
+        return out

@@ -217,6 +217,38 @@ class TestCLI:
         cfg.write_text("\n".join(lines) + "\n")
         assert main(["--config", str(cfg), "decompose", "--orders", "all"]) == 4
 
+    @staticmethod
+    def table1_config(tmp_path, detector_efficiency: str) -> str:
+        """The bundled calibration at another detector efficiency, as a file."""
+        text = format_config(default_config().params)
+        assert "detector_efficiency = 0.68\n" in text
+        cfg = tmp_path / "efficiency.cfg"
+        cfg.write_text(text.replace("0.68", detector_efficiency, 1))
+        return str(cfg)
+
+    def test_decompose_near_unit_efficiency_exits_0(self, capsys, tmp_path):
+        # an EPR purification of these receivers would have variance 1 + nu_el / 1e-5, about 5,000
+        cfg = self.table1_config(tmp_path, "0.99999")
+        code, out = self.run(capsys, "--config", cfg, "decompose", "--orders", "all")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 26
+
+    def test_unit_efficiency_first_position_is_trusted_rate(self, capsys, tmp_path):
+        # criterion 4 at eta_d = 1, an exact case of the receiver model
+        cfg = self.table1_config(tmp_path, "1")
+        code, out = self.run(capsys, "--config", cfg, "--format", "json",
+                             "decompose", "--orders", "all")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        code, out = self.run(capsys, "--config", cfg, "--format", "json",
+                             "keyrate", "--trust", "trusted", "--mode", "finite")
+        assert code == 0
+        trusted = {entry["user"]: entry["rate"] for entry in json.loads(out)}
+        assert min(trusted.values()) > 0.0  # so the rate's clamp at 0 hides no difference
+        assert len(rows) == 24
+        for row in rows:
+            assert row["contributions"][0] == pytest.approx(trusted[row["order"][0]], abs=1e-9)
+
     def test_sweep_single_step(self, capsys):
         code, out = self.run(
             capsys, "sweep", "--param", "loss_db", "--from", "10", "--steps", "1",

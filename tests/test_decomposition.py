@@ -26,8 +26,13 @@ from cvqnet import (
 from cvqnet.decomposition import CoalitionValues
 from cvqnet.errors import GuardRefusalError, ValidationError
 
-from conftest import random_params
-from oracles import _joint_information, _outcome_information, oracle_joint_rate
+from conftest import random_params, receiver_cases
+from oracles import (
+    _joint_information,
+    _outcome_information,
+    oracle_joint_rate,
+    precise_coalition_terms,
+)
 
 
 def chain_steps(coalitions, order):
@@ -288,15 +293,32 @@ class TestCoalitionValues:
                 expected = rebuilt_row(params, row.order)
                 assert row.contributions == pytest.approx(expected, abs=1e-12)
 
+    def test_values_within_1e12_of_high_precision_reference(self, table1):
+        # every v(S) of a filled memo, near and at unit detector efficiency
+        pytest.importorskip("mpmath")
+        worst = 0.0
+        for params in receiver_cases(table1, np.random.default_rng(92)):
+            m = params.n_users
+            coalitions = CoalitionValues(params)
+            coalitions.fill(itertools.permutations(range(m)))
+            lattice = [c for size in range(m + 1) for c in itertools.combinations(range(m), size)]
+            assert set(coalitions.terms) == set(map(frozenset, lattice))
+            reference = precise_coalition_terms(params, lattice)
+            before = reference[frozenset()][1]
+            for coalition, (info, entropy) in reference.items():
+                expected = float(params.beta * info - (before - entropy))
+                worst = max(worst, abs(coalitions.value(coalition) - expected))
+        assert worst <= 1e-12
+
     @pytest.fixture
     def layer_sizes(self, monkeypatch):
         """Member count of every stacked measurement step a decomposition runs."""
         sizes = []
         real = cvqnet.decomposition.measure_reference_user_blocks
 
-        def counting(x, p, index, eta_d, v_d):
+        def counting(x, p, index, eta_d, nu_el):
             sizes.append(len(index))
-            return real(x, p, index, eta_d, v_d)
+            return real(x, p, index, eta_d, nu_el)
 
         monkeypatch.setattr(cvqnet.decomposition, "measure_reference_user_blocks", counting)
         return sizes

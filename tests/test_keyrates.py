@@ -28,10 +28,19 @@ from cvqnet.gaussian import (
     von_neumann_entropy,
 )
 from cvqnet.keyrates import _two_mode_holevo, measure_reference_user, measure_reference_user_blocks
-from cvqnet.network import ALICE_LABEL, trusted_receiver, user_label
+from cvqnet.network import ALICE_LABEL, receiver_map, user_label
 
-from conftest import random_params, unphysical_pair
-from oracles import _outcome_information, mc_mutual_information, oracle_rates
+from conftest import random_params, receiver_cases, unphysical_pair
+from oracles import (
+    _entropy,
+    _heterodyne,
+    _outcome_information,
+    _purify,
+    _State,
+    mc_mutual_information,
+    oracle_rates,
+    precise_coalition_terms,
+)
 
 DELTA_1_25E9 = 1.15818643283188482e-3  # high-precision evaluation
 LOG2_3P5 = np.log2(3.5)
@@ -94,8 +103,22 @@ class TestMutualInformation:
 
 
 def two_step_measurement(state, label, eta_d, nu):
-    """The reference user's measurement through the extended state."""
-    return condition_on_heterodyne(attach_trusted_detector(state, label, eta_d, nu), [label])
+    """The reference user's measurement through the extended state, less the
+    ancilla D2, which the measurement leaves in vacuum and uncorrelated with
+    the rest (checked here)."""
+    measured = condition_on_heterodyne(attach_trusted_detector(state, label, eta_d, nu), [label])
+    *kept, d2 = measured.mode_labels
+    assert d2 == f"D2_{label}"
+    vacuum = np.zeros((2, 2 * measured.dim_modes))
+    vacuum[:, -2:] = np.eye(2)
+    assert np.abs(measured.block([d2], measured.mode_labels) - vacuum).max() <= 1e-12
+    return measured.reduce(kept)
+
+
+def purified_measurement(state, label, eta_d, nu):
+    """The oracle's measurement (`_purify`, then `_heterodyne`): an EPR pair of
+    variance 1 + nu / (1 - eta_d), so eta_d < 1 only."""
+    return _heterodyne(_purify(_State(state.matrix, state.mode_labels), label, eta_d, nu), [label])
 
 
 def quadrature_blocks(state):
@@ -104,9 +127,13 @@ def quadrature_blocks(state):
 
 class TestFusedReferenceMeasurement:
     def test_equals_attach_then_condition(self, table1):
+        # and, where eta_d < 1, the oracle's purified measurement: the same
+        # state of the other modes and the same entropy (its ancillae are
+        # another basis of the same purification)
         rng = np.random.default_rng(71)
         cases = [table1] + [random_params(rng, max_users=6) for _ in range(25)]
-        worst = 0.0
+        worst = worst_oracle = 0.0
+        compared = 0
         for params in cases:
             global_state = build_channel_output_cm(params)
             # every state of a measurement chain, an untrusted (A, B1) pair and B1 alone
@@ -116,7 +143,7 @@ class TestFusedReferenceMeasurement:
             for state, order in chain:
                 for k in order:
                     label = user_label(k)
-                    # as given, the detuned eta_d = 1 with nu > 0, and nu = 0
+                    # as given, eta_d = 1 with nu > 0, and nu = 0
                     for eta_d, nu in [
                         (params.detector_efficiency, params.trusted_noise(k)),
                         (1.0, 0.05),
@@ -124,16 +151,30 @@ class TestFusedReferenceMeasurement:
                         (params.detector_efficiency, 0.0),
                     ]:
                         fused = measure_reference_user(*quadrature_blocks(state),
-                                                       state.mode_index(label),
-                                                       *trusted_receiver(eta_d, nu))
+                                                       state.mode_index(label), eta_d, nu)
                         reference = two_step_measurement(state, label, eta_d, nu)
                         scale = np.abs(reference.matrix).max()
                         for block, expected in zip(fused, quadrature_blocks(reference)):
                             worst = max(worst, np.abs(block - expected).max() / scale)
+                        if eta_d == 1.0:
+                            continue
+                        oracle = purified_measurement(state, label, eta_d, nu)
+                        others = [other for other in state.mode_labels if other != label]
+                        if others:
+                            rows = oracle.rows(others)
+                            expected = oracle.gamma[np.ix_(rows, rows)]
+                            for q, block in enumerate(fused):
+                                diff = np.abs(block[:-1, :-1] - expected[q::2, q::2]).max()
+                                worst_oracle = max(worst_oracle, diff / scale)
+                        entropy = spectrum_entropy(block_spectrum(*fused).tolist())
+                        worst_oracle = max(worst_oracle, abs(entropy - _entropy(oracle.gamma)))
+                        compared += 1
                     state = two_step_measurement(
                         state, label, params.detector_efficiency, params.trusted_noise(k)
                     )
         assert worst <= 1e-12
+        assert worst_oracle <= 1e-11
+        assert compared > 250
 
     @pytest.mark.parametrize(
         "user,eta_d,nu",
@@ -141,17 +182,20 @@ class TestFusedReferenceMeasurement:
         ids=["unknown-label", "zero-efficiency", "efficiency-above-1", "negative-noise"],
     )
     def test_rejects_bad_input(self, table1, user, eta_d, nu):
-        # the trusted bound checks the user whose mode it measures; the step's
-        # receiver pair comes from trusted_receiver, which checks it
+        # one bad input per case: the trusted bound checks the user whose mode
+        # it measures (NetworkParams checks its receivers), and
+        # attach_trusted_detector checks a raw receiver
         with pytest.raises(ValidationError):
-            holevo_trusted(table1, user)
-            trusted_receiver(eta_d, nu)
+            if user < 0:
+                holevo_trusted(table1, user)
+            else:
+                attach_trusted_detector(build_channel_output_cm(table1), user_label(user), eta_d, nu)
 
 
 class TestStackedReferenceMeasurement:
     @staticmethod
     def receivers(params, k):
-        """As given, the detuned eta_d = 1 with nu > 0, and nu = 0."""
+        """As given, eta_d = 1 with nu > 0, and nu = 0."""
         return [(params.detector_efficiency, params.trusted_noise(k)),
                 (1.0, 0.05), (1.0, 0.0), (params.detector_efficiency, 0.0)]
 
@@ -166,29 +210,47 @@ class TestStackedReferenceMeasurement:
             x, p = quadrature_blocks(build_channel_output_cm(params))
             left = list(range(params.n_users))  # at positions 1.. after Alice
             for k in [int(k) for k in rng.permutation(params.n_users)]:
-                jobs = [(left.index(j) + 1, trusted_receiver(eta_d, nu))
-                        for j in left for eta_d, nu in self.receivers(params, j)]
+                jobs = [(left.index(j) + 1, receiver)
+                        for j in left for receiver in self.receivers(params, j)]
                 index = np.array([i for i, _ in jobs])
-                eta_d, v_d = np.array([receiver for _, receiver in jobs]).T
+                eta_d, nu = np.array([receiver for _, receiver in jobs]).T
                 n = len(x)
                 stacked = measure_reference_user_blocks(
                     np.broadcast_to(x, (len(jobs), n, n)), np.broadcast_to(p, (len(jobs), n, n)),
-                    index, eta_d, v_d,
+                    index, eta_d, nu,
                 )
-                assert stacked[0].shape == stacked[1].shape == (len(jobs), n + 1, n + 1)
+                assert stacked[0].shape == stacked[1].shape == (len(jobs), n, n)
                 for b, (i, receiver) in enumerate(jobs):
                     single = measure_reference_user(x, p, i, *receiver)
                     alone = measure_reference_user_blocks(
-                        x[None], p[None], index[b : b + 1], eta_d[b : b + 1], v_d[b : b + 1]
+                        x[None], p[None], index[b : b + 1], eta_d[b : b + 1], nu[b : b + 1]
                     )
                     for q in (0, 1):
                         assert np.array_equal(stacked[q][b], single[q])
                         assert np.array_equal(alone[q][0], single[q])
                     members += 1
-                receiver = trusted_receiver(params.detector_efficiency, params.trusted_noise(k))
-                x, p = measure_reference_user(x, p, left.index(k) + 1, *receiver)
+                x, p = measure_reference_user(x, p, left.index(k) + 1, params.detector_efficiency,
+                                              params.trusted_noise(k))
                 left.remove(k)
         assert members > 1000
+
+
+class TestHighPrecisionReference:
+    def test_trusted_holevo_within_1e12(self, table1):
+        # near and at unit efficiency, where the purification variance of the
+        # oracle's receiver reaches 1.5e4 (and diverges at 1)
+        pytest.importorskip("mpmath")
+        cases = receiver_cases(table1, np.random.default_rng(91))
+        worst = 0.0
+        for params in cases:
+            users = range(params.n_users)
+            reference = precise_coalition_terms(params, [()] + [(k,) for k in users])
+            before = reference[frozenset()][1]
+            for k in users:
+                expected = float(before - reference[frozenset([k])][1])
+                worst = max(worst, abs(holevo_trusted(params, k) - expected))
+        assert len(cases) == 16
+        assert worst <= 1e-12
 
 
 class TestDelta:
@@ -257,8 +319,7 @@ def pair_state(a, b, c):
 def matrix_path_holevo(state, label, eta_d, nu):
     """S(state) - S(state after the trusted measurement of `label`), on matrices:
     the single-state step of the trusted bound, on any state."""
-    after = measure_reference_user(*quadrature_blocks(state), state.mode_index(label),
-                                   *trusted_receiver(eta_d, nu))
+    after = measure_reference_user(*quadrature_blocks(state), state.mode_index(label), eta_d, nu)
     return von_neumann_entropy(state) - spectrum_entropy(block_spectrum(*after).tolist())
 
 
@@ -279,12 +340,18 @@ def collaborative_blocks(params, k):
     return blocks
 
 
-def reference_two_mode_holevo(mp, a, b, c, eta_d, v_d):
-    """chi of `_two_mode_holevo` at the working precision of `mp`: the spectra
-    are the square roots of eig(X P) of the pair and of the conditional
-    (A, D1, D2) blocks of `measure_reference_user`, each quadrature built
-    from its own formula."""
-    a, b, c, eta_d, v_d = map(mp.mpf, (a, b, c, eta_d, v_d))
+def reference_two_mode_holevo(mp, a, b, c, eta_d, nu):
+    """chi of `_two_mode_holevo` at the working precision of `mp`, with the
+    receiver purified by an EPR pair of variance v = 1 + nu / (1 - eta_d): the
+    spectra are the square roots of eig(X P) of the pair and of the
+    conditional (A, D1, D2) blocks, each quadrature built from its own
+    formula.  At eta_d = 1, where v diverges, it is the limit taken at
+    eta_d = 1 - 1e-20 with 90 digits."""
+    if eta_d == 1.0:
+        with mp.workdps(90):
+            return reference_two_mode_holevo(mp, a, b, c, 1 - mp.mpf("1e-20"), nu)
+    a, b, c, eta_d, nu = map(mp.mpf, (a, b, c, eta_d, nu))
+    v = 1 + nu / (1 - eta_d)
 
     def entropy(x, p):
         total = mp.mpf(0)
@@ -293,18 +360,23 @@ def reference_two_mode_holevo(mp, a, b, c, eta_d, v_d):
             total += (y + 1) * mp.log(y + 1, 2) - (y * mp.log(y, 2) if y > 0 else 0)
         return total
 
-    t, r, e = mp.sqrt(eta_d), mp.sqrt(1 - eta_d), mp.sqrt(v_d * v_d - 1)
-    outcome = eta_d * b + (1 - eta_d) * v_d + 1
+    t, r, e = mp.sqrt(eta_d), mp.sqrt(1 - eta_d), mp.sqrt(v * v - 1)
+    outcome = eta_d * b + (1 - eta_d) * v + 1
     conditional = []
     for sign in (1, -1):  # Alice's cross entry and the ancilla correlation flip in p
         cq, tc = sign * c, sign * t * e
         retained = mp.matrix([[a, -r * cq, 0],
-                              [-r * cq, r * r * b + eta_d * v_d, tc],
-                              [0, tc, v_d]])
-        sigma = mp.matrix([t * cq, t * r * (v_d - b), sign * r * e])
+                              [-r * cq, r * r * b + eta_d * v, tc],
+                              [0, tc, v]])
+        sigma = mp.matrix([t * cq, t * r * (v - b), sign * r * e])
         conditional.append(retained - sigma * sigma.T / outcome)
     pair = [mp.matrix([[a, sign * c], [sign * c, b]]) for sign in (1, -1)]
     return entropy(*pair) - entropy(*conditional)
+
+
+def two_mode_holevo(a, b, c, eta_d, nu):
+    """`_two_mode_holevo` behind the receiver (eta_d, nu)."""
+    return _two_mode_holevo(a, b, c, eta_d, receiver_map(eta_d, nu).noise)
 
 
 def assisted_state(params, k):
@@ -393,24 +465,22 @@ class TestTwoModeClosedForm:
             states += [state for _, _, state in self.pairs(params)]
         receivers = [(1.0, 0.0), (1.0, 0.05), (0.7, 0.0)]
         receivers += [(rng.uniform(0.4, 1.0), rng.uniform(0.0, 0.2)) for _ in states[3:]]
-        receivers[3::5] = [(1.0, 0.05)] * len(receivers[3::5])  # detuned
-        receivers[4::5] = [(rng.uniform(0.4, 1.0), 0.0)] * len(receivers[4::5])  # v_d = 1
+        receivers[3::5] = [(1.0, 0.05)] * len(receivers[3::5])  # unit efficiency with noise
+        receivers[4::5] = [(rng.uniform(0.4, 1.0), 0.0)] * len(receivers[4::5])  # no noise
         assert len(states) >= 40
         worst = 0.0
         with mpmath.workdps(50):
-            for (a, b, c), (eta_d, nu) in zip(states, receivers):
-                receiver = trusted_receiver(eta_d, nu)
+            for (a, b, c), receiver in zip(states, receivers):
                 reference = reference_two_mode_holevo(mpmath.mp, a, b, c, *receiver)
-                worst = max(worst, abs(_two_mode_holevo(a, b, c, *receiver) - float(reference)))
+                worst = max(worst, abs(two_mode_holevo(a, b, c, *receiver) - float(reference)))
         assert worst <= 1e-11
 
     def test_matches_matrix_path(self, table1):
-        mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(82)
-        far = []  # (closed form, matrix path, a, b, c, receiver) more than 1e-10 apart
+        worst, compared = 0.0, 0
         for params in [table1] + [random_params(rng) for _ in range(300)]:
             global_state = build_channel_output_cm(params)
-            for k, trust, (a, b, c) in self.pairs(params):
+            for k, trust, _ in self.pairs(params):
                 label, eta_d, nu = user_label(k), params.detector_efficiency, params.trusted_noise(k)
                 if trust is TrustModel.UNTRUSTED:
                     pair = global_state.reduce([ALICE_LABEL, label])
@@ -419,30 +489,22 @@ class TestTwoModeClosedForm:
                 else:
                     closed = holevo_collaborative(params, k)
                     matrix = sequential_collaborative_holevo(params, k)
-                if abs(closed - matrix) > 1e-10:
-                    far.append((closed, matrix, a, b, c, trusted_receiver(eta_d, nu)))
-        # The matrix path loses digits behind a receiver with electronic noise
-        # and eta_d near 1 (v_d in the hundreds); there, and only there, the
-        # 50-digit reference sides with the closed form.
-        assert len(far) <= 5
-        with mpmath.workdps(50):
-            for closed, matrix, a, b, c, receiver in far:
-                reference = float(reference_two_mode_holevo(mpmath.mp, a, b, c, *receiver))
-                assert receiver[1] > 100.0
-                assert abs(closed - reference) <= 1e-11 < abs(matrix - reference)
+                worst = max(worst, abs(closed - matrix))
+                compared += 1
+        assert compared == 1817
+        assert worst <= 1e-10
 
     @pytest.mark.parametrize("eta_d,nu", [(0.68, 0.0), (1.0, 0.05), (1.0, 0.0)],
-                             ids=["no-electronic-noise", "detuned-unit-efficiency", "ideal"])
+                             ids=["no-electronic-noise", "unit-efficiency-with-noise", "ideal"])
     def test_receiver_edge_cases(self, table1, eta_d, nu):
-        # the detuned receiver has v_d = 501, where the matrix path is off by
-        # up to about 1e-9, so the closed form is held to the 50-digit reference
+        # at eta_d = 1 with noise the purification diverges, so the reference
+        # is its limit (see reference_two_mode_holevo)
         mpmath = pytest.importorskip("mpmath")
-        receiver = trusted_receiver(eta_d, nu)
-        assert (receiver[1] == 1.0) == (nu == 0.0)
         with mpmath.workdps(50):
             for _, _, (a, b, c) in self.pairs(table1):
-                reference = float(reference_two_mode_holevo(mpmath.mp, a, b, c, *receiver))
-                assert _two_mode_holevo(a, b, c, *receiver) == pytest.approx(reference, abs=1e-12)
+                reference = float(reference_two_mode_holevo(mpmath.mp, a, b, c, eta_d, nu))
+                closed = two_mode_holevo(a, b, c, eta_d, nu)
+                assert closed == pytest.approx(reference, abs=1e-12)
 
     def test_zero_transmittance_link(self, table1):
         params = with_first_transmittance(table1, 0.0)
@@ -468,12 +530,12 @@ class TestTwoModeClosedForm:
                              ids=["singular", "indefinite", "negative", "nan"])
     def test_rejects_non_positive_definite(self, a, b, c):
         with pytest.raises(ValidationError):
-            _two_mode_holevo(a, b, c, 0.7, 1.0)
+            two_mode_holevo(a, b, c, 0.7, 0.0)
 
     def test_rejects_unphysical_pair(self):
         # positive definite, but both symplectic eigenvalues are sqrt(0.39) < 1
         with pytest.raises(UnphysicalStateError):
-            _two_mode_holevo(2.0, 2.0, 1.9, 0.7, 1.0)
+            two_mode_holevo(2.0, 2.0, 1.9, 0.7, 0.0)
 
     def test_p_block_mirrors_x_block(self, table1):
         # the closed form reads only x blocks: every p block must be D X D exactly

@@ -139,12 +139,14 @@ class TestTrustedDetector:
             assert extended.block([label], [label])[0, 0] == pytest.approx(expected, rel=1e-12)
             assert check_physicality(extended)
 
-    def test_unit_efficiency_with_noise_detunes(self):
+    def test_unit_efficiency_with_noise_is_exact(self):
         gamma = build_channel_output_cm(single_user())
         extended = attach_trusted_detector(gamma, "B1", 1.0, 0.05)
         assert check_physicality(extended)
-        # detected variance still reproduces the calibrated receiver to ~delta
-        assert extended.block(["B1"], ["B1"])[0, 0] == pytest.approx(6.0 + 0.05, rel=2e-4)
+        # eta_d = 1 is the calibrated receiver itself: W + nu_el in both quadratures
+        detected = extended.block(["B1"], ["B1"])
+        assert detected[0, 0] == pytest.approx(6.05, rel=1e-12)
+        assert detected[1, 1] == pytest.approx(6.05, rel=1e-12)
 
     def test_double_attach_rejected(self):
         gamma = build_channel_output_cm(single_user())
