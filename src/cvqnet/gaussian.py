@@ -14,7 +14,8 @@ nu = sqrt(eig(L^T P L)) with X = L L^T, since (i Omega Gamma)^2 =
 diag(PX, XP) in xxpp ordering.  It takes one state or a stack of states
 held as their (B, n, n) X and P blocks, with one batched Cholesky and one
 batched `eigvalsh` for the whole stack; `symplectic_eigenvalues` is its
-entry point for a `CovarianceMatrix` and `block_entropies` for a stack.
+entry point for a `CovarianceMatrix`, whose spectrum is taken once, on first
+use (the state is frozen), and `block_entropies` for a stack.
 `spectrum_entropy` is the entropy of a spectrum found some other way (a
 closed form, say) under the same clamp and physicality check as
 `von_neumann_entropy`.
@@ -106,19 +107,26 @@ class CovarianceMatrix:
         labels = list(labels)
         return CovarianceMatrix(self.block(labels, labels), tuple(labels))
 
+    @functools.cached_property
+    def _spectrum(self) -> np.ndarray:
+        """`symplectic_eigenvalues`; a computation that raises caches nothing."""
+        gamma = self.matrix
+        if gamma[0::2, 1::2].any():
+            raise ValidationError("covariance matrix has x-p correlation; it must be X (+) P")
+        nu = block_spectrum(gamma[0::2, 0::2], gamma[1::2, 1::2])
+        nu.flags.writeable = False
+        return nu
+
 
 def symplectic_eigenvalues(cm: CovarianceMatrix) -> np.ndarray:
-    """Symplectic spectrum of a positive-definite covariance matrix, one
-    value per mode, sorted descending: `block_spectrum` of its quadrature
-    blocks X = Gamma[0::2, 0::2] and P = Gamma[1::2, 1::2].
+    """Symplectic spectrum of a positive-definite covariance matrix, one value
+    per mode, sorted descending, read-only and taken once per state:
+    `block_spectrum` of its blocks X = Gamma[0::2, 0::2] and P = Gamma[1::2, 1::2].
 
     A state with x-p correlation (a phase rotation, say) raises
     ValidationError: Gamma is X (+) P only without it.
     """
-    gamma = cm.matrix
-    if gamma[0::2, 1::2].any():
-        raise ValidationError("covariance matrix has x-p correlation; it must be X (+) P")
-    return block_spectrum(gamma[0::2, 0::2], gamma[1::2, 1::2])
+    return cm._spectrum
 
 
 def block_spectrum(x: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -176,7 +184,7 @@ def spectrum_entropy(spectrum: Iterable[float]) -> float:
 
 def von_neumann_entropy(cm: CovarianceMatrix) -> float:
     """Entropy in bits of a state: `spectrum_entropy` of its symplectic spectrum."""
-    return spectrum_entropy(symplectic_eigenvalues(cm).tolist())
+    return spectrum_entropy(cm._spectrum.tolist())
 
 
 def block_entropies(x: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -20,14 +20,17 @@ of them with the same rounding; the measurement keeps one ancilla, and
 `attach_trusted_detector` followed by `condition_on_heterodyne` is the same
 map written out on the labelled extended state.  The trusted bound applies
 the single-state step to the blocks of the global state and reads the
-conditional spectrum from the blocks it returns.  The untrusted and
+conditional spectrum from the blocks it returns; S(global) is the spectrum
+the builder's physicality check already took.  The untrusted and
 collaborative bounds are read on a two-mode state (A, Bk) with x block
 [[a, c], [c, b]] and p block [[a, -c], [-c, b]], where chi is a closed form
 in the scalars a, b, c, eta_d and the receiver's added noise
 N = 2 - eta_d + nu_el (`_two_mode_holevo`; Lodewyck et al., PRA 76, 042305
-(2007)).  Mutual information is the closed form
-log2(1 + sum_k V_mod g_k^2 / N_k) of the classical outcome model, built from
-the outcome models of the users it involves only.
+(2007)).  Conditioning (A, Bk) on the other users' outcomes is rank one, so
+the collaborative pair is (a - (a + 1) f, b - V_mod eta_k f, c (1 - f)) with
+f = Sigma_O / (1 + Sigma_O), Sigma_O their outcome SNR sum.  Mutual
+information is log2(1 + sum_k snr_k), snr_k = V_mod g_k^2 / N_k, of the
+classical outcome model; the M SNRs are taken once per network.
 
 `derive_worst_case` places the model-implied corner with the same
 `worst_case_params` as block estimates.  A zero-transmittance link carries
@@ -36,6 +39,7 @@ no information about Alice's symbols, so its rates clamp to 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -85,17 +89,15 @@ def _check_user(params: NetworkParams, k: int) -> None:
         raise ValidationError(f"user index {k} out of range")
 
 
-def _outcome_snrs(params: NetworkParams, users: Iterable[int] | None = None) -> dict[int, float]:
-    """V_mod g_k^2 / N_k of the outcome model y_k = g_k s + n_k of each of
-    `users` (default: every user)."""
-    snrs = {}
-    for k in range(params.n_users) if users is None else users:
-        model = measured_outcome_model(params, k)
-        snrs[k] = params.modulation_variance * model.gain**2 / model.noise_variance
-    return snrs
+@functools.lru_cache(maxsize=16)
+def _outcome_snrs(params: NetworkParams) -> tuple[float, ...]:
+    """V_mod g_k^2 / N_k of the outcome model y_k = g_k s + n_k of every user,
+    in user order.  Memoised per `NetworkParams` value, as the builder is."""
+    models = [measured_outcome_model(params, k) for k in range(params.n_users)]
+    return tuple(params.modulation_variance * m.gain**2 / m.noise_variance for m in models)
 
 
-def _outcome_information(snrs: dict[int, float], users: Iterable[int]) -> float:
+def _outcome_information(snrs: Sequence[float], users: Iterable[int]) -> float:
     """I(A : y_users) = log2(1 + sum_{k in users} snr_k) in bits per use.
 
     The outcome covariance of (s, y_1, ..., y_M) is V_mod g g^T + diag(N)
@@ -116,7 +118,7 @@ def mutual_information(
         raise ValidationError(f"user {k} cannot condition on itself")
     for j in cond + [k]:
         _check_user(params, j)
-    snrs = _outcome_snrs(params, cond + [k])
+    snrs = _outcome_snrs(params)
     info = _outcome_information(snrs, cond + [k])
     return info - _outcome_information(snrs, cond) if cond else info
 
@@ -226,20 +228,26 @@ def _two_mode_holevo(a: float, b: float, c: float, eta_d: float, noise: float) -
     return spectrum_entropy(_symplectic_pair(abs(a - b), det)) - spectrum_entropy(measured)
 
 
-def holevo_untrusted(params: NetworkParams, k: int) -> float:
-    """Holevo bound with all other users assigned to the eavesdropper.
-
-    The bound is read on the reduced state (A, Bk): a, b and c are the
-    entries (0, 0), (k+1, k+1) and (0, k+1) of the channel output's x block,
-    and `_two_mode_holevo` evaluates them in closed form.
-    """
+def _conditioned_pair_holevo(params: NetworkParams, k: int, f: float) -> float:
+    """`_two_mode_holevo` of the pair (A, Bk) conditioned with the fraction f
+    of `holevo_collaborative` (f = 0: not conditioned): a - (a + 1) f,
+    b - V_mod eta_k f and c (1 - f), where a, b and c are the entries (0, 0),
+    (k+1, k+1) and (0, k+1) of the channel output's x block."""
     _check_user(params, k)
     gamma = build_channel_output_cm(params).matrix
     i = 2 * (k + 1)
     eta_d = params.detector_efficiency
     noise = receiver_map(eta_d, params.trusted_noise(k)).noise
     a, c = gamma[0, [0, i]].tolist()
-    return _two_mode_holevo(a, gamma[i, i].item(), c, eta_d, noise)
+    b = gamma[i, i].item() - params.modulation_variance * params.users[k].transmittance * f
+    return _two_mode_holevo(a - (a + 1.0) * f, b, c * (1.0 - f), eta_d, noise)
+
+
+def holevo_untrusted(params: NetworkParams, k: int) -> float:
+    """Holevo bound with all other users assigned to the eavesdropper: the
+    closed form `_two_mode_holevo` on the reduced state (A, Bk), with nothing
+    conditioned."""
+    return _conditioned_pair_holevo(params, k, 0.0)
 
 
 def holevo_trusted(params: NetworkParams, k: int) -> float:
@@ -257,31 +265,26 @@ def holevo_trusted(params: NetworkParams, k: int) -> float:
 def holevo_collaborative(params: NetworkParams, k: int) -> float:
     """Holevo bound after conditioning on all other users' disclosed outcomes.
 
-    Assisting receivers are applied as untrusted maps, all in one step:
-    each scales its mode's rows and columns by sqrt(eta_d), and its outcome
-    variance is eta_d W + N with the N of `receiver_map`, so the disclosed
-    data carry the receiver's loss and noise but nothing is purified for
-    them.  The state is then conditioned jointly on their heterodyne
-    outcomes, which leaves the two-mode state (A, Bk) for
-    `_two_mode_holevo`.  The reference user's own receiver stays trusted.
+    Assisting receivers are applied as untrusted maps: each scales its
+    mode's rows and columns by sqrt(eta_d), and its outcome variance is
+    eta_d W + N with the N of `receiver_map`, so the disclosed data carry
+    the receiver's loss and noise but nothing is purified for them.  The
+    reference user's own receiver stays trusted.
 
-    Only the (M+1) x (M+1) x block is conditioned.  Every state the builder
-    makes has p block P = D X D with D = diag(-1, 1, ..., 1): only Alice's
-    cross entries change sign.  Receivers and heterodyne conditioning on user
-    modes keep that form, so the conditioned p block is [[a, -c], [-c, b]].
+    With g_j = sqrt(eta_j), the others' outcome x block is
+    D + eta_d V_mod g g^T with D_j = eta_d (1 + eps_j) + N_j, and its cross
+    block to (A, Bk) is sqrt(eta_d) u g^T with u = (sqrt(V^2 - 1),
+    sqrt(eta_k) V_mod): rank one.  By Sherman-Morrison,
+    g^T (D + eta_d V_mod g g^T)^-1 g = q / (1 + eta_d V_mod q) with
+    q = sum_j eta_j / D_j, and eta_d V_mod q = Sigma_O = sum_{j != k} snr_j,
+    the other users' outcome SNR sum.  So conditioning subtracts
+    u u^T f / V_mod with f = Sigma_O / (1 + Sigma_O): (a, b, c) of the
+    unconditioned pair become (a - (a + 1) f, b - V_mod eta_k f, c (1 - f)).
+    The p block mirrors the x block up to the sign of c.  f = 0, and the
+    bound is the untrusted one, when no other user sees the signal.
     """
-    if params.n_users == 1:
-        return holevo_untrusted(params, k)
-    _check_user(params, k)
-    others = [j for j in range(params.n_users) if j != k]
-    rows = 2 * np.array([0, k + 1] + [j + 1 for j in others])  # x rows of A, Bk, the others
-    x = build_channel_output_cm(params).matrix[rows[:, None], rows]
-    eta_d = params.detector_efficiency
-    cross = math.sqrt(eta_d) * x[:2, 2:]
-    noise = [receiver_map(eta_d, params.trusted_noise(j)).noise for j in [k] + others]
-    outcome = eta_d * x[2:, 2:] + np.diag(noise[1:])
-    (a, c01), (c10, b) = (x[:2, :2] - cross @ np.linalg.solve(outcome, cross.T)).tolist()
-    return _two_mode_holevo(a, b, (c01 + c10) / 2.0, eta_d, noise[0])
+    others = math.fsum(snr for j, snr in enumerate(_outcome_snrs(params)) if j != k)
+    return _conditioned_pair_holevo(params, k, others / (1.0 + others))
 
 
 _HOLEVO = {

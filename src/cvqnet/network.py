@@ -252,18 +252,17 @@ def measured_outcome_model(params: NetworkParams, k: int) -> OutcomeModel:
     """Heterodyne outcome statistics for user k, per quadrature.
 
     y_q = gain * s_q + n with gain = sqrt(eta_k eta_d / 2) and
-    Var(y_q) = (eta_d W_k + (1 - eta_d) + nu_el + 1) / 2, where
-    W_k = eta_k V_mod + 1 + eps_k is the channel-output variance.  The 1/2
-    and the +1 vacuum unit are the heterodyne conventions.
+    Var(y_q) = (eta_d W_k + N) / 2, N = 2 - eta_d + nu_el of `receiver_map`,
+    where W_k = eta_k V_mod + 1 + eps_k is the channel-output variance.  The
+    1/2 and the +1 vacuum unit in N are the heterodyne conventions.
     """
     if not 0 <= k < params.n_users:
         raise ValidationError(f"user index {k} out of range for {params.n_users} users")
     user = params.users[k]
     eta_d = params.detector_efficiency
-    nu = params.trusted_noise(k)
     gain = math.sqrt(user.transmittance * eta_d / 2.0)
-    noise = (eta_d * (1.0 + user.excess_noise) + (1.0 - eta_d) + nu + 1.0) / 2.0
-    return OutcomeModel(float(gain), float(noise))
+    added = receiver_map(eta_d, params.trusted_noise(k)).noise
+    return OutcomeModel(float(gain), float((eta_d * (1.0 + user.excess_noise) + added) / 2.0))
 
 
 def link_from_outcome_model(
@@ -276,7 +275,8 @@ def link_from_outcome_model(
     """
     eta_d = detector_efficiency
     transmittance = 2.0 * gain * gain / eta_d
-    excess_noise = (2.0 * noise_variance - (1.0 - eta_d) - electronic_noise - 1.0) / eta_d - 1.0
+    added = receiver_map(eta_d, electronic_noise).noise
+    excess_noise = (2.0 * noise_variance - added) / eta_d - 1.0
     return float(transmittance), float(excess_noise)
 
 

@@ -94,6 +94,17 @@ def brute_force_network_cm(
     return gamma[np.ix_(rows, rows)]
 
 
+def two_mode_squeezer(n_modes: int, i: int, j: int, gain: float) -> np.ndarray:
+    """Two-mode squeezer of gain G >= 1 on modes i and j: i -> sqrt(G) i +
+    sqrt(G - 1) j*, so a vacuum j adds G - 1 to the variance of i."""
+    s = np.eye(2 * n_modes)
+    c, r = np.sqrt(gain), np.sqrt(gain - 1.0)
+    for a, b in ((i, j), (j, i)):
+        s[2 * a : 2 * a + 2, 2 * a : 2 * a + 2] = c * I2
+        s[2 * a : 2 * a + 2, 2 * b : 2 * b + 2] = r * SZ
+    return s
+
+
 def two_mode_symplectic_eigenvalues(gamma: np.ndarray) -> tuple[float, float]:
     """Closed-form nu+- for a two-mode covariance in block form."""
     a = gamma[0:2, 0:2]
@@ -128,11 +139,10 @@ def mc_mutual_information(params: NetworkParams, k: int, n: int, seed: int) -> f
 #
 # A second evaluation of the documented key-rate model, assembled from the
 # pieces above and plain numpy: the network state from explicit composition,
-# each trusted receiver as an explicit EPR purification, assisting receivers
+# each trusted receiver as an explicit bounded dilation, assisting receivers
 # as the documented eta_d + nu_el map, heterodyne conditioning as a Schur
 # complement, symplectic spectra from a Hermitian eigenproblem, and mutual
 # information from the heterodyne outcomes of the entanglement-based picture.
-# Requires detector_efficiency < 1 (the purification variance diverges at 1).
 
 OMEGA1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -167,12 +177,20 @@ def _network_state(params: NetworkParams) -> _State:
 
 
 def _purify(state: _State, label: str, eta_d: float, nu_el: float) -> _State:
-    """Trusted receiver on `label`: an EPR pair of variance 1 + nu_el/(1-eta_d)
-    mixed in on a beamsplitter of transmittance eta_d."""
+    """Trusted receiver on `label` as a dilation on three vacua D1, D2, D3:
+    a beamsplitter of transmittance eta_d with D1, a two-mode squeezer of
+    gain G = 1/(1 - nu_el/2) with D2, and a beamsplitter of transmittance
+    1/G with D3.  The mode's variance W becomes
+    eta_d W + (1 - eta_d) + 2 (1 - 1/G) = eta_d W + (1 - eta_d) + nu_el, and
+    every coefficient stays bounded up to eta_d = 1 (nu_el < 2)."""
     n = len(state.labels)
-    ext = direct_sum(state.gamma, epr_cm(1.0 + nu_el / (1.0 - eta_d)))
-    bs = beamsplitter(n + 2, state.labels.index(label), n, eta_d)
-    return _State(bs @ ext @ bs.T, state.labels + [f"D1_{label}", f"D2_{label}"])
+    i = state.labels.index(label)
+    gain = 1.0 / (1.0 - nu_el / 2.0)
+    gamma = direct_sum(state.gamma, np.eye(6))
+    for op in (beamsplitter(n + 3, i, n, eta_d), two_mode_squeezer(n + 3, i, n + 1, gain),
+               beamsplitter(n + 3, i, n + 2, 1.0 / gain)):
+        gamma = op @ gamma @ op.T
+    return _State(gamma, state.labels + [f"D{a}_{label}" for a in (1, 2, 3)])
 
 
 def _purify_and_measure(state: _State, label: str, eta_d: float, nu_el: float) -> _State:
@@ -369,9 +387,9 @@ def precise_coalition_terms(params: NetworkParams, coalitions, dps: int = 50) ->
 
     The channel output's x block is assembled from its documented entries
     and its p block mirrors Alice's cross entries.  The users of S are
-    measured in ascending order, each behind a receiver purified as in
-    `_purify` (an EPR pair of variance 1 + nu_el / (1 - eta_d) on a
-    beamsplitter of transmittance eta_d), then heterodyned as a Schur
+    measured in ascending order, each behind a receiver purified by an EPR
+    pair of variance 1 + nu_el / (1 - eta_d) on a beamsplitter of
+    transmittance eta_d, then heterodyned as a Schur
     complement per quadrature.  Spectra are sqrt(eig(L^T P L)) with X = L L^T.
     At eta_d = 1 the purification diverges, so the limit is taken at
     eta_d = 1 - 1e-20 with 90 digits.  I(A : y_S) is log2(1 + sum_k snr_k) of

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -30,6 +31,7 @@ from conftest import random_params, receiver_cases
 from oracles import (
     _joint_information,
     _outcome_information,
+    oracle_decomposition,
     oracle_joint_rate,
     precise_coalition_terms,
 )
@@ -126,6 +128,17 @@ class TestDecompose:
         per_user = delta_fs(table1.block_size)
         for a, b in zip(fin.contributions, asym.contributions):
             assert a == pytest.approx(b - per_user, abs=1e-12)
+
+    def test_unit_efficiency_rows_match_oracle(self, table1):
+        # eta_d = 1 exactly, on both sides: the oracle's receiver dilation is
+        # bounded there
+        rng = np.random.default_rng(46)
+        cases = [table1] + [random_params(rng, max_users=5) for _ in range(5)]
+        for params in (dataclasses.replace(p, detector_efficiency=1.0) for p in cases):
+            for order in itertools.islice(itertools.permutations(range(params.n_users)), 4):
+                row = decompose(params, order)
+                assert row.contributions == pytest.approx(
+                    oracle_decomposition(params, order), abs=1e-9)
 
     def test_invalid_order_rejected(self, table1):
         with pytest.raises(ValidationError):

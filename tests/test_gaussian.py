@@ -84,6 +84,27 @@ class TestSymplecticEigenvalues:
             closed = two_mode_symplectic_eigenvalues(gamma.matrix)
             assert ours == pytest.approx(sorted(closed, reverse=True), rel=1e-12)
 
+    def test_taken_once_per_state_and_read_only(self, table1, monkeypatch):
+        import cvqnet.gaussian
+
+        built = build_channel_output_cm(table1)
+        state = CovarianceMatrix(built.matrix, built.mode_labels)  # no spectrum taken yet
+        calls = []
+        kernel = cvqnet.gaussian.block_spectrum
+
+        def counted(x, p):
+            calls.append(x.shape)
+            return kernel(x, p)
+
+        monkeypatch.setattr(cvqnet.gaussian, "block_spectrum", counted)
+        spec = symplectic_eigenvalues(state)
+        assert von_neumann_entropy(state) == spectrum_entropy(spec.tolist())
+        assert check_physicality(state)
+        assert symplectic_eigenvalues(state) is spec
+        assert calls == [(5, 5)]
+        with pytest.raises(ValueError):
+            spec[0] = 1.0
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValidationError):
@@ -230,7 +251,8 @@ class TestQuadratureBlockKernel:
         rng = np.random.default_rng(43)
         for state in measured_chain(table1):
             rotated = phase_rotated(state, rng)
-            for read in (symplectic_eigenvalues, von_neumann_entropy, check_physicality):
+            # twice each: a failed spectrum is not cached
+            for read in (symplectic_eigenvalues, von_neumann_entropy, check_physicality) * 2:
                 with pytest.raises(ValidationError, match="x-p correlation"):
                     read(rotated)
 

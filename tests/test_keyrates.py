@@ -116,8 +116,8 @@ def two_step_measurement(state, label, eta_d, nu):
 
 
 def purified_measurement(state, label, eta_d, nu):
-    """The oracle's measurement (`_purify`, then `_heterodyne`): an EPR pair of
-    variance 1 + nu / (1 - eta_d), so eta_d < 1 only."""
+    """The oracle's measurement (`_purify`, then `_heterodyne`): a bounded
+    dilation on three vacua, so eta_d = 1 included."""
     return _heterodyne(_purify(_State(state.matrix, state.mode_labels), label, eta_d, nu), [label])
 
 
@@ -127,9 +127,9 @@ def quadrature_blocks(state):
 
 class TestFusedReferenceMeasurement:
     def test_equals_attach_then_condition(self, table1):
-        # and, where eta_d < 1, the oracle's purified measurement: the same
-        # state of the other modes and the same entropy (its ancillae are
-        # another basis of the same purification)
+        # and the oracle's purified measurement: the same state of the other
+        # modes and the same entropy (its ancillae are another dilation of
+        # the same receiver)
         rng = np.random.default_rng(71)
         cases = [table1] + [random_params(rng, max_users=6) for _ in range(25)]
         worst = worst_oracle = 0.0
@@ -156,8 +156,6 @@ class TestFusedReferenceMeasurement:
                         scale = np.abs(reference.matrix).max()
                         for block, expected in zip(fused, quadrature_blocks(reference)):
                             worst = max(worst, np.abs(block - expected).max() / scale)
-                        if eta_d == 1.0:
-                            continue
                         oracle = purified_measurement(state, label, eta_d, nu)
                         others = [other for other in state.mode_labels if other != label]
                         if others:
@@ -297,6 +295,14 @@ class TestHolevoBounds:
         assert holevo_trusted(params, 0) == pytest.approx(chi_u, abs=1e-9)
         assert holevo_collaborative(params, 0) == pytest.approx(chi_u, abs=1e-9)
 
+    def test_collaborative_is_untrusted_bit_for_bit_when_others_see_nothing(self, table1):
+        # Sigma_O = 0, so f = 0 and the pair is not conditioned at all
+        for k in range(table1.n_users):
+            links = [(u.transmittance if j == k else 0.0, u.excess_noise)
+                     for j, u in enumerate(table1.users)]
+            params = table1.with_links(links)
+            assert holevo_collaborative(params, k) == holevo_untrusted(params, k)
+
     def test_collaborative_equals_untrusted_with_decoupled_others(self):
         params = NetworkParams(
             modulation_variance=5.0,
@@ -433,6 +439,29 @@ class TestOneShotAssistingMap:
         reports = rate_table(params)
         assert len(reports) == 3 * params.n_users
         assert len(calls) == 1
+
+    def test_rate_table_takes_each_spectrum_and_outcome_model_once(self, monkeypatch):
+        # one spectrum of the channel output (the builder's physicality
+        # check, read again by every trusted bound), one per trusted
+        # measurement, and one outcome model per user for every bound and I
+        import cvqnet.gaussian
+        import cvqnet.keyrates
+
+        calls = {"block_spectrum": 0, "measured_outcome_model": 0}
+        for module, name in ((cvqnet.gaussian, "block_spectrum"),
+                             (cvqnet.keyrates, "block_spectrum"),
+                             (cvqnet.keyrates, "measured_outcome_model")):
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        params = random_params(np.random.default_rng(44), n_users=6)
+        build_channel_output_cm.cache_clear()
+        cvqnet.keyrates._outcome_snrs.cache_clear()
+        assert len(rate_table(params)) == 3 * params.n_users
+        assert calls == {"block_spectrum": params.n_users + 1,
+                         "measured_outcome_model": params.n_users}
 
     def test_unphysical_network_raises_on_every_rate(self):
         params = unphysical_pair()
@@ -642,6 +671,17 @@ class TestKeyRate:
             raw = params.beta * report.mutual_information - report.holevo - report.delta
             assert raw == pytest.approx(expected[t.value][0], abs=1e-9)
             assert report.rate == 0.0 and report.non_positive
+
+    def test_unit_efficiency_rates_match_oracle(self, table1):
+        # eta_d = 1 exactly, on both sides: the oracle's receiver dilation is
+        # bounded there
+        rng = np.random.default_rng(45)
+        cases = [table1] + [random_params(rng, max_users=5) for _ in range(5)]
+        for params in (dataclasses.replace(p, detector_efficiency=1.0) for p in cases):
+            expected = oracle_rates(params)
+            for report in rate_table(params):
+                raw = params.beta * report.mutual_information - report.holevo - report.delta
+                assert raw == pytest.approx(expected[report.trust.value][report.user], abs=1e-9)
 
     def test_worst_case_corner_at_zero_transmittance_gives_no_key(self, table1):
         params = with_first_transmittance(table1, 1e-8)
