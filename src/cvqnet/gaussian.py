@@ -48,9 +48,10 @@ def _as_label_tuple(labels: Iterable[str]) -> tuple[str, ...]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
-    """Real symmetric 2n x 2n covariance matrix with labelled modes."""
+    """Real symmetric 2n x 2n covariance matrix with labelled modes; compared
+    and hashed by identity, so a state can key a memo."""
 
     matrix: np.ndarray
     mode_labels: tuple[str, ...]

@@ -14,13 +14,15 @@ supported.  For a reference user k:
 Reverse reconciliation throughout: Holevo bounds are conditioned on the
 reference user's own measurement, behind a trusted receiver of efficiency
 eta_d and electronic noise nu_el (`receiver_map`) in every interpretation.
-`measure_reference_user` does that measurement in one closed-form step on
-the x and p blocks of one state, `measure_reference_user_blocks` on a stack
-of them with the same rounding; the measurement keeps one ancilla, and
+`measure_reference_user_blocks` does that measurement in one closed-form
+step on the x and p blocks of a stack of states, each member measuring its
+own mode behind its own receiver; the measurement keeps one ancilla, and
 `attach_trusted_detector` followed by `condition_on_heterodyne` is the same
-map written out on the labelled extended state.  The trusted bound applies
-the single-state step to the blocks of the global state and reads the
-conditional spectrum from the blocks it returns; S(global) is the spectrum
+map written out on the labelled extended state.  The trusted bound of user k
+is chi({k}) = S(sigma_0) - S(sigma_{k}) of `CoalitionValues`, the coalition
+set function the decomposition reads too: per network state, one stacked
+step measures all M singletons from the channel output and one
+`block_entropies` call takes their entropies; S(sigma_0) is the spectrum
 the builder's physicality check already took.  The untrusted and
 collaborative bounds are read on a two-mode state (A, Bk) with x block
 [[a, c], [c, b]] and p block [[a, -c], [-c, b]], where chi is a closed form
@@ -48,7 +50,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .gaussian import block_spectrum, spectrum_entropy, von_neumann_entropy
+from .gaussian import CovarianceMatrix, block_entropies, spectrum_entropy, von_neumann_entropy
 from .network import (
     NetworkParams,
     build_channel_output_cm,
@@ -123,51 +125,23 @@ def mutual_information(
     return info - _outcome_information(snrs, cond) if cond else info
 
 
-def measure_reference_user(
-    x: np.ndarray, p: np.ndarray, index: int, eta_d: float, nu_el: float
+def measure_reference_user_blocks(
+    x: np.ndarray, p: np.ndarray, index: np.ndarray, eta_d: np.ndarray, nu_el: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature blocks of everything retained after the reference user's
-    measurement, for one state without x-p correlation given as its (n, n)
-    blocks x and p.
+    """Quadrature blocks of everything retained after a reference user's
+    measurement, for a stack of states without x-p correlation.
 
-    One closed-form step for heterodyning mode `index` behind its trusted
-    receiver (eta_d, nu_el); the same map as
+    Member b is held as its (n, n) quadrature blocks x[b], p[b]; it
+    heterodynes its mode index[b] behind its own trusted receiver
+    (eta_d[b], nu_el[b]) in one closed-form step.  That is the map of
     `condition_on_heterodyne(attach_trusted_detector(...))` without forming
     the extended state, less the ancilla D2, which that leaves in vacuum
     (`receiver_map`).  In either quadrature, with block Q, the mode's entry
     w, its cross column C with the other modes O and the outcome variance
     a = eta_d w + N, the retained modes (O, D1) have the block
         [[Q_O - eta_d C C^T / a, -2 s ru C / a], [., (N w + eta_d) / a]].
-    The rounding is that of `measure_reference_user_blocks`.  Returns the
-    (n, n) blocks: the other modes in order, then D1.
-    """
-    receiver = receiver_map(eta_d, nu_el)
-    o = len(x) - 1
-    others = np.arange(o)
-    others[index:] += 1
-    out = []
-    for block in (x, p):
-        w = block[index, index]
-        outcome = eta_d * w + receiver.noise
-        cross = block[others, index]
-        scaled = (receiver.t / math.sqrt(outcome)) * cross
-        retained = np.empty((o + 1, o + 1))
-        retained[:o, :o] = block[others[:, None], others] - np.outer(scaled, scaled)
-        retained[:o, o] = retained[o, :o] = (-2.0 * receiver.s * receiver.ru / outcome) * cross
-        retained[o, o] = (receiver.noise * w + eta_d) / outcome
-        out.append(retained)
-    return out[0], out[1]
-
-
-def measure_reference_user_blocks(
-    x: np.ndarray, p: np.ndarray, index: np.ndarray, eta_d: np.ndarray, nu_el: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """`measure_reference_user` on a stack of states without x-p correlation.
-
-    Member b is held as its (n, n) quadrature blocks x[b], p[b]; it measures
-    its mode index[b] behind its own trusted receiver (eta_d[b], nu_el[b]).
-    The formula and the rounding are those of the single-state step, so each
-    member equals it exactly.  Returns the (B, n, n) blocks of the retained
+    The arithmetic is member by member, so a member's result does not depend
+    on the rest of the stack.  Returns the (B, n, n) blocks of the retained
     modes: the other modes in order, then D1.
     """
     members = np.arange(len(index))
@@ -192,6 +166,112 @@ def measure_reference_user_blocks(
     return out[0], out[1]
 
 
+class CoalitionValues:
+    """The set function v(S) = beta * I(A : y_S) - chi(S) of one network
+    state, chi(S) = S(sigma_0) - S(sigma_S), memoised per coalition.
+
+    sigma_S is the retained system (Alice, the users outside S and the
+    trusted-receiver ancillae of those in S) conditioned on the outcomes y_S
+    of the users in S.  The trusted bound of user k is chi({k}); the
+    decomposition tables read the rest of the lattice.  The caller passes
+    the channel output of `params` it holds, so both paths share one state.
+
+    `fill(orders)` evaluates every prefix coalition of the orders, one layer
+    (coalition size) at a time; only the layer being measured from is held,
+    as (B, n, n) x and p blocks.  `terms` maps each coalition evaluated to
+    (I(A : y_S), S(sigma_S)).  Each step S -> S + {k} of a prefix chain is
+    checked and built once and then looked up, so chains share their
+    coalitions.
+    """
+
+    def __init__(self, params: NetworkParams, channel_output: CovarianceMatrix):
+        self.params = params
+        self._snrs = _outcome_snrs(params)
+        self._eta_d = np.full(params.n_users, params.detector_efficiency)
+        self._nu_el = np.array([params.trusted_noise(k) for k in range(params.n_users)])
+        self._root = channel_output
+        self.terms = {frozenset(): (0.0, von_neumann_entropy(channel_output))}
+        self._steps: dict[tuple[frozenset, int], frozenset] = {}  # (S, k) -> S + {k}
+
+    def _chain(self, order: Sequence[int]) -> list[frozenset]:
+        """Coalitions of the first 0, 1, ..., len(order) users of `order`."""
+        chain = [frozenset()]
+        for k in order:
+            parent = chain[-1]
+            grown = self._steps.get((parent, k))
+            if grown is None:
+                if not 0 <= k < self.params.n_users or k in parent:
+                    raise ValidationError(f"user {k} cannot join the coalition {set(parent)}")
+                grown = self._steps[parent, k] = parent | {k}
+            chain.append(grown)
+        return chain
+
+    def fill(self, orders: Iterable[Sequence[int]]) -> None:
+        """Add the prefix coalitions of `orders` that `terms` lacks.
+
+        If any is missing, the layers are built up from the channel output,
+        each coalition measured from the prefix it first follows; coalitions
+        already in `terms` keep their values.  A layer is one stacked step in
+        which every member measures its own mode behind its own receiver.  A
+        measured mode leaves the state and its ancilla goes last, so user k
+        sits at its channel-output position k + 1 in (A, B1..BM) less the
+        measured users before it.
+        """
+        m = self.params.n_users
+        layers = [{} for _ in range(m)]  # by size - 1: coalition -> (parent, joining user)
+        for order in orders:
+            chain = self._chain(order)
+            for layer, parent, grown, k in zip(layers, chain, chain[1:], order):
+                layer.setdefault(grown, (parent, k))
+        layers = [layer for layer in layers if layer]
+        if all(coalition in self.terms for layer in layers for coalition in layer):
+            return
+        gamma = self._root.matrix
+        x, p = gamma[None, 0::2, 0::2], gamma[None, 1::2, 1::2]
+        position = {frozenset(): 0}
+        for layer in layers:
+            parents = np.array([position[parent] for parent, _ in layer.values()])
+            joining = np.array([k for _, k in layer.values()])
+            index = np.array([k + 1 - sum(j < k for j in parent) for parent, k in layer.values()])
+            x, p = measure_reference_user_blocks(
+                x[parents], p[parents], index, self._eta_d[joining], self._nu_el[joining]
+            )
+            for coalition, entropy in zip(layer, block_entropies(x, p).tolist()):
+                if coalition not in self.terms:
+                    info = _outcome_information(self._snrs, coalition)
+                    self.terms[coalition] = (info, entropy)
+            position = {coalition: i for i, coalition in enumerate(layer)}
+
+    def prefixes(self, order: Sequence[int]) -> list[frozenset]:
+        """Coalitions of the first 0, 1, ..., len(order) users of `order`,
+        each evaluated."""
+        chain = self._chain(order)
+        if any(coalition not in self.terms for coalition in chain):
+            self.fill([order])
+        return chain
+
+    def holevo(self, coalition: frozenset) -> float:
+        """chi(S) = S(sigma_0) - S(sigma_S)."""
+        return self.terms[frozenset()][1] - self.terms[coalition][1]
+
+    def value(self, coalition: frozenset) -> float:
+        """v(S) = beta * I(A : y_S) - chi(S), with chi inlined: a table reads
+        v M times per row."""
+        info, entropy = self.terms[coalition]
+        return self.params.beta * info - (self.terms[frozenset()][1] - entropy)
+
+
+@functools.lru_cache(maxsize=16)
+def _singletons(params: NetworkParams, channel_output: CovarianceMatrix) -> CoalitionValues:
+    """`CoalitionValues` of one network state with every singleton {k}
+    evaluated: one stacked measurement step and one `block_entropies` call
+    for all M users.  Keyed on the state the caller holds (hashed by
+    identity), so it builds no state itself."""
+    coalitions = CoalitionValues(params, channel_output)
+    coalitions.fill([(k,) for k in range(params.n_users)])
+    return coalitions
+
+
 def _symplectic_pair(split: float, product: float) -> tuple[float, float]:
     """(nu_+, nu_-) from nu_+ - nu_- = split >= 0 and nu_+ nu_- = product > 0."""
     larger = (math.sqrt(split * split + 4.0 * product) + split) / 2.0
@@ -207,7 +287,7 @@ def _two_mode_holevo(a: float, b: float, c: float, eta_d: float, noise: float) -
     With det = ab - c^2, the spectrum before the measurement has
     nu_+ nu_- = det and nu_+ - nu_- = |a - b|, so nu_+^2 + nu_-^2 =
     a^2 + b^2 - 2c^2 (Weedbrook et al., RMP 84, 621 (2012)).  The conditional
-    state is `measure_reference_user` with O = {A}: the pair (A, D1) with
+    state is `measure_reference_user_blocks` with O = {A}: the pair (A, D1) with
     x block [[a - eta_d c^2 / s, -2 s' ru c / s], [., (N b + eta_d) / s]]
     (s' the receiver's s) and the same p block up to the sign of c, so the
     same two relations give its spectrum.  They reduce to
@@ -252,14 +332,12 @@ def holevo_untrusted(params: NetworkParams, k: int) -> float:
 
 def holevo_trusted(params: NetworkParams, k: int) -> float:
     """Holevo bound with all other users excluded from the eavesdropper:
-    S(global) - S(global after user k's trusted measurement).  User k sits
-    at position k + 1 of the channel output (A, B1..BM), and the state
-    after its measurement is read on its quadrature blocks."""
+    chi({k}) = S(sigma_0) - S(sigma_{k}), the entropy the global state
+    (A, B1..BM) loses when user k alone measures behind its trusted
+    receiver.  Read from the singleton layer of `CoalitionValues`, which is
+    evaluated once per network state for all M users."""
     _check_user(params, k)
-    cm = build_channel_output_cm(params)
-    x, p = measure_reference_user(cm.matrix[0::2, 0::2], cm.matrix[1::2, 1::2], k + 1,
-                                  params.detector_efficiency, params.trusted_noise(k))
-    return von_neumann_entropy(cm) - spectrum_entropy(block_spectrum(x, p).tolist())
+    return _singletons(params, build_channel_output_cm(params)).holevo(frozenset((k,)))
 
 
 def holevo_collaborative(params: NetworkParams, k: int) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -50,7 +50,8 @@ class UserLink:
 
 @dataclass(frozen=True)
 class NetworkParams:
-    """Physical inputs for the whole network evaluation."""
+    """Physical inputs for the whole network evaluation.  Hashed once, at
+    construction: the value keys the per-network memos."""
 
     modulation_variance: float
     users: tuple[UserLink, ...]
@@ -87,6 +88,10 @@ class NetworkParams:
                 f"total transmittance {total:.6f} exceeds the passive splitter budget; "
                 "set enforce_splitter_budget=False for non-broadcast what-if scans"
             )
+        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n_users(self) -> int:

@@ -4,7 +4,9 @@ Everything here deliberately avoids the package's builders: covariance
 matrices are assembled by explicit symplectic composition, eigenvalues by
 closed two-mode formulas or a Hermitian eigenproblem, mutual information by
 Monte-Carlo sampling or from heterodyne outcome covariances, and single-link
-rates by the textbook closed form.
+rates by the textbook closed form.  The exception is `measure_reference_user`,
+the package's closed-form measurement step written for one state: it is the
+reference the stacked step is checked against member by member.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from cvqnet import NetworkParams
+from cvqnet.network import receiver_map
 
 I2 = np.eye(2)
 SZ = np.diag([1.0, -1.0])
@@ -225,6 +228,37 @@ def hermitian_symplectic_spectrum(gamma: np.ndarray) -> np.ndarray:
     chol = np.linalg.cholesky(gamma)
     ev = np.linalg.eigvalsh(1j * chol.T @ np.kron(np.eye(n), OMEGA1) @ chol)
     return ev[n:]
+
+
+def measure_reference_user(
+    x: np.ndarray, p: np.ndarray, index: int, eta_d: float, nu_el: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """`cvqnet.keyrates.measure_reference_user_blocks` for one state, given as
+    its (n, n) quadrature blocks x and p, written out with the same rounding.
+
+    Heterodynes mode `index` behind the trusted receiver (eta_d, nu_el) of
+    `receiver_map`.  In either quadrature, with block Q, the mode's entry w,
+    its cross column C with the other modes O and the outcome variance
+    a = eta_d w + N, the retained modes (O, D1) have the block
+        [[Q_O - eta_d C C^T / a, -2 s ru C / a], [., (N w + eta_d) / a]].
+    Returns the (n, n) blocks: the other modes in order, then D1.
+    """
+    receiver = receiver_map(eta_d, nu_el)
+    o = len(x) - 1
+    others = np.arange(o)
+    others[index:] += 1
+    out = []
+    for block in (x, p):
+        w = block[index, index]
+        outcome = eta_d * w + receiver.noise
+        cross = block[others, index]
+        scaled = (receiver.t / np.sqrt(outcome)) * cross
+        retained = np.empty((o + 1, o + 1))
+        retained[:o, :o] = block[others[:, None], others] - np.outer(scaled, scaled)
+        retained[:o, o] = retained[o, :o] = (-2.0 * receiver.s * receiver.ru / outcome) * cross
+        retained[o, o] = (receiver.noise * w + eta_d) / outcome
+        out.append(retained)
+    return out[0], out[1]
 
 
 def _g(x: float) -> float:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-import cvqnet.decomposition
+import cvqnet.keyrates
 from cvqnet import (
     NetworkParams,
     TrustModel,
@@ -24,7 +24,7 @@ from cvqnet import (
     user_label,
     von_neumann_entropy,
 )
-from cvqnet.decomposition import CoalitionValues
+from cvqnet.keyrates import CoalitionValues
 from cvqnet.errors import GuardRefusalError, ValidationError
 
 from conftest import random_params, receiver_cases
@@ -35,6 +35,11 @@ from oracles import (
     oracle_joint_rate,
     precise_coalition_terms,
 )
+
+
+def coalition_values(params):
+    """A fresh `CoalitionValues` on the network's channel output."""
+    return CoalitionValues(params, build_channel_output_cm(params))
 
 
 def chain_steps(coalitions, order):
@@ -49,7 +54,7 @@ class TestChainRule:
         rng = np.random.default_rng(0)
         cases = [table1] + [random_params(rng) for _ in range(300)]
         for params in cases:
-            coalitions = CoalitionValues(params)
+            coalitions = coalition_values(params)
             for k in range(params.n_users):
                 (first, _), = chain_steps(coalitions, (k,))
                 assert first == pytest.approx(_outcome_information(params, k, []), abs=1e-12)
@@ -60,7 +65,7 @@ class TestChainRule:
         for params in cases:
             m = params.n_users
             for order in itertools.islice(itertools.permutations(range(m)), 3):
-                total = sum(info for info, _ in chain_steps(CoalitionValues(params), order))
+                total = sum(info for info, _ in chain_steps(coalition_values(params), order))
                 assert total == pytest.approx(_joint_information(params), abs=1e-10)
 
     def test_decoupled_user_contributes_nothing(self, table1):
@@ -71,8 +76,8 @@ class TestChainRule:
             beta=table1.beta,
             block_size=table1.block_size,
         )
-        with_dec = chain_steps(CoalitionValues(extended), (4, 0, 1, 2, 3))
-        plain = chain_steps(CoalitionValues(table1), (0, 1, 2, 3))
+        with_dec = chain_steps(coalition_values(extended), (4, 0, 1, 2, 3))
+        plain = chain_steps(coalition_values(table1), (0, 1, 2, 3))
         for pos in range(1, 5):
             assert with_dec[pos][0] == pytest.approx(plain[pos - 1][0], abs=1e-10)
 
@@ -84,14 +89,14 @@ class TestTelescope:
             users=(UserLink(transmittance=0.4, excess_noise=0.01, trusted_noise=0.05),),
             detector_efficiency=0.7,
         )
-        (_, term), = chain_steps(CoalitionValues(params), (0,))
+        (_, term), = chain_steps(coalition_values(params), (0,))
         assert term == pytest.approx(holevo_untrusted(params, 0), abs=1e-12)
 
     def test_terms_sum_to_endpoints(self, table1):
         # the entropy drops along one order telescope to S(sigma_0) - S(sigma_M),
         # which joint_key_rate reaches along the identity order
         order = (1, 3, 0, 2)
-        total = sum(drop for _, drop in chain_steps(CoalitionValues(table1), order))
+        total = sum(drop for _, drop in chain_steps(coalition_values(table1), order))
         jr = joint_key_rate(table1)
         assert total == pytest.approx(jr.holevo, abs=1e-10)
 
@@ -100,7 +105,7 @@ class TestTelescope:
         cases = [table1] + [random_params(rng) for _ in range(8)]
         for params in cases:
             order = tuple(rng.permutation(params.n_users))
-            for _, drop in chain_steps(CoalitionValues(params), order):
+            for _, drop in chain_steps(coalition_values(params), order):
                 assert drop >= -1e-9
 
 
@@ -119,6 +124,24 @@ class TestDecompose:
                 table1.beta * trusted.mutual_information - trusted.holevo - trusted.delta
             )
             assert row.contributions[0] == pytest.approx(raw, abs=1e-9)
+
+    def test_first_position_is_the_trusted_rate_exactly(self, table1):
+        # criterion 4 as an identity: the trusted bound and the table read
+        # chi({k}) from a singleton layer of the same kernel, whatever else
+        # the layer stacks
+        rng = np.random.default_rng(48)
+        cases = [table1] + [random_params(rng, max_users=6) for _ in range(20)]
+        unclamped = 0
+        for params in cases:
+            sampled = sample_orderings(params, 2, seed=1).rows
+            for row in all_orderings(params).rows + sampled:
+                trusted = key_rate(params, TrustModel.TRUSTED, row.order[0])
+                raw = params.beta * trusted.mutual_information - trusted.holevo - trusted.delta
+                assert row.contributions[0] == raw
+                if not trusted.non_positive:
+                    assert row.contributions[0] == trusted.rate
+                    unclamped += 1
+        assert unclamped > 100
 
     def test_asymptotic_mode_drops_delta(self, table1):
         fin = decompose(table1, (0, 1, 2, 3), mode="finite")
@@ -284,7 +307,7 @@ class TestCoalitionValues:
         rng = np.random.default_rng(43)
         cases = [table1] + [random_params(rng, max_users=6) for _ in range(6)]
         for params in cases:
-            coalitions = CoalitionValues(params)
+            coalitions = coalition_values(params)
             m = params.n_users
             for size in range(m):
                 for earlier in itertools.combinations(range(m), size):
@@ -312,7 +335,7 @@ class TestCoalitionValues:
         worst = 0.0
         for params in receiver_cases(table1, np.random.default_rng(92)):
             m = params.n_users
-            coalitions = CoalitionValues(params)
+            coalitions = coalition_values(params)
             coalitions.fill(itertools.permutations(range(m)))
             lattice = [c for size in range(m + 1) for c in itertools.combinations(range(m), size)]
             assert set(coalitions.terms) == set(map(frozenset, lattice))
@@ -327,13 +350,13 @@ class TestCoalitionValues:
     def layer_sizes(self, monkeypatch):
         """Member count of every stacked measurement step a decomposition runs."""
         sizes = []
-        real = cvqnet.decomposition.measure_reference_user_blocks
+        real = cvqnet.keyrates.measure_reference_user_blocks
 
         def counting(x, p, index, eta_d, nu_el):
             sizes.append(len(index))
             return real(x, p, index, eta_d, nu_el)
 
-        monkeypatch.setattr(cvqnet.decomposition, "measure_reference_user_blocks", counting)
+        monkeypatch.setattr(cvqnet.keyrates, "measure_reference_user_blocks", counting)
         return sizes
 
     @staticmethod
@@ -390,9 +413,9 @@ class TestCoalitionValues:
     @pytest.mark.parametrize("order", [(0, 0), (4,), (-1,), (1, 2, 1)])
     def test_prefixes_reject_bad_user(self, table1, order):
         with pytest.raises(ValidationError):
-            CoalitionValues(table1).prefixes(order)
+            coalition_values(table1).prefixes(order)
 
     def test_engine_rejects_other_network(self, table1):
         other = table1.with_links([(0.1, 0.004)] * 4)
         with pytest.raises(ValidationError):
-            decompose(table1, (0, 1, 2, 3), coalitions=CoalitionValues(other))
+            decompose(table1, (0, 1, 2, 3), coalitions=coalition_values(other))

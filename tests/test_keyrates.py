@@ -27,7 +27,7 @@ from cvqnet.gaussian import (
     spectrum_entropy,
     von_neumann_entropy,
 )
-from cvqnet.keyrates import _two_mode_holevo, measure_reference_user, measure_reference_user_blocks
+from cvqnet.keyrates import _two_mode_holevo, measure_reference_user_blocks
 from cvqnet.network import ALICE_LABEL, receiver_map, user_label
 
 from conftest import random_params, receiver_cases, unphysical_pair
@@ -38,6 +38,7 @@ from oracles import (
     _purify,
     _State,
     mc_mutual_information,
+    measure_reference_user,
     oracle_rates,
     precise_coalition_terms,
 )
@@ -442,14 +443,14 @@ class TestOneShotAssistingMap:
 
     def test_rate_table_takes_each_spectrum_and_outcome_model_once(self, monkeypatch):
         # one spectrum of the channel output (the builder's physicality
-        # check, read again by every trusted bound), one per trusted
-        # measurement, and one outcome model per user for every bound and I
+        # check, read again as S(sigma_0)), one for the stacked singleton
+        # layer of all M trusted measurements, and one outcome model per
+        # user for every bound and I
         import cvqnet.gaussian
         import cvqnet.keyrates
 
         calls = {"block_spectrum": 0, "measured_outcome_model": 0}
         for module, name in ((cvqnet.gaussian, "block_spectrum"),
-                             (cvqnet.keyrates, "block_spectrum"),
                              (cvqnet.keyrates, "measured_outcome_model")):
             def counted(*args, _fn=getattr(module, name), _name=name):
                 calls[_name] += 1
@@ -459,9 +460,35 @@ class TestOneShotAssistingMap:
         params = random_params(np.random.default_rng(44), n_users=6)
         build_channel_output_cm.cache_clear()
         cvqnet.keyrates._outcome_snrs.cache_clear()
+        cvqnet.keyrates._singletons.cache_clear()
         assert len(rate_table(params)) == 3 * params.n_users
-        assert calls == {"block_spectrum": params.n_users + 1,
-                         "measured_outcome_model": params.n_users}
+        assert calls == {"block_spectrum": 2, "measured_outcome_model": params.n_users}
+
+    @pytest.mark.parametrize("cache", ["cold", "warm"])
+    def test_rate_table_builds_the_state_once_per_bound(self, monkeypatch, cache):
+        # the benchmark's pin: 3M builder calls per table, counted through
+        # every module binding; the trusted memo is keyed on the state its
+        # caller built, so a cold memo builds nothing more
+        import cvqnet.decomposition
+        import cvqnet.keyrates
+        import cvqnet.network
+
+        params = random_params(np.random.default_rng(45), n_users=5)
+        if cache == "cold":
+            build_channel_output_cm.cache_clear()
+            cvqnet.keyrates._outcome_snrs.cache_clear()
+            cvqnet.keyrates._singletons.cache_clear()
+        else:
+            rate_table(params)
+        calls = []
+        for module in (cvqnet.network, cvqnet.keyrates, cvqnet.decomposition):
+            def counted(params, _fn=module.build_channel_output_cm):
+                calls.append(params)
+                return _fn(params)
+
+            monkeypatch.setattr(module, "build_channel_output_cm", counted)
+        assert len(rate_table(params)) == 3 * params.n_users
+        assert calls == [params] * (3 * params.n_users)
 
     def test_unphysical_network_raises_on_every_rate(self):
         params = unphysical_pair()

@@ -11,7 +11,9 @@ from cvqnet import (
     check_physicality,
     classical_outcome_cov,
     link_from_outcome_model,
+    format_config,
     measured_outcome_model,
+    parse_config,
 )
 from cvqnet.errors import ModelError, ValidationError
 
@@ -165,6 +167,19 @@ class TestBuilderMemo:
         assert not first.matrix.flags.writeable
         with pytest.raises(ValueError):
             first.matrix[0, 0] = 0.0
+
+    def test_equal_values_hash_equal(self, table1):
+        # the hash is taken once, at construction; equality compares fields
+        rng = np.random.default_rng(47)
+        for params in [table1] + [random_params(rng, max_users=8) for _ in range(10)]:
+            links = [(u.transmittance, u.excess_noise) for u in params.users]
+            users = tuple(dataclasses.replace(u) for u in params.users)
+            for copy in (params.with_links(links), dataclasses.replace(params, users=users),
+                         parse_config(format_config(params)).params):
+                assert copy == params and copy is not params
+                assert hash(copy) == hash(params)
+        bumped = table1.with_links([(0.1, 0.004)] * table1.n_users)
+        assert bumped != table1 and hash(bumped) != hash(table1)
 
     def test_different_params_get_their_own_state(self, table1):
         bumped = dataclasses.replace(table1, modulation_variance=table1.modulation_variance + 1.0)
