@@ -5,8 +5,8 @@ Subcommands: keyrate, decompose, sweep, simulate, estimate.  Every command is
 runs the command and writes its CSV lines (the canonical tabular output) or,
 with --format json, the JSON mirror of the same numbers, to stdout or --out.
 Exit codes: 0 success, 2 config/input or file error (a corrupt block file is
-reported as an input error), 3 numerical or physicality error, 4 guard
-refusal.
+reported as an input error), 3 numerical or physicality error or running out
+of memory, 4 guard refusal.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import replace
 from .config import default_config, load_config
 from .decomposition import all_orderings, decomposition_table, sample_orderings
 from .errors import ConfigError, CorruptInputError, CVQNetError, GuardRefusalError, ValidationError
-from .keyrates import TrustModel, derive_worst_case, rate_table
+from .keyrates import MODES, TrustModel, derive_worst_case, rate_table
 from .network import NetworkParams, UserLink
 from .simulate import (
     estimate_report,
@@ -73,10 +73,11 @@ def _cmd_keyrate(params: NetworkParams, args):
 def _user_index(raw: str, params: NetworkParams) -> int:
     try:
         k = int(raw) - 1
+        params.check_user(k)
+    except ValidationError:  # a ValueError too, so caught first
+        raise ConfigError(f"user {raw} out of range: config has {params.n_users} users") from None
     except ValueError:
         raise ConfigError(f"--user must be an index or 'all', got {raw!r}") from None
-    if not 0 <= k < params.n_users:
-        raise ConfigError(f"user {raw} out of range: config has {params.n_users} users")
     return k
 
 
@@ -160,19 +161,14 @@ def _sweep_values(args) -> list[float]:
 
 def _apply_sweep_value(params: NetworkParams, name: str, value: float, n_users: int) -> NetworkParams:
     if name == "loss_db":
-        # swept value is the channel loss; the uniform 1:M split is applied
-        # on top, so 0 dB means each of M users receives a 1/M share
+        # swept value is the channel loss; the uniform 1:M split is applied on top, so
+        # 0 dB gives each of M users a 1/M share (M < 1 builds no link: NetworkParams rejects it)
         if value < 0.0:
             raise ValidationError(f"channel loss must be >= 0 dB, got {value}")
-        if n_users < 1:
-            raise ValidationError("need at least one user")
-        eta = 10.0 ** (-value / 10.0) / n_users
+        eta = 10.0 ** (-value / 10.0)
         mean_eps = sum(u.excess_noise for u in params.users) / params.n_users
         mean_nu = sum(params.trusted_noise(k) for k in range(params.n_users)) / params.n_users
-        users = tuple(
-            UserLink(transmittance=eta, excess_noise=mean_eps, trusted_noise=mean_nu)
-            for _ in range(n_users)
-        )
+        users = tuple(UserLink(eta / n_users, mean_eps, mean_nu) for _ in range(n_users))
         return replace(params, users=users)
     if name == "N":
         return replace(params, block_size=int(round(value)))
@@ -229,12 +225,7 @@ def _cmd_simulate(params: NetworkParams, args):
 
 
 def _cmd_estimate(params: NetworkParams, args):
-    block = read_block(args.in_block)
-    if block.n_users != params.n_users:
-        raise ConfigError(
-            f"block has {block.n_users} users but config describes {params.n_users}"
-        )
-    report = estimate_report(block, params)
+    report = estimate_report(read_block(args.in_block), params)
     payload = {
         "n": report.n,
         "eps_pe": report.eps_pe,
@@ -275,11 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", help="write output to this path instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
+    trusts = tuple(t.value for t in TrustModel) + ("all",)
 
     p = sub.add_parser("keyrate", help="per-user secret key rates")
-    p.add_argument("--trust", choices=("untrusted", "collaborative", "trusted", "all"), default="all")
+    p.add_argument("--trust", choices=trusts, default="all")
     p.add_argument("--user", default="all", help="1-based user index or 'all'")
-    p.add_argument("--mode", choices=("finite", "asymptotic"), default="finite")
+    p.add_argument("--mode", choices=MODES, default="finite")
     p.add_argument(
         "--worst-case",
         choices=("none", "model"),
@@ -290,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="chain-rule decomposition of the joint rate")
     p.add_argument("--orders", default="all", help="'all', 'sample:K', or an explicit order '1,2,3,4'")
-    p.add_argument("--mode", choices=("finite", "asymptotic"), default="finite")
+    p.add_argument("--mode", choices=MODES, default="finite")
     p.add_argument("--seed", type=int, default=0, help="seed for sampled orderings")
     p.set_defaults(fn=_cmd_decompose)
 
@@ -299,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--trust", choices=("untrusted", "collaborative", "trusted", "all"), default="all")
-    p.add_argument("--mode", choices=("finite", "asymptotic"), default="finite")
+    p.add_argument("--trust", choices=trusts, default="all")
+    p.add_argument("--mode", choices=MODES, default="finite")
     p.add_argument("--users", type=int, help="uniform-network user count for loss_db sweeps")
     p.set_defaults(fn=_cmd_sweep)
 
@@ -348,6 +340,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

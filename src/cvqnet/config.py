@@ -1,9 +1,12 @@
 """Config-file ingestion for network parameters.
 
-Line-oriented `key = value [unit]` format with per-user sections.  Noise
-and variance fields must declare their unit (SNU or mSNU); everything is
-normalized to SNU at parse time.  Unknown keys are rejected with the line
-number so typos cannot silently change a security evaluation.
+Line-oriented `key = value [unit]` format with per-user sections, whose
+schema `_TOP_KEYS` and `_USER_KEYS` state once for `parse_config` and
+`format_config` alike.  Noise and variance fields must declare their unit
+(SNU or mSNU); everything is normalized to SNU at parse time.  An optional
+key left out takes its field's dataclass default.  Unknown keys are
+rejected with the line number so typos cannot silently change a security
+evaluation.
 
     modulation_variance = 5.04 SNU
     detector_efficiency = 0.68
@@ -26,27 +29,35 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError, ValidationError
 from .network import NetworkParams, UserLink
 
 _UNIT_SCALE = {"SNU": 1.0, "mSNU": 1e-3}
 
-# field name -> unit_required: True (number and SNU or mSNU), False (bare number),
-# None (on/off flag)
-_TOP_FIELDS = {
-    "modulation_variance": True,
-    "detector_efficiency": False,
-    "electronic_noise": True,
-    "beta": False,
-    "block_size": False,
-    "eps_pe": False,
-    "splitter_budget": None,  # on/off flag
+
+# A config key sets one NetworkParams or UserLink field; its kind is "SNU" (a number and
+# its unit, SNU or mSNU), "number", "count" (a positive integer) or "flag" (on/off).
+class _Key(NamedTuple):
+    field: str
+    kind: str
+    required: bool = False
+
+
+_TOP_KEYS = {
+    "modulation_variance": _Key("modulation_variance", "SNU", True),
+    "detector_efficiency": _Key("detector_efficiency", "number", True),
+    "electronic_noise": _Key("electronic_noise", "SNU"),
+    "beta": _Key("beta", "number", True),
+    "block_size": _Key("block_size", "count", True),
+    "eps_pe": _Key("eps_pe", "number"),
+    "splitter_budget": _Key("enforce_splitter_budget", "flag"),
 }
-_USER_FIELDS = {
-    "transmittance": False,
-    "excess_noise": True,
-    "trusted_noise": True,
+_USER_KEYS = {
+    "transmittance": _Key("transmittance", "number", True),
+    "excess_noise": _Key("excess_noise", "SNU", True),
+    "trusted_noise": _Key("trusted_noise", "SNU"),
 }
 
 _SECTION_RE = re.compile(r"^\[user\s+(\d+)\]$")
@@ -55,7 +66,6 @@ _SECTION_RE = re.compile(r"^\[user\s+(\d+)\]$")
 @dataclass(frozen=True)
 class RunConfig:
     params: NetworkParams
-    source: str  # path or "<builtin>"
 
 
 def _parse_number(token: str, line_no: int) -> float:
@@ -68,13 +78,13 @@ def _parse_number(token: str, line_no: int) -> float:
     return value
 
 
-def _parse_value(key: str, rest: str, unit_required: bool | None, line_no: int) -> float | bool:
+def _parse_value(key: str, rest: str, kind: str, line_no: int) -> float | bool:
     tokens = rest.split()
-    if unit_required is None:  # on/off flag
+    if kind == "flag":
         if rest not in ("on", "off"):
             raise ConfigError(f"line {line_no}: {key} must be 'on' or 'off', got {rest!r}")
         return rest == "on"
-    if unit_required:
+    if kind == "SNU":
         if len(tokens) != 2 or tokens[1] not in _UNIT_SCALE:
             raise ConfigError(
                 f"line {line_no}: {key} needs a value with unit SNU or mSNU, got {rest!r}"
@@ -110,52 +120,35 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {line!r}")
         key, rest = (part.strip() for part in line.split("=", 1))
-        fields = _USER_FIELDS if current is not None else _TOP_FIELDS
-        if key not in fields:
+        keys = _USER_KEYS if current is not None else _TOP_KEYS
+        if key not in keys:
             scope = "user section" if current is not None else "top level"
             raise ConfigError(f"line {line_no}: unknown {scope} key {key!r}")
         target = current if current is not None else top
-        if key in target:
+        if keys[key].field in target:
             raise ConfigError(f"line {line_no}: duplicate key {key!r}")
-        target[key] = _parse_value(key, rest, fields[key], line_no)
+        target[keys[key].field] = _parse_value(key, rest, keys[key].kind, line_no)
 
-    for required in ("modulation_variance", "detector_efficiency", "beta", "block_size"):
-        if required not in top:
-            raise ConfigError(f"{source}: missing required key {required!r}")
+    for key, spec in _TOP_KEYS.items():
+        if spec.required and spec.field not in top:
+            raise ConfigError(f"{source}: missing required key {key!r}")
     if not users:
         raise ConfigError(f"{source}: at least one [user N] section is required")
-
     for i, u in enumerate(users, start=1):
-        for required in ("transmittance", "excess_noise"):
-            if required not in u:
-                raise ConfigError(f"{source}: [user {i}] is missing {required!r}")
+        for key, spec in _USER_KEYS.items():
+            if spec.required and spec.field not in u:
+                raise ConfigError(f"{source}: [user {i}] is missing {key!r}")
 
-    block = float(top["block_size"])
+    block = top["block_size"]
     if block < 1 or abs(block - round(block)) > 1e-6 * max(1.0, block):
         raise ConfigError(f"{source}: block_size must be a positive integer, got {block}")
+    top["block_size"] = int(round(block))
 
     try:
-        links = tuple(
-            UserLink(
-                transmittance=float(u["transmittance"]),
-                excess_noise=float(u["excess_noise"]),
-                trusted_noise=float(u["trusted_noise"]) if "trusted_noise" in u else None,
-            )
-            for u in users
-        )
-        params = NetworkParams(
-            modulation_variance=float(top["modulation_variance"]),
-            users=links,
-            detector_efficiency=float(top["detector_efficiency"]),
-            electronic_noise=float(top.get("electronic_noise", 0.0)),
-            beta=float(top["beta"]),
-            block_size=int(round(block)),
-            eps_pe=float(top.get("eps_pe", 1e-10)),
-            enforce_splitter_budget=bool(top.get("splitter_budget", True)),
-        )
+        links = tuple(UserLink(**u) for u in users)
+        return RunConfig(params=NetworkParams(users=links, **top))
     except ValidationError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
-    return RunConfig(params=params, source=source)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -178,26 +171,27 @@ def _exact(value: float) -> str:
     return repr(float(value))
 
 
+def _format_value(value: float | bool, kind: str) -> str:
+    if kind == "flag":
+        return "on" if value else "off"
+    if kind == "count":
+        return str(value)
+    return f"{_exact(value)} SNU" if kind == "SNU" else _exact(value)
+
+
+def _format_section(values, keys: dict[str, _Key]) -> list[str]:
+    """`key = value` lines of one section; a field left unset (None) is omitted."""
+    fields = ((key, spec.kind, getattr(values, spec.field)) for key, spec in keys.items())
+    return [f"{key} = {_format_value(v, kind)}" for key, kind, v in fields if v is not None]
+
+
 def format_config(params: NetworkParams) -> str:
     """Emit a parseable config that parse_config reads back to equal params.
 
     Floats are written in their shortest exact form and noise and variance
     fields in SNU, so no digit is lost on the way back.
     """
-    lines = [
-        f"modulation_variance = {_exact(params.modulation_variance)} SNU",
-        f"detector_efficiency = {_exact(params.detector_efficiency)}",
-        f"electronic_noise = {_exact(params.electronic_noise)} SNU",
-        f"beta = {_exact(params.beta)}",
-        f"block_size = {params.block_size}",
-        f"eps_pe = {_exact(params.eps_pe)}",
-        f"splitter_budget = {'on' if params.enforce_splitter_budget else 'off'}",
-    ]
+    lines = _format_section(params, _TOP_KEYS)
     for i, user in enumerate(params.users, start=1):
-        lines.append("")
-        lines.append(f"[user {i}]")
-        lines.append(f"transmittance = {_exact(user.transmittance)}")
-        lines.append(f"excess_noise = {_exact(user.excess_noise)} SNU")
-        if user.trusted_noise is not None:
-            lines.append(f"trusted_noise = {_exact(user.trusted_noise)} SNU")
+        lines += ["", f"[user {i}]"] + _format_section(user, _USER_KEYS)
     return "\n".join(lines) + "\n"

@@ -56,6 +56,7 @@ from .network import (
     build_channel_output_cm,
     measured_outcome_model,
     receiver_map,
+    receiver_noise,
 )
 from .simulate import EstimateReport, worst_case_params
 
@@ -79,16 +80,14 @@ def delta_fs(block_size: float) -> float:
     return 7.0 * math.sqrt(math.log2(2e10) / block_size)
 
 
+MODES = ("finite", "asymptotic")  # with and without the Delta(N) penalty
+
+
 def _mode_delta(params: NetworkParams, mode: str) -> float:
     """Delta(N) of one user in "finite" mode, 0 in "asymptotic" mode."""
-    if mode not in ("finite", "asymptotic"):
-        raise ValidationError(f"mode must be 'finite' or 'asymptotic', got {mode!r}")
+    if mode not in MODES:
+        raise ValidationError(f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
     return delta_fs(params.block_size) if mode == "finite" else 0.0
-
-
-def _check_user(params: NetworkParams, k: int) -> None:
-    if not 0 <= k < params.n_users:
-        raise ValidationError(f"user index {k} out of range")
 
 
 @functools.lru_cache(maxsize=16)
@@ -119,7 +118,7 @@ def mutual_information(
     if k in cond:
         raise ValidationError(f"user {k} cannot condition on itself")
     for j in cond + [k]:
-        _check_user(params, j)
+        params.check_user(j)
     snrs = _outcome_snrs(params)
     info = _outcome_information(snrs, cond + [k])
     return info - _outcome_information(snrs, cond) if cond else info
@@ -200,7 +199,8 @@ class CoalitionValues:
             parent = chain[-1]
             grown = self._steps.get((parent, k))
             if grown is None:
-                if not 0 <= k < self.params.n_users or k in parent:
+                self.params.check_user(k)
+                if k in parent:
                     raise ValidationError(f"user {k} cannot join the coalition {set(parent)}")
                 grown = self._steps[parent, k] = parent | {k}
             chain.append(grown)
@@ -282,7 +282,7 @@ def _two_mode_holevo(a: float, b: float, c: float, eta_d: float, noise: float) -
     """S(A, B) - S(A, D1, D2 | y_B) in bits for the two-mode state with x block
     [[a, c], [c, b]] and p block [[a, -c], [-c, b]], B heterodyned behind a
     trusted receiver of efficiency eta_d and added noise N = `noise`
-    (`receiver_map`), so with outcome variance s = eta_d b + N.
+    (`receiver_noise`), so with outcome variance s = eta_d b + N.
 
     With det = ab - c^2, the spectrum before the measurement has
     nu_+ nu_- = det and nu_+ - nu_- = |a - b|, so nu_+^2 + nu_-^2 =
@@ -313,11 +313,11 @@ def _conditioned_pair_holevo(params: NetworkParams, k: int, f: float) -> float:
     of `holevo_collaborative` (f = 0: not conditioned): a - (a + 1) f,
     b - V_mod eta_k f and c (1 - f), where a, b and c are the entries (0, 0),
     (k+1, k+1) and (0, k+1) of the channel output's x block."""
-    _check_user(params, k)
+    params.check_user(k)
     gamma = build_channel_output_cm(params).matrix
     i = 2 * (k + 1)
     eta_d = params.detector_efficiency
-    noise = receiver_map(eta_d, params.trusted_noise(k)).noise
+    noise = receiver_noise(eta_d, params.trusted_noise(k))
     a, c = gamma[0, [0, i]].tolist()
     b = gamma[i, i].item() - params.modulation_variance * params.users[k].transmittance * f
     return _two_mode_holevo(a - (a + 1.0) * f, b, c * (1.0 - f), eta_d, noise)
@@ -336,7 +336,7 @@ def holevo_trusted(params: NetworkParams, k: int) -> float:
     (A, B1..BM) loses when user k alone measures behind its trusted
     receiver.  Read from the singleton layer of `CoalitionValues`, which is
     evaluated once per network state for all M users."""
-    _check_user(params, k)
+    params.check_user(k)
     return _singletons(params, build_channel_output_cm(params)).holevo(frozenset((k,)))
 
 
@@ -345,7 +345,7 @@ def holevo_collaborative(params: NetworkParams, k: int) -> float:
 
     Assisting receivers are applied as untrusted maps: each scales its
     mode's rows and columns by sqrt(eta_d), and its outcome variance is
-    eta_d W + N with the N of `receiver_map`, so the disclosed data carry
+    eta_d W + N with the N of `receiver_noise`, so the disclosed data carry
     the receiver's loss and noise but nothing is purified for them.  The
     reference user's own receiver stays trusted.
 
@@ -403,7 +403,6 @@ def key_rate(
     and the given params are used directly (maximum-likelihood reading).
     """
     delta = _mode_delta(params, mode)
-    _check_user(params, k)
     if mode == "asymptotic":
         eval_params = params
         source = "ml-asymptotic"

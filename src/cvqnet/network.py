@@ -97,6 +97,11 @@ class NetworkParams:
     def n_users(self) -> int:
         return len(self.users)
 
+    def check_user(self, k: int) -> None:
+        """Raise ValidationError unless k is a user index (0-based)."""
+        if not 0 <= k < len(self.users):
+            raise ValidationError(f"user index {k} out of range for {len(self.users)} users")
+
     def trusted_noise(self, k: int) -> float:
         """Electronic noise of user k (0-based), falling back to the shared value."""
         nu = self.users[k].trusted_noise
@@ -174,7 +179,12 @@ class ReceiverMap(NamedTuple):
     ru: float  # sqrt(1 - eta_d + nu_el / 2)
     rw: float  # sqrt(nu_el / 2)
     s: float  # sqrt(1 + nu_el / 2)
-    noise: float  # N = 2 - eta_d + nu_el: the outcome variance is eta_d W + N
+    noise: float  # N of `receiver_noise`: the outcome variance is eta_d W + N
+
+
+def receiver_noise(detector_efficiency, electronic_noise):
+    """N = 2 - eta_d + nu_el: the outcome variance behind a receiver is eta_d W + N."""
+    return 2.0 - detector_efficiency + electronic_noise
 
 
 def receiver_map(detector_efficiency, electronic_noise) -> ReceiverMap:
@@ -205,7 +215,7 @@ def receiver_map(detector_efficiency, electronic_noise) -> ReceiverMap:
         sqrt(1.0 - eta_d + nu_el / 2.0),
         sqrt(nu_el / 2.0),
         sqrt(1.0 + nu_el / 2.0),
-        2.0 - eta_d + nu_el,
+        receiver_noise(eta_d, nu_el),
     )
 
 
@@ -257,16 +267,15 @@ def measured_outcome_model(params: NetworkParams, k: int) -> OutcomeModel:
     """Heterodyne outcome statistics for user k, per quadrature.
 
     y_q = gain * s_q + n with gain = sqrt(eta_k eta_d / 2) and
-    Var(y_q) = (eta_d W_k + N) / 2, N = 2 - eta_d + nu_el of `receiver_map`,
+    Var(y_q) = (eta_d W_k + N) / 2, N = 2 - eta_d + nu_el of `receiver_noise`,
     where W_k = eta_k V_mod + 1 + eps_k is the channel-output variance.  The
     1/2 and the +1 vacuum unit in N are the heterodyne conventions.
     """
-    if not 0 <= k < params.n_users:
-        raise ValidationError(f"user index {k} out of range for {params.n_users} users")
+    params.check_user(k)
     user = params.users[k]
     eta_d = params.detector_efficiency
     gain = math.sqrt(user.transmittance * eta_d / 2.0)
-    added = receiver_map(eta_d, params.trusted_noise(k)).noise
+    added = receiver_noise(eta_d, params.trusted_noise(k))
     return OutcomeModel(float(gain), float((eta_d * (1.0 + user.excess_noise) + added) / 2.0))
 
 
@@ -280,7 +289,7 @@ def link_from_outcome_model(
     """
     eta_d = detector_efficiency
     transmittance = 2.0 * gain * gain / eta_d
-    added = receiver_map(eta_d, electronic_noise).noise
+    added = receiver_noise(eta_d, electronic_noise)
     excess_noise = (2.0 * noise_variance - added) / eta_d - 1.0
     return float(transmittance), float(excess_noise)
 

@@ -27,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import CorruptInputError, ModelError, ValidationError
+from .errors import ConfigError, CorruptInputError, ModelError, ValidationError
 from .network import NetworkParams, classical_outcome_cov, link_from_outcome_model
 
 MAGIC = b"CVNB"
@@ -262,7 +262,9 @@ class EstimateReport:
 
 
 def estimate_report(block: SymbolBlock, params: NetworkParams) -> EstimateReport:
-    """Estimates, intervals and worst-case corners for every user of a block."""
+    """Estimates, intervals and worst-case corners for every user of a block drawn on `params`."""
+    if block.n_users != params.n_users:
+        raise ConfigError(f"block has {block.n_users} users but config describes {params.n_users}")
     estimates = [estimate(block, k) for k in range(block.n_users)]
     return EstimateReport.from_estimates(params, estimates, block.n)
 

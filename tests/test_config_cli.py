@@ -4,9 +4,27 @@ import numpy as np
 import pytest
 
 from conftest import random_params
-from cvqnet import default_config, format_config, parse_config, simulate, write_block
+from cvqnet import (
+    NetworkParams,
+    UserLink,
+    default_config,
+    format_config,
+    parse_config,
+    simulate,
+    write_block,
+)
 from cvqnet.cli import main
 from cvqnet.errors import ConfigError
+
+TABLE1_TEXT = (
+    "modulation_variance = 5.04 SNU\ndetector_efficiency = 0.68\nelectronic_noise = 0.06 SNU\n"
+    "beta = 0.95\nblock_size = 1250000000\neps_pe = 1e-10\nsplitter_budget = on\n"
+    "\n[user 1]\ntransmittance = 0.13\nexcess_noise = 0.00417 SNU\ntrusted_noise = 0.054 SNU\n"
+    "\n[user 2]\ntransmittance = 0.12\nexcess_noise = 0.00296 SNU\ntrusted_noise = 0.0498 SNU\n"
+    "\n[user 3]\ntransmittance = 0.11\nexcess_noise = 0.00501 SNU\ntrusted_noise = 0.06022 SNU\n"
+    "\n[user 4]\ntransmittance = 0.1\nexcess_noise = 0.0051600000000000005 SNU\n"
+    "trusted_noise = 0.05108 SNU\n"
+)
 
 
 class TestConfigParsing:
@@ -55,6 +73,26 @@ class TestConfigParsing:
         text = "beta = 0.95\nbeta = 0.9\n"
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config(text)
+
+    def test_format_table1_exact_text(self, table1):
+        assert format_config(table1) == TABLE1_TEXT
+
+    def test_optional_keys_take_the_dataclass_defaults(self):
+        cfg = parse_config(
+            "modulation_variance = 5 SNU\ndetector_efficiency = 0.7\nbeta = 0.9\n"
+            "block_size = 1e6\n[user 1]\ntransmittance = 0.5\nexcess_noise = 10 mSNU\n"
+        )
+        expected = NetworkParams(
+            modulation_variance=5.0,
+            users=(UserLink(transmittance=0.5, excess_noise=0.01),),
+            detector_efficiency=0.7,
+            beta=0.9,
+            block_size=1_000_000,
+        )
+        assert cfg.params == expected
+        assert cfg.params.users[0].trusted_noise is None
+        assert cfg.params.trusted_noise(0) == cfg.params.electronic_noise == 0.0
+        assert (cfg.params.eps_pe, cfg.params.enforce_splitter_budget) == (1e-10, True)
 
     def test_roundtrip_reproduces_numbers(self, table1):
         text = format_config(table1)
@@ -410,6 +448,34 @@ class TestCLI:
         assert main(argv) == 2
         assert "file error:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("users", [3, 5])
+    def test_estimate_block_user_count_mismatch_exits_2(self, users, capsys, tmp_path):
+        block_path = tmp_path / "b.cvnb"
+        assert main(["simulate", "--symbols", "2000", "--seed", "1",
+                     "--out-block", str(block_path)]) == 0
+        capsys.readouterr()
+        table1 = default_config().params
+        links = (table1.users * 2)[:users]
+        network = NetworkParams(modulation_variance=5.04, users=links)
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text(format_config(network))
+        assert main(["--config", str(cfg), "estimate", "--in", str(block_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config error: block has 4 users but config describes {users}" in captured.err
+
+    @pytest.mark.parametrize("argv", [["keyrate"], ["decompose", "--orders", "sample:3"]])
+    def test_out_of_memory_exits_3(self, argv, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("cvqnet.cli.rate_table", exhausted)
+        monkeypatch.setattr("cvqnet.cli.sample_orderings", exhausted)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory\n"
 
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -16,6 +16,7 @@ from cvqnet import (
     holevo_trusted,
     holevo_untrusted,
     key_rate,
+    measured_outcome_model,
     mutual_information,
     rate_table,
 )
@@ -738,3 +739,41 @@ class TestKeyRate:
     def test_bad_mode(self, table1):
         with pytest.raises(ValidationError):
             key_rate(table1, TrustModel.TRUSTED, 0, mode="fast")
+
+
+BAD_USERS = pytest.mark.parametrize("k", [4, -1], ids=["M", "minus_1"])  # table1 has M = 4
+
+
+class TestUserIndexGuard:
+    """`NetworkParams.check_user` is the one user-index guard, and every
+    public entry that takes a user index reaches it."""
+
+    @staticmethod
+    def raises(k):
+        return pytest.raises(ValidationError, match=f"user index {k} out of range for 4 users")
+
+    @BAD_USERS
+    @pytest.mark.parametrize("trust", list(TrustModel), ids=lambda t: t.value)
+    @pytest.mark.parametrize("mode", ["finite", "asymptotic"])
+    def test_key_rate(self, table1, trust, mode, k):
+        with self.raises(k):
+            key_rate(table1, trust, k, mode=mode)
+
+    @BAD_USERS
+    @pytest.mark.parametrize("user,conditioned_on", [("k", ()), ("k", (0, 1)), (0, ("k",)),
+                                                     (0, (2, "k"))])
+    def test_mutual_information(self, table1, user, conditioned_on, k):
+        with self.raises(k):
+            mutual_information(table1, k if user == "k" else user,
+                               [k if j == "k" else j for j in conditioned_on])
+
+    @BAD_USERS
+    @pytest.mark.parametrize("holevo", [holevo_untrusted, holevo_trusted, holevo_collaborative])
+    def test_holevo_bounds(self, table1, holevo, k):
+        with self.raises(k):
+            holevo(table1, k)
+
+    @BAD_USERS
+    def test_measured_outcome_model(self, table1, k):
+        with self.raises(k):
+            measured_outcome_model(table1, k)

@@ -21,7 +21,7 @@ from cvqnet import (
     write_block,
     write_block_csv,
 )
-from cvqnet.errors import CorruptInputError, ValidationError
+from cvqnet.errors import ConfigError, CorruptInputError, ValidationError
 from cvqnet.simulate import (
     _HEADER,
     FORMAT_VERSION,
@@ -139,6 +139,13 @@ class TestEstimate:
         t_hat, sigma2_hat = estimate(block, 0)
         assert t_hat == pytest.approx(t_true, rel=1e-12)
         assert sigma2_hat == pytest.approx(0.0, abs=1e-20)
+
+    @pytest.mark.parametrize("users", [5, 3])
+    def test_report_rejects_block_of_another_user_count(self, table1, users):
+        other = NetworkParams(modulation_variance=5.04, users=(table1.users * 2)[:users])
+        block = simulate(other, 2000, seed=4)
+        with pytest.raises(ConfigError, match=f"block has {users} users but config describes 4"):
+            estimate_report(block, table1)
 
     def test_estimates_recover_truth(self, table1):
         # 3-sigma tolerances: sd(eps_hat) = 2 sigma2 sqrt(2/n) / eta_d is
