@@ -15,9 +15,9 @@ fresh one on the channel output; it is not shared across tables, since a
 full lattice holds 2^M coalitions.  A table first collects the prefix
 coalitions of all its orderings and evaluates them one layer (coalition
 size) at a time: the whole layer is measured from the layer below in one
-stacked `measure_reference_user_blocks` step on the states' x and p blocks,
-its entropies come from one `block_entropies` call, and each coalition
-adds one closed-form I(A : y_S).
+stacked `measure_reference_user_blocks` step on the states' x blocks, its
+entropies come from one `block_entropies` call on X and P = J X J, and each
+coalition adds one closed-form I(A : y_S).
 """
 
 from __future__ import annotations
@@ -56,17 +56,21 @@ def decompose(
     table's `coalitions`, filled with every prefix of its orderings, to read
     the row from it; prefixes it lacks are evaluated along this order.
     """
-    order = tuple(map(int, order))
+    order = tuple(map(params.check_user, order))
     delta = _mode_delta(params, mode)
     if coalitions is None:
         coalitions = CoalitionValues(params, build_channel_output_cm(params))
     elif coalitions.params != params:
         raise ValidationError("coalition values belong to a different network")
+    return _row(coalitions, order, delta)
+
+
+def _row(coalitions: CoalitionValues, order: tuple[int, ...], delta: float) -> DecompositionRow:
+    """The row of `order`, a tuple of user indices, read from `coalitions`."""
+    m = coalitions.params.n_users
     chain = coalitions.prefixes(order)
-    if len(chain) != params.n_users + 1:  # with distinct users in range: a permutation
-        raise ValidationError(
-            f"ordering must be a permutation of 0..{params.n_users - 1}, got {order}"
-        )
+    if len(chain) != m + 1:  # with distinct users in range: a permutation
+        raise ValidationError(f"ordering must be a permutation of 0..{m - 1}, got {order}")
     values = [coalitions.value(coalition) for coalition in chain]
     contributions = tuple(after - before - delta for before, after in zip(values, values[1:]))
     return DecompositionRow(order, contributions, float(sum(contributions)))
@@ -84,12 +88,13 @@ def decomposition_table(
     """Decomposition rows of the given orderings and the joint rate.  The rows
     share one `CoalitionValues`, filled with every prefix coalition of the
     orderings before the first row; v(all) is the coalition every row ends on."""
-    orders = [tuple(map(int, order)) for order in orders]
+    orders = [tuple(map(params.check_user, order)) for order in orders]
     if not orders:
         raise ValidationError("need at least one ordering")
+    delta = _mode_delta(params, mode)
     coalitions = CoalitionValues(params, build_channel_output_cm(params))
     coalitions.fill(orders)
-    rows = tuple(decompose(params, order, mode, coalitions) for order in orders)
+    rows = tuple(_row(coalitions, order, delta) for order in orders)
     return DecompositionTable(rows, _joint_rate(coalitions, mode).rate)
 
 

@@ -15,24 +15,23 @@ Reverse reconciliation throughout: Holevo bounds are conditioned on the
 reference user's own measurement, behind a trusted receiver of efficiency
 eta_d and electronic noise nu_el (`receiver_map`) in every interpretation.
 `measure_reference_user_blocks` does that measurement in one closed-form
-step on the x and p blocks of a stack of states, each member measuring its
-own mode behind its own receiver; the measurement keeps one ancilla, and
-`attach_trusted_detector` followed by `condition_on_heterodyne` is the same
-map written out on the labelled extended state.  The trusted bound of user k
-is chi({k}) = S(sigma_0) - S(sigma_{k}) of `CoalitionValues`, the coalition
-set function the decomposition reads too: per network state, one stacked
-step measures all M singletons from the channel output and one
+step on the x blocks of a stack of states (P = J X J, `quadrature_signs`, is
+formed only where a spectrum is taken), each member measuring its own mode
+behind its own receiver and keeping one ancilla.  The trusted bound of user
+k is chi({k}) = S(sigma_0) - S(sigma_{k}) of `CoalitionValues`, the
+coalition set function the decomposition reads too: per network state, one
+stacked step measures all M singletons from the channel output and one
 `block_entropies` call takes their entropies; S(sigma_0) is the spectrum
 the builder's physicality check already took.  The untrusted and
 collaborative bounds are read on a two-mode state (A, Bk) with x block
-[[a, c], [c, b]] and p block [[a, -c], [-c, b]], where chi is a closed form
-in the scalars a, b, c, eta_d and the receiver's added noise
-N = 2 - eta_d + nu_el (`_two_mode_holevo`; Lodewyck et al., PRA 76, 042305
-(2007)).  Conditioning (A, Bk) on the other users' outcomes is rank one, so
-the collaborative pair is (a - (a + 1) f, b - V_mod eta_k f, c (1 - f)) with
-f = Sigma_O / (1 + Sigma_O), Sigma_O their outcome SNR sum.  Mutual
-information is log2(1 + sum_k snr_k), snr_k = V_mod g_k^2 / N_k, of the
-classical outcome model; the M SNRs are taken once per network.
+[[a, c], [c, b]], where chi is a closed form in the scalars a, b, c, eta_d
+and the receiver's added noise N = 2 - eta_d + nu_el (`_two_mode_holevo`;
+Lodewyck et al., PRA 76, 042305 (2007)).  Conditioning (A, Bk) on the other
+users' outcomes is rank one, so the collaborative pair is
+(a - (a + 1) f, b - V_mod eta_k f, c (1 - f)) with f = Sigma_O / (1 + Sigma_O),
+Sigma_O their outcome SNR sum.  Mutual information is log2(1 + sum_k snr_k),
+snr_k = V_mod g_k^2 / N_k, of the classical outcome model; the M SNRs are
+taken once per network.
 
 `derive_worst_case` places the model-implied corner with the same
 `worst_case_params` as block estimates.  A zero-transmittance link carries
@@ -55,6 +54,7 @@ from .network import (
     NetworkParams,
     build_channel_output_cm,
     measured_outcome_model,
+    quadrature_signs,
     receiver_map,
     receiver_noise,
 )
@@ -114,34 +114,33 @@ def mutual_information(
     params: NetworkParams, k: int, conditioned_on: Iterable[int] = ()
 ) -> float:
     """I(A : y_k | y_cond) = I(A : y_cond + {k}) - I(A : y_cond), bits per use."""
-    cond = sorted(set(int(j) for j in conditioned_on))
+    k = params.check_user(k)
+    cond = sorted({params.check_user(j) for j in conditioned_on})
     if k in cond:
         raise ValidationError(f"user {k} cannot condition on itself")
-    for j in cond + [k]:
-        params.check_user(j)
     snrs = _outcome_snrs(params)
     info = _outcome_information(snrs, cond + [k])
     return info - _outcome_information(snrs, cond) if cond else info
 
 
 def measure_reference_user_blocks(
-    x: np.ndarray, p: np.ndarray, index: np.ndarray, eta_d: np.ndarray, nu_el: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature blocks of everything retained after a reference user's
-    measurement, for a stack of states without x-p correlation.
-
-    Member b is held as its (n, n) quadrature blocks x[b], p[b]; it
-    heterodynes its mode index[b] behind its own trusted receiver
+    x: np.ndarray, index: np.ndarray, eta_d: np.ndarray, nu_el: np.ndarray
+) -> np.ndarray:
+    """X blocks retained after a reference user's measurement, for a stack of
+    states with P = J X J (`quadrature_signs`): member b, held as its x block
+    x[b], heterodynes its mode index[b] behind its own trusted receiver
     (eta_d[b], nu_el[b]) in one closed-form step.  That is the map of
     `condition_on_heterodyne(attach_trusted_detector(...))` without forming
     the extended state, less the ancilla D2, which that leaves in vacuum
-    (`receiver_map`).  In either quadrature, with block Q, the mode's entry
-    w, its cross column C with the other modes O and the outcome variance
-    a = eta_d w + N, the retained modes (O, D1) have the block
-        [[Q_O - eta_d C C^T / a, -2 s ru C / a], [., (N w + eta_d) / a]].
-    The arithmetic is member by member, so a member's result does not depend
-    on the rest of the stack.  Returns the (B, n, n) blocks of the retained
-    modes: the other modes in order, then D1.
+    (`receiver_map`).  With the mode's entry w, its cross column C with the
+    other modes O and the outcome variance a = eta_d w + N, the retained
+    modes (O, D1) have the block
+        [[X_O - eta_d C C^T / a, -2 s ru C / a], [., (N w + eta_d) / a]].
+    P obeys the same formula, the measured mode is never Alice's and D1
+    joins last with sign +1, so the result keeps P = J X J.  The arithmetic
+    is member by member, so a member's result does not depend on the rest
+    of the stack.  Returns the (B, n, n) x blocks of the retained modes: the
+    other modes in order, then D1.
     """
     members = np.arange(len(index))
     n = x.shape[-1]
@@ -149,20 +148,17 @@ def measure_reference_user_blocks(
     keep = np.arange(n) != index[:, None]  # the other modes of each member
     kept = keep[:, :, None] & keep[:, None, :]
     receiver = receiver_map(eta_d, nu_el)
-    out = []
-    for block in (x, p):
-        w = block[members, index, index]
-        outcome = eta_d * w + receiver.noise
-        cross = block[members, :, index][keep].reshape(-1, o)
-        scaled = (receiver.t / np.sqrt(outcome))[:, None] * cross
-        retained = np.empty((len(index), n, n))
-        retained[:, :o, :o] = block[kept].reshape(-1, o, o) - scaled[:, :, None] * scaled[:, None, :]
-        retained[:, :o, o] = retained[:, o, :o] = (
-            (-2.0 * receiver.s * receiver.ru / outcome)[:, None] * cross
-        )
-        retained[:, o, o] = (receiver.noise * w + eta_d) / outcome
-        out.append(retained)
-    return out[0], out[1]
+    w = x[members, index, index]
+    outcome = eta_d * w + receiver.noise
+    cross = x[members, :, index][keep].reshape(-1, o)
+    scaled = (receiver.t / np.sqrt(outcome))[:, None] * cross
+    retained = np.empty((len(index), n, n))
+    retained[:, :o, :o] = x[kept].reshape(-1, o, o) - scaled[:, :, None] * scaled[:, None, :]
+    retained[:, :o, o] = retained[:, o, :o] = (
+        (-2.0 * receiver.s * receiver.ru / outcome)[:, None] * cross
+    )
+    retained[:, o, o] = (receiver.noise * w + eta_d) / outcome
+    return retained
 
 
 class CoalitionValues:
@@ -177,7 +173,7 @@ class CoalitionValues:
 
     `fill(orders)` evaluates every prefix coalition of the orders, one layer
     (coalition size) at a time; only the layer being measured from is held,
-    as (B, n, n) x and p blocks.  `terms` maps each coalition evaluated to
+    as its (B, n, n) x blocks.  `terms` maps each coalition evaluated to
     (I(A : y_S), S(sigma_S)).  Each step S -> S + {k} of a prefix chain is
     checked and built once and then looked up, so chains share their
     coalitions.
@@ -189,6 +185,7 @@ class CoalitionValues:
         self._eta_d = np.full(params.n_users, params.detector_efficiency)
         self._nu_el = np.array([params.trusted_noise(k) for k in range(params.n_users)])
         self._root = channel_output
+        self._signs = quadrature_signs(params.n_users + 1)  # every layer keeps M + 1 modes
         self.terms = {frozenset(): (0.0, von_neumann_entropy(channel_output))}
         self._steps: dict[tuple[frozenset, int], frozenset] = {}  # (S, k) -> S + {k}
 
@@ -226,17 +223,16 @@ class CoalitionValues:
         layers = [layer for layer in layers if layer]
         if all(coalition in self.terms for layer in layers for coalition in layer):
             return
-        gamma = self._root.matrix
-        x, p = gamma[None, 0::2, 0::2], gamma[None, 1::2, 1::2]
+        x = self._root.matrix[None, 0::2, 0::2]
         position = {frozenset(): 0}
         for layer in layers:
             parents = np.array([position[parent] for parent, _ in layer.values()])
             joining = np.array([k for _, k in layer.values()])
             index = np.array([k + 1 - sum(j < k for j in parent) for parent, k in layer.values()])
-            x, p = measure_reference_user_blocks(
-                x[parents], p[parents], index, self._eta_d[joining], self._nu_el[joining]
+            x = measure_reference_user_blocks(
+                x[parents], index, self._eta_d[joining], self._nu_el[joining]
             )
-            for coalition, entropy in zip(layer, block_entropies(x, p).tolist()):
+            for coalition, entropy in zip(layer, block_entropies(x, x * self._signs).tolist()):
                 if coalition not in self.terms:
                     info = _outcome_information(self._snrs, coalition)
                     self.terms[coalition] = (info, entropy)
@@ -280,17 +276,16 @@ def _symplectic_pair(split: float, product: float) -> tuple[float, float]:
 
 def _two_mode_holevo(a: float, b: float, c: float, eta_d: float, noise: float) -> float:
     """S(A, B) - S(A, D1, D2 | y_B) in bits for the two-mode state with x block
-    [[a, c], [c, b]] and p block [[a, -c], [-c, b]], B heterodyned behind a
-    trusted receiver of efficiency eta_d and added noise N = `noise`
-    (`receiver_noise`), so with outcome variance s = eta_d b + N.
+    [[a, c], [c, b]] (and P = J X J), B heterodyned behind a trusted receiver
+    of efficiency eta_d and added noise N = `noise` (`receiver_noise`), so
+    with outcome variance s = eta_d b + N.
 
     With det = ab - c^2, the spectrum before the measurement has
     nu_+ nu_- = det and nu_+ - nu_- = |a - b|, so nu_+^2 + nu_-^2 =
     a^2 + b^2 - 2c^2 (Weedbrook et al., RMP 84, 621 (2012)).  The conditional
-    state is `measure_reference_user_blocks` with O = {A}: the pair (A, D1) with
+    state is `measure_reference_user_blocks` with O = {A}, the pair (A, D1) with
     x block [[a - eta_d c^2 / s, -2 s' ru c / s], [., (N b + eta_d) / s]]
-    (s' the receiver's s) and the same p block up to the sign of c, so the
-    same two relations give its spectrum.  They reduce to
+    (s' the receiver's s), where the same two relations reduce to
         lambda_3 lambda_4 = (det N + eta_d a) / s,
         |lambda_3 - lambda_4| = |eta_d (1 - det) + N (b - a)| / s,
     which keep full precision when the two are close (a nearly pure state,
@@ -357,9 +352,8 @@ def holevo_collaborative(params: NetworkParams, k: int) -> float:
     q = sum_j eta_j / D_j, and eta_d V_mod q = Sigma_O = sum_{j != k} snr_j,
     the other users' outcome SNR sum.  So conditioning subtracts
     u u^T f / V_mod with f = Sigma_O / (1 + Sigma_O): (a, b, c) of the
-    unconditioned pair become (a - (a + 1) f, b - V_mod eta_k f, c (1 - f)).
-    The p block mirrors the x block up to the sign of c.  f = 0, and the
-    bound is the untrusted one, when no other user sees the signal.
+    unconditioned pair become (a - (a + 1) f, b - V_mod eta_k f, c (1 - f)),
+    and f = 0, the untrusted bound, when no other user sees the signal.
     """
     others = math.fsum(snr for j, snr in enumerate(_outcome_snrs(params)) if j != k)
     return _conditioned_pair_holevo(params, k, others / (1.0 + others))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Sequence
 
@@ -26,6 +27,14 @@ SIGMA_P = np.diag([1.0, 1.0, -1.0])  # p flips the sign of D2 and V2
 ALICE_LABEL = "A"
 
 SPLITTER_BUDGET_SLACK = 1e-6
+
+
+def check_receiver(detector_efficiency: float, electronic_noise: float) -> None:
+    """Raise ValidationError unless eta_d is in (0, 1] and nu_el is finite and >= 0."""
+    if not 0.0 < detector_efficiency <= 1.0:
+        raise ValidationError("detector efficiency must be in (0, 1]")
+    if not 0.0 <= electronic_noise < math.inf:
+        raise ValidationError(f"electronic noise must be finite and >= 0, got {electronic_noise}")
 
 
 @dataclass(frozen=True)
@@ -70,12 +79,7 @@ class NetworkParams:
             )
         if not self.users:
             raise ValidationError("need at least one user")
-        if not 0.0 < self.detector_efficiency <= 1.0:
-            raise ValidationError("detector efficiency must be in (0, 1]")
-        if not 0.0 <= self.electronic_noise < math.inf:
-            raise ValidationError(
-                f"electronic noise must be finite and >= 0, got {self.electronic_noise}"
-            )
+        check_receiver(self.detector_efficiency, self.electronic_noise)
         if not 0.0 < self.beta <= 1.0:
             raise ValidationError("reconciliation efficiency must be in (0, 1]")
         if not 1 <= self.block_size < math.inf:
@@ -97,10 +101,15 @@ class NetworkParams:
     def n_users(self) -> int:
         return len(self.users)
 
-    def check_user(self, k: int) -> None:
-        """Raise ValidationError unless k is a user index (0-based)."""
+    def check_user(self, k: int) -> int:
+        """k as an int if it is a user index (0-based); else ValidationError."""
+        try:
+            k = operator.index(k)
+        except TypeError:
+            raise ValidationError(f"user index must be an integer, got {k!r}") from None
         if not 0 <= k < len(self.users):
             raise ValidationError(f"user index {k} out of range for {len(self.users)} users")
+        return k
 
     def trusted_noise(self, k: int) -> float:
         """Electronic noise of user k (0-based), falling back to the shared value."""
@@ -123,6 +132,13 @@ def user_label(k: int) -> str:
     return f"B{k + 1}"
 
 
+def quadrature_signs(n_modes: int) -> np.ndarray:
+    """j j^T, j = (-1, 1, ..., 1) with Alice first: P = J X J is X * j j^T."""
+    signs = np.ones((n_modes, n_modes))
+    signs[0, 1:] = signs[1:, 0] = -1.0
+    return signs
+
+
 @functools.lru_cache(maxsize=16)
 def build_channel_output_cm(params: NetworkParams) -> CovarianceMatrix:
     """Joint covariance of Alice and all channel outputs B1..BM.
@@ -136,10 +152,10 @@ def build_channel_output_cm(params: NetworkParams) -> CovarianceMatrix:
     branches share the full signal mode (variance V) but vacuum contributions
     between distinct outputs cancel one unit, leaving V - 1 = V_mod.
 
-    The x and p quadratures are uncoupled, so each is one (M+1)x(M+1) block
-    interleaved into Gamma.  Memoised per `NetworkParams` value: the state
-    is read-only, and each new state passes the physicality check; one that
-    fails it, positive definite or not, raises ModelError naming the params.
+    The x and p blocks are uncoupled, P = J X J (`quadrature_signs`) as in
+    every state measured from it.  Memoised per `NetworkParams` value: the
+    state is read-only, and each new state passes the physicality check; a
+    failing one, positive definite or not, raises ModelError naming its params.
     """
     v_mod = params.modulation_variance
     v = v_mod + 1.0
@@ -151,11 +167,9 @@ def build_channel_output_cm(params: NetworkParams) -> CovarianceMatrix:
     x[1:, 1:] = np.sqrt(np.outer(eta, eta)) * v_mod
     x[1:, 1:][np.diag_indices(m)] = eta * v_mod + 1.0 + eps
     x[0, 1:] = x[1:, 0] = np.sqrt(eta * (v * v - 1.0))
-    p = x.copy()
-    p[0, 1:] = p[1:, 0] = -x[0, 1:]
     gamma = np.zeros((2 * (m + 1), 2 * (m + 1)))
     gamma[0::2, 0::2] = x
-    gamma[1::2, 1::2] = p
+    gamma[1::2, 1::2] = x * quadrature_signs(m + 1)
     labels = (ALICE_LABEL,) + tuple(user_label(k) for k in range(m))
     cm = CovarianceMatrix(gamma, labels)
     try:
@@ -233,10 +247,7 @@ def attach_trusted_detector(
     receiver variance, while the noise purification stays out of the
     eavesdropper's hands.
     """
-    if not 0.0 < detector_efficiency <= 1.0:
-        raise ValidationError("detector efficiency must be in (0, 1]")
-    if not 0.0 <= electronic_noise < math.inf:
-        raise ValidationError("electronic noise must be finite and >= 0")
+    check_receiver(detector_efficiency, electronic_noise)
     idx = cm.mode_index(mode)
     n = cm.dim_modes
     d1 = f"D1_{mode}"

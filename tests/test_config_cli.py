@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,6 +155,17 @@ def _estimate_csv(payload):
     ]
 
 
+GOLDEN_DIR = Path(__file__).parent / "data" / "cli"
+# outputs on the bundled config, which CI also diffs against the installed entry
+# point; a change that moves a number rewrites them and lists the moved digits in CHANGES.md
+GOLDEN_OUTPUTS = [
+    ("keyrate.json", ["--format", "json", "keyrate"]),
+    ("decompose_all.json", ["--format", "json", "decompose", "--orders", "all"]),
+    ("sweep_loss_db.csv", ["sweep", "--param", "loss_db", "--from", "0", "--to", "30",
+                           "--steps", "61"]),
+]
+
+
 class TestCLI:
     def run(self, capsys, *argv):
         code = main(list(argv))
@@ -206,6 +218,13 @@ class TestCLI:
         assert code == 0
         # every CSV cell is the matching JSON value printed with %.10g
         assert csv_from_json(json.loads(json_out)) == csv_out.splitlines()
+
+    @pytest.mark.parametrize("name,argv", GOLDEN_OUTPUTS, ids=[name for name, _ in GOLDEN_OUTPUTS])
+    def test_golden_output(self, capsys, name, argv):
+        # full-precision JSON floats make this a bit-level pin of the library
+        code, out = self.run(capsys, *argv)
+        assert code == 0
+        assert out == (GOLDEN_DIR / name).read_text()
 
     def test_keyrate_deterministic_output(self, capsys):
         _, first = self.run(capsys, "keyrate")

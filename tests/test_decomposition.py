@@ -15,6 +15,7 @@ from cvqnet import (
     build_channel_output_cm,
     condition_on_heterodyne,
     decompose,
+    decomposition_table,
     delta_fs,
     holevo_untrusted,
     joint_key_rate,
@@ -168,6 +169,14 @@ class TestDecompose:
             decompose(table1, (0, 1, 2))
         with pytest.raises(ValidationError):
             decompose(table1, (0, 1, 2, 2))
+
+    @pytest.mark.parametrize("order", [[0, 1.7, 2, 3], [0, 1.0, 2, 3], [3.0, 2, 1, 0]])
+    def test_non_integer_user_rejected(self, table1, order):
+        # int() would truncate 1.7 to user 1 and return the row of (0, 1, 2, 3)
+        with pytest.raises(ValidationError, match="user index must be an integer"):
+            decompose(table1, order)
+        with pytest.raises(ValidationError, match="user index must be an integer"):
+            decomposition_table(table1, [(0, 1, 2, 3), order])
 
 
 class TestAllOrderings:
@@ -352,9 +361,9 @@ class TestCoalitionValues:
         sizes = []
         real = cvqnet.keyrates.measure_reference_user_blocks
 
-        def counting(x, p, index, eta_d, nu_el):
+        def counting(x, index, eta_d, nu_el):
             sizes.append(len(index))
-            return real(x, p, index, eta_d, nu_el)
+            return real(x, index, eta_d, nu_el)
 
         monkeypatch.setattr(cvqnet.keyrates, "measure_reference_user_blocks", counting)
         return sizes

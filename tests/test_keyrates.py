@@ -29,7 +29,7 @@ from cvqnet.gaussian import (
     von_neumann_entropy,
 )
 from cvqnet.keyrates import _two_mode_holevo, measure_reference_user_blocks
-from cvqnet.network import ALICE_LABEL, receiver_map, user_label
+from cvqnet.network import ALICE_LABEL, quadrature_signs, receiver_map, user_label
 
 from conftest import random_params, receiver_cases, unphysical_pair
 from oracles import (
@@ -216,23 +216,56 @@ class TestStackedReferenceMeasurement:
                 eta_d, nu = np.array([receiver for _, receiver in jobs]).T
                 n = len(x)
                 stacked = measure_reference_user_blocks(
-                    np.broadcast_to(x, (len(jobs), n, n)), np.broadcast_to(p, (len(jobs), n, n)),
-                    index, eta_d, nu,
+                    np.broadcast_to(x, (len(jobs), n, n)), index, eta_d, nu
                 )
-                assert stacked[0].shape == stacked[1].shape == (len(jobs), n, n)
+                assert stacked.shape == (len(jobs), n, n)
                 for b, (i, receiver) in enumerate(jobs):
                     single = measure_reference_user(x, p, i, *receiver)
                     alone = measure_reference_user_blocks(
-                        x[None], p[None], index[b : b + 1], eta_d[b : b + 1], nu[b : b + 1]
+                        x[None], index[b : b + 1], eta_d[b : b + 1], nu[b : b + 1]
                     )
-                    for q in (0, 1):
-                        assert np.array_equal(stacked[q][b], single[q])
-                        assert np.array_equal(alone[q][0], single[q])
+                    assert np.array_equal(stacked[b], single[0])
+                    assert np.array_equal(alone[0], single[0])
                     members += 1
                 x, p = measure_reference_user(x, p, left.index(k) + 1, params.detector_efficiency,
                                               params.trusted_noise(k))
                 left.remove(k)
         assert members > 1000
+
+
+    def test_one_block_keeps_p_equal_j_x_j(self, table1):
+        # the whole coalition lattice, one stacked step per layer as
+        # CoalitionValues.fill measures it: the step's X is the two-quadrature
+        # reference's x, and X * j j^T its p, bit for bit, on every state
+        rng = np.random.default_rng(21)
+        cases = [table1, random_params(rng, n_users=8)]
+        cases += [random_params(rng, max_users=8) for _ in range(12)]
+        states = 0
+        for params in cases:
+            m = params.n_users
+            signs = quadrature_signs(m + 1)
+            x, p = quadrature_blocks(build_channel_output_cm(params))
+            assert np.array_equal(p, x * signs)
+            layer = {(): (x, p)}  # coalition, its users ascending -> reference (x, p)
+            for _ in range(m):
+                jobs = [(parent, k) for parent in layer
+                        for k in range(max(parent, default=-1) + 1, m)]
+                index = np.array([k + 1 - len(parent) for parent, k in jobs])
+                eta_d = np.full(len(jobs), params.detector_efficiency)
+                nu = np.array([params.trusted_noise(k) for _, k in jobs])
+                stacked = measure_reference_user_blocks(
+                    np.array([layer[parent][0] for parent, _ in jobs]), index, eta_d, nu
+                )
+                grown = {}
+                for b, (parent, k) in enumerate(jobs):
+                    x, p = grown[parent + (k,)] = measure_reference_user(
+                        *layer[parent], index[b], eta_d[b], nu[b]
+                    )
+                    assert np.array_equal(stacked[b], x)
+                    assert np.array_equal(stacked[b] * signs, p)
+                    states += 1
+                layer = grown
+        assert states == sum(2**params.n_users - 1 for params in cases)
 
 
 class TestHighPrecisionReference:
@@ -777,3 +810,22 @@ class TestUserIndexGuard:
     def test_measured_outcome_model(self, table1, k):
         with self.raises(k):
             measured_outcome_model(table1, k)
+
+    @pytest.mark.parametrize("k", [1.5, 1.0, "1", None])
+    @pytest.mark.parametrize("trust", list(TrustModel), ids=lambda t: t.value)
+    def test_key_rate_rejects_non_integer_index(self, table1, trust, k):
+        with pytest.raises(ValidationError, match="user index must be an integer"):
+            key_rate(table1, trust, k)
+
+    @pytest.mark.parametrize("user,conditioned_on", [(0, [1.9]), (0, [np.float64(2.0)]), (1.5, [])])
+    def test_mutual_information_rejects_non_integer_index(self, table1, user, conditioned_on):
+        # int() would truncate 1.9 to user 1
+        with pytest.raises(ValidationError, match="user index must be an integer"):
+            mutual_information(table1, user, conditioned_on)
+
+    def test_integer_likes_are_indices(self, table1):
+        assert table1.check_user(np.int64(2)) == 2
+        assert type(table1.check_user(np.int64(2))) is int
+        assert mutual_information(table1, np.int64(0), [np.int64(1)]) == mutual_information(
+            table1, 0, [1]
+        )

@@ -156,6 +156,15 @@ class TestTrustedDetector:
         with pytest.raises(ValidationError):
             attach_trusted_detector(extended, "B1", 0.9, 0.01)
 
+    @pytest.mark.parametrize("eta_d,nu", [(0.0, 0.01), (1.5, 0.01), (0.9, -0.1), (0.9, np.inf)])
+    def test_receiver_rule_stated_once(self, eta_d, nu):
+        # the network's receiver and a raw one are checked by the same rule
+        with pytest.raises(ValidationError) as network:
+            dataclasses.replace(single_user(), detector_efficiency=eta_d, electronic_noise=nu)
+        with pytest.raises(ValidationError) as raw:
+            attach_trusted_detector(build_channel_output_cm(single_user()), "B1", eta_d, nu)
+        assert str(raw.value) == str(network.value)
+
 
 class TestBuilderMemo:
     def test_equal_params_share_one_read_only_state(self, table1):
