@@ -9,15 +9,18 @@ K_k = v(S + {k}) - v(S) - Delta(N), so every ordering sums to the joint rate
 v(all) - M * Delta(N) and the first user's share is its trusted rate:
 `holevo_trusted` reads chi({k}) from the same `CoalitionValues`
 (`cvqnet.keyrates`).  Gaussian conditioning commutes, so sigma_S depends on
-the set S only: `CoalitionValues` evaluates v once per coalition, a row is
-M lookups and the joint rate is the lookup of v(all).  Each table builds a
-fresh one on the channel output; it is not shared across tables, since a
-full lattice holds 2^M coalitions.  A table first collects the prefix
-coalitions of all its orderings and evaluates them one layer (coalition
-size) at a time: the whole layer is measured from the layer below in one
-stacked `measure_reference_user_blocks` step on the states' x blocks, its
-entropies come from one `block_entropies` call on X and P = J X J, and each
-coalition adds one closed-form I(A : y_S).
+the set S only: `CoalitionValues` evaluates v once per coalition, keyed by
+its user bitmask, and the joint rate is the lookup of v(all).  Each table
+builds a fresh one on the channel output; it is not shared across tables,
+since a full lattice holds 2^M coalitions.  A table first collects the
+prefix coalitions of all its orderings and evaluates them one layer
+(coalition size) at a time: the whole layer is measured from the layer
+below in one stacked `measure_reference_user_blocks` step on the states' x
+blocks, its entropies come from one `block_entropies` call on X and
+P = J X J, and each coalition adds one closed-form I(A : y_S).  Then all R
+rows are one array step: the (R, M + 1) prefix coalitions index one value
+vector v, and the contributions are (v[:, 1:] - v[:, :-1]) - Delta(N).
+`decompose` is that step with R = 1.
 """
 
 from __future__ import annotations
@@ -62,18 +65,20 @@ def decompose(
         coalitions = CoalitionValues(params, build_channel_output_cm(params))
     elif coalitions.params != params:
         raise ValidationError("coalition values belong to a different network")
-    return _row(coalitions, order, delta)
+    return _rows(coalitions, [order], delta)[0]
 
 
-def _row(coalitions: CoalitionValues, order: tuple[int, ...], delta: float) -> DecompositionRow:
-    """The row of `order`, a tuple of user indices, read from `coalitions`."""
+def _rows(coalitions: CoalitionValues, orders: list, delta: float) -> tuple[DecompositionRow, ...]:
+    """The rows of `orders`, tuples of checked user indices, in one array
+    step: v of the (R, M + 1) prefix coalitions, and (v[:, 1:] - v[:, :-1]) - delta."""
     m = coalitions.params.n_users
-    chain = coalitions.prefixes(order)
-    if len(chain) != m + 1:  # with distinct users in range: a permutation
-        raise ValidationError(f"ordering must be a permutation of 0..{m - 1}, got {order}")
-    values = [coalitions.value(coalition) for coalition in chain]
-    contributions = tuple(after - before - delta for before, after in zip(values, values[1:]))
-    return DecompositionRow(order, contributions, float(sum(contributions)))
+    chains = coalitions.fill(orders)
+    for order, chain in zip(orders, chains):
+        if len(chain) != m + 1:  # with distinct users in range: a permutation
+            raise ValidationError(f"ordering must be a permutation of 0..{m - 1}, got {order}")
+    values = coalitions.values(chains)
+    rows = ((values[:, 1:] - values[:, :-1]) - delta).tolist()
+    return tuple(DecompositionRow(order, tuple(row), sum(row)) for order, row in zip(orders, rows))
 
 
 @dataclass(frozen=True)
@@ -88,13 +93,15 @@ def decomposition_table(
     """Decomposition rows of the given orderings and the joint rate.  The rows
     share one `CoalitionValues`, filled with every prefix coalition of the
     orderings before the first row; v(all) is the coalition every row ends on."""
-    orders = [tuple(map(params.check_user, order)) for order in orders]
+    return _table(params, [tuple(map(params.check_user, order)) for order in orders], mode)
+
+
+def _table(params: NetworkParams, orders: list[tuple[int, ...]], mode: str) -> DecompositionTable:
+    """`decomposition_table` of orders of checked user indices."""
     if not orders:
         raise ValidationError("need at least one ordering")
-    delta = _mode_delta(params, mode)
     coalitions = CoalitionValues(params, build_channel_output_cm(params))
-    coalitions.fill(orders)
-    rows = tuple(_row(coalitions, order, delta) for order in orders)
+    rows = _rows(coalitions, orders, _mode_delta(params, mode))
     return DecompositionTable(rows, _joint_rate(coalitions, mode).rate)
 
 
@@ -110,7 +117,7 @@ def all_orderings(params: NetworkParams, mode: str = "finite") -> DecompositionT
             f"{m}! orderings is too many to enumerate (cap {MAX_ENUMERATED_USERS}); "
             "sample orderings instead (sample_orderings, or --orders sample:K)"
         )
-    return decomposition_table(params, itertools.permutations(range(m)), mode)
+    return _table(params, list(itertools.permutations(range(m))), mode)
 
 
 def sample_orderings(
@@ -118,8 +125,8 @@ def sample_orderings(
 ) -> DecompositionTable:
     """Decomposition over `count` random orderings (fixed-seed sampling)."""
     rng = np.random.default_rng(check_seed(seed))
-    orders = (rng.permutation(params.n_users) for _ in range(count))
-    return decomposition_table(params, orders, mode)
+    orders = [tuple(rng.permutation(params.n_users).tolist()) for _ in range(count)]
+    return _table(params, orders, mode)
 
 
 @dataclass(frozen=True)
@@ -134,7 +141,7 @@ def _joint_rate(coalitions: CoalitionValues, mode: str) -> JointKeyRate:
     """v(all) - M * Delta(N) with its parts read from the memo."""
     p = coalitions.params
     delta_total = p.n_users * _mode_delta(p, mode)
-    full = frozenset(range(p.n_users))
+    full = (1 << p.n_users) - 1
     if full not in coalitions.terms:
         coalitions.prefixes(range(p.n_users))
     info = coalitions.terms[full][0]

@@ -19,10 +19,10 @@ step on the x blocks of a stack of states (P = J X J, `quadrature_signs`, is
 formed only where a spectrum is taken), each member measuring its own mode
 behind its own receiver and keeping one ancilla.  The trusted bound of user
 k is chi({k}) = S(sigma_0) - S(sigma_{k}) of `CoalitionValues`, the
-coalition set function the decomposition reads too: per network state, one
-stacked step measures all M singletons from the channel output and one
-`block_entropies` call takes their entropies; S(sigma_0) is the spectrum
-the builder's physicality check already took.  The untrusted and
+coalition set function the decomposition reads too, keyed by user bitmask:
+per network state, one stacked step measures all M singletons from the
+channel output and one `block_entropies` call takes their entropies;
+S(sigma_0) is the spectrum the builder's physicality check already took.  The untrusted and
 collaborative bounds are read on a two-mode state (A, Bk) with x block
 [[a, c], [c, b]], where chi is a closed form in the scalars a, b, c, eta_d
 and the receiver's added noise N = 2 - eta_d + nu_el (`_two_mode_holevo`;
@@ -30,8 +30,9 @@ Lodewyck et al., PRA 76, 042305 (2007)).  Conditioning (A, Bk) on the other
 users' outcomes is rank one, so the collaborative pair is
 (a - (a + 1) f, b - V_mod eta_k f, c (1 - f)) with f = Sigma_O / (1 + Sigma_O),
 Sigma_O their outcome SNR sum.  Mutual information is log2(1 + sum_k snr_k),
-snr_k = V_mod g_k^2 / N_k, of the classical outcome model; the M SNRs are
-taken once per network.
+snr_k = V_mod g_k^2 / N_k, of the classical outcome model; the M models
+and their SNRs are taken once per network, and `derive_worst_case` reads
+the same models.
 
 `derive_worst_case` places the model-implied corner with the same
 `worst_case_params` as block estimates.  A zero-transmittance link carries
@@ -52,6 +53,7 @@ from .errors import ValidationError
 from .gaussian import CovarianceMatrix, block_entropies, spectrum_entropy, von_neumann_entropy
 from .network import (
     NetworkParams,
+    OutcomeModel,
     build_channel_output_cm,
     measured_outcome_model,
     quadrature_signs,
@@ -91,15 +93,16 @@ def _mode_delta(params: NetworkParams, mode: str) -> float:
 
 
 @functools.lru_cache(maxsize=16)
-def _outcome_snrs(params: NetworkParams) -> tuple[float, ...]:
-    """V_mod g_k^2 / N_k of the outcome model y_k = g_k s + n_k of every user,
-    in user order.  Memoised per `NetworkParams` value, as the builder is."""
-    models = [measured_outcome_model(params, k) for k in range(params.n_users)]
-    return tuple(params.modulation_variance * m.gain**2 / m.noise_variance for m in models)
+def _outcome_models(params: NetworkParams) -> tuple[tuple[OutcomeModel, ...], tuple[float, ...]]:
+    """The outcome models y_k = g_k s + n_k of the users, in user order, and
+    their SNRs V_mod g_k^2 / N_k.  Memoised per `NetworkParams`, as the builder is."""
+    models = tuple(measured_outcome_model(params, k) for k in range(params.n_users))
+    return models, tuple(params.modulation_variance * m.gain**2 / m.noise_variance for m in models)
 
 
-def _outcome_information(snrs: Sequence[float], users: Iterable[int]) -> float:
-    """I(A : y_users) = log2(1 + sum_{k in users} snr_k) in bits per use.
+def _outcome_information(snrs: Iterable[float]) -> float:
+    """I(A : y_users) = log2(1 + sum_{k in users} snr_k) in bits per use,
+    given the users' SNRs.
 
     The outcome covariance of (s, y_1, ..., y_M) is V_mod g g^T + diag(N)
     with g_0 = 1, N_0 = 0 (`classical_outcome_cov`); by the matrix
@@ -107,7 +110,7 @@ def _outcome_information(snrs: Sequence[float], users: Iterable[int]) -> float:
     sum g_k^2 / N_k.  The two quadratures contribute identical halves, so
     one quadrature's ratio is the information per channel use.
     """
-    return math.log2(1.0 + math.fsum(snrs[k] for k in users))
+    return math.log2(1.0 + math.fsum(snrs))
 
 
 def mutual_information(
@@ -118,9 +121,9 @@ def mutual_information(
     cond = sorted({params.check_user(j) for j in conditioned_on})
     if k in cond:
         raise ValidationError(f"user {k} cannot condition on itself")
-    snrs = _outcome_snrs(params)
-    info = _outcome_information(snrs, cond + [k])
-    return info - _outcome_information(snrs, cond) if cond else info
+    _, snrs = _outcome_models(params)
+    info = _outcome_information(snrs[j] for j in cond + [k])
+    return info - _outcome_information(snrs[j] for j in cond) if cond else info
 
 
 def measure_reference_user_blocks(
@@ -167,44 +170,30 @@ class CoalitionValues:
 
     sigma_S is the retained system (Alice, the users outside S and the
     trusted-receiver ancillae of those in S) conditioned on the outcomes y_S
-    of the users in S.  The trusted bound of user k is chi({k}); the
-    decomposition tables read the rest of the lattice.  The caller passes
+    of the users in S.  S is keyed by its bitmask, bit k for user k, so a
+    prefix grows as S | 1 << k.  The trusted bound of user k is chi(1 << k);
+    the decomposition tables read the rest of the lattice.  The caller passes
     the channel output of `params` it holds, so both paths share one state.
 
     `fill(orders)` evaluates every prefix coalition of the orders, one layer
     (coalition size) at a time; only the layer being measured from is held,
     as its (B, n, n) x blocks.  `terms` maps each coalition evaluated to
-    (I(A : y_S), S(sigma_S)).  Each step S -> S + {k} of a prefix chain is
-    checked and built once and then looked up, so chains share their
-    coalitions.
+    (I(A : y_S), S(sigma_S)), and `values` reads v of a table of coalitions
+    in one array step.
     """
 
     def __init__(self, params: NetworkParams, channel_output: CovarianceMatrix):
         self.params = params
-        self._snrs = _outcome_snrs(params)
+        _, self._snrs = _outcome_models(params)
         self._eta_d = np.full(params.n_users, params.detector_efficiency)
         self._nu_el = np.array([params.trusted_noise(k) for k in range(params.n_users)])
         self._root = channel_output
         self._signs = quadrature_signs(params.n_users + 1)  # every layer keeps M + 1 modes
-        self.terms = {frozenset(): (0.0, von_neumann_entropy(channel_output))}
-        self._steps: dict[tuple[frozenset, int], frozenset] = {}  # (S, k) -> S + {k}
+        self.terms = {0: (0.0, von_neumann_entropy(channel_output))}
 
-    def _chain(self, order: Sequence[int]) -> list[frozenset]:
-        """Coalitions of the first 0, 1, ..., len(order) users of `order`."""
-        chain = [frozenset()]
-        for k in order:
-            parent = chain[-1]
-            grown = self._steps.get((parent, k))
-            if grown is None:
-                self.params.check_user(k)
-                if k in parent:
-                    raise ValidationError(f"user {k} cannot join the coalition {set(parent)}")
-                grown = self._steps[parent, k] = parent | {k}
-            chain.append(grown)
-        return chain
-
-    def fill(self, orders: Iterable[Sequence[int]]) -> None:
-        """Add the prefix coalitions of `orders` that `terms` lacks.
+    def fill(self, orders: Iterable[Sequence[int]]) -> list[list[int]]:
+        """Add the prefix coalitions of `orders`, of checked user indices,
+        that `terms` lacks; return each order's prefix chain.
 
         If any is missing, the layers are built up from the channel output,
         each coalition measured from the prefix it first follows; coalitions
@@ -214,47 +203,55 @@ class CoalitionValues:
         sits at its channel-output position k + 1 in (A, B1..BM) less the
         measured users before it.
         """
-        m = self.params.n_users
-        layers = [{} for _ in range(m)]  # by size - 1: coalition -> (parent, joining user)
+        layers = [{} for _ in range(self.params.n_users)]  # by size - 1: S -> (parent, k)
+        chains = []
         for order in orders:
-            chain = self._chain(order)
-            for layer, parent, grown, k in zip(layers, chain, chain[1:], order):
-                layer.setdefault(grown, (parent, k))
-        layers = [layer for layer in layers if layer]
-        if all(coalition in self.terms for layer in layers for coalition in layer):
-            return
+            parent, chain = 0, [0]
+            for size, k in enumerate(order):  # a repeat raises before size reaches M
+                grown = parent | 1 << k
+                if grown == parent:
+                    raise ValidationError(f"user {k} cannot join the coalition {set(order[:size])}")
+                layer = layers[size]
+                if grown not in layer:
+                    layer[grown] = (parent, k)
+                chain.append(grown)
+                parent = grown
+            chains.append(chain)
+        if all(grown in self.terms for layer in layers for grown in layer):
+            return chains
         x = self._root.matrix[None, 0::2, 0::2]
-        position = {frozenset(): 0}
-        for layer in layers:
-            parents = np.array([position[parent] for parent, _ in layer.values()])
-            joining = np.array([k for _, k in layer.values()])
-            index = np.array([k + 1 - sum(j < k for j in parent) for parent, k in layer.values()])
+        position, summands = {0: 0}, [()]  # of the layer below: each member's row; SNRs by row
+        for layer in filter(None, layers):
+            parents = [position[parent] for parent, _ in layer.values()]
+            joining = [k for _, k in layer.values()]
+            index = [k + 1 - (parent & ((1 << k) - 1)).bit_count() for parent, k in layer.values()]
             x = measure_reference_user_blocks(
-                x[parents], index, self._eta_d[joining], self._nu_el[joining]
+                x[parents], np.array(index), self._eta_d[joining], self._nu_el[joining]
             )
-            for coalition, entropy in zip(layer, block_entropies(x, x * self._signs).tolist()):
-                if coalition not in self.terms:
-                    info = _outcome_information(self._snrs, coalition)
-                    self.terms[coalition] = (info, entropy)
-            position = {coalition: i for i, coalition in enumerate(layer)}
+            summands = [summands[i] + (self._snrs[k],) for i, k in zip(parents, joining)]
+            entropies = block_entropies(x, x * self._signs).tolist()
+            for grown, snrs, entropy in zip(layer, summands, entropies):
+                if grown not in self.terms:
+                    self.terms[grown] = (_outcome_information(snrs), entropy)
+            position = {grown: i for i, grown in enumerate(layer)}
+        return chains
 
-    def prefixes(self, order: Sequence[int]) -> list[frozenset]:
+    def prefixes(self, order: Sequence[int]) -> list[int]:
         """Coalitions of the first 0, 1, ..., len(order) users of `order`,
         each evaluated."""
-        chain = self._chain(order)
-        if any(coalition not in self.terms for coalition in chain):
-            self.fill([order])
-        return chain
+        return self.fill([tuple(map(self.params.check_user, order))])[0]
 
-    def holevo(self, coalition: frozenset) -> float:
+    def holevo(self, coalition: int) -> float:
         """chi(S) = S(sigma_0) - S(sigma_S)."""
-        return self.terms[frozenset()][1] - self.terms[coalition][1]
+        return self.terms[0][1] - self.terms[coalition][1]
 
-    def value(self, coalition: frozenset) -> float:
-        """v(S) = beta * I(A : y_S) - chi(S), with chi inlined: a table reads
-        v M times per row."""
-        info, entropy = self.terms[coalition]
-        return self.params.beta * info - (self.terms[frozenset()][1] - entropy)
+    def values(self, coalitions: Sequence[Sequence[int]]) -> np.ndarray:
+        """v(S) = beta * I(A : y_S) - chi(S) of a table of evaluated
+        coalitions, rows of one length, as one (rows, length) array."""
+        position = {coalition: i for i, coalition in enumerate(self.terms)}
+        info, entropy = np.array(list(self.terms.values())).T
+        v = self.params.beta * info - (self.terms[0][1] - entropy)
+        return v[[position[c] for row in coalitions for c in row]].reshape(len(coalitions), -1)
 
 
 @functools.lru_cache(maxsize=16)
@@ -332,7 +329,7 @@ def holevo_trusted(params: NetworkParams, k: int) -> float:
     receiver.  Read from the singleton layer of `CoalitionValues`, which is
     evaluated once per network state for all M users."""
     params.check_user(k)
-    return _singletons(params, build_channel_output_cm(params)).holevo(frozenset((k,)))
+    return _singletons(params, build_channel_output_cm(params)).holevo(1 << k)
 
 
 def holevo_collaborative(params: NetworkParams, k: int) -> float:
@@ -355,7 +352,7 @@ def holevo_collaborative(params: NetworkParams, k: int) -> float:
     unconditioned pair become (a - (a + 1) f, b - V_mod eta_k f, c (1 - f)),
     and f = 0, the untrusted bound, when no other user sees the signal.
     """
-    others = math.fsum(snr for j, snr in enumerate(_outcome_snrs(params)) if j != k)
+    others = math.fsum(snr for j, snr in enumerate(_outcome_models(params)[1]) if j != k)
     return _conditioned_pair_holevo(params, k, others / (1.0 + others))
 
 
@@ -408,7 +405,7 @@ def key_rate(
     else:
         eval_params = params
         source = "as-given"
-
+    k = params.check_user(k)  # reported as an int
     if trust is TrustModel.COLLABORATIVE:
         conditioned = [j for j in range(eval_params.n_users) if j != k]
     else:
@@ -438,7 +435,7 @@ def derive_worst_case(params: NetworkParams, n: float | None = None) -> NetworkP
     confidence region is available.
     """
     n_eff = float(params.block_size if n is None else n)
-    models = [measured_outcome_model(params, k) for k in range(params.n_users)]
+    models, _ = _outcome_models(params)
     return worst_case_params(params, EstimateReport.from_estimates(params, models, n_eff))
 
 

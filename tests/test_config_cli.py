@@ -161,6 +161,9 @@ GOLDEN_DIR = Path(__file__).parent / "data" / "cli"
 GOLDEN_OUTPUTS = [
     ("keyrate.json", ["--format", "json", "keyrate"]),
     ("decompose_all.json", ["--format", "json", "decompose", "--orders", "all"]),
+    ("decompose_sample.json", ["--format", "json", "decompose", "--orders", "sample:20",
+                               "--seed", "1"]),
+    ("decompose_order.json", ["--format", "json", "decompose", "--orders", "4,3,2,1"]),
     ("sweep_loss_db.csv", ["sweep", "--param", "loss_db", "--from", "0", "--to", "30",
                            "--steps", "61"]),
 ]

@@ -43,6 +43,11 @@ def coalition_values(params):
     return CoalitionValues(params, build_channel_output_cm(params))
 
 
+def mask(users):
+    """The coalition bitmask of a collection of users."""
+    return sum(1 << k for k in users)
+
+
 def chain_steps(coalitions, order):
     """(information step, entropy drop) of each user joining along `order`."""
     chain = coalitions.prefixes(order)
@@ -177,6 +182,50 @@ class TestDecompose:
             decompose(table1, order)
         with pytest.raises(ValidationError, match="user index must be an integer"):
             decomposition_table(table1, [(0, 1, 2, 3), order])
+
+
+class TestOneRowPath:
+    """`decompose` reads its row through the same array step as the tables."""
+
+    @staticmethod
+    def assert_rows_are_decompose_rows(params, table, mode="finite"):
+        # a coalition's value depends, in its last digits, on the prefix it
+        # is first measured from: given the table's memo, every row is
+        # read bit for bit, and alone the first row is measured the same way
+        coalitions = coalition_values(params)
+        coalitions.fill([row.order for row in table.rows])
+        assert decompose(params, table.rows[0].order, mode) == table.rows[0]
+        for row in table.rows:
+            assert decompose(params, row.order, mode, coalitions) == row
+            assert all(type(k) is int for k in row.order)
+
+    def test_all_orderings_rows(self, table1):
+        rng = np.random.default_rng(2201)
+        for params in [table1] + [random_params(rng) for _ in range(10)]:
+            for mode in ("finite", "asymptotic"):
+                self.assert_rows_are_decompose_rows(params, all_orderings(params, mode), mode)
+
+    def test_sampled_rows_at_nine_users(self):
+        params = random_params(np.random.default_rng(2202), n_users=9)
+        table = sample_orderings(params, 12, seed=4)
+        assert len({row.order for row in table.rows}) > 1
+        self.assert_rows_are_decompose_rows(params, table)
+
+    @pytest.mark.parametrize("order,message", [
+        ((0, 1, 1, 2), "user 1 cannot join the coalition {0, 1}"),
+        ((3, 2, 1, 0, 3), "user 3 cannot join the coalition {0, 1, 2, 3}"),
+        ((0, 1, 2, 4), "user index 4 out of range for 4 users"),
+        ((-1, 0, 1, 2), "user index -1 out of range for 4 users"),
+        ((0, 1, 2), "ordering must be a permutation of 0..3, got (0, 1, 2)"),
+        ((0, 1.5, 2, 3), "user index must be an integer, got 1.5"),
+    ], ids=["repeated", "repeated-too-long", "out-of-range", "negative", "too-short",
+            "non-integer"])
+    def test_bad_order_text(self, table1, order, message):
+        with pytest.raises(ValidationError) as alone:
+            decompose(table1, order)
+        with pytest.raises(ValidationError) as in_table:
+            decomposition_table(table1, [(0, 1, 2, 3), order])
+        assert str(alone.value) == str(in_table.value) == message
 
 
 class TestAllOrderings:
@@ -347,12 +396,13 @@ class TestCoalitionValues:
             coalitions = coalition_values(params)
             coalitions.fill(itertools.permutations(range(m)))
             lattice = [c for size in range(m + 1) for c in itertools.combinations(range(m), size)]
-            assert set(coalitions.terms) == set(map(frozenset, lattice))
+            assert set(coalitions.terms) == set(map(mask, lattice)) == set(range(2**m))
             reference = precise_coalition_terms(params, lattice)
             before = reference[frozenset()][1]
-            for coalition, (info, entropy) in reference.items():
+            values, = coalitions.values([[mask(c) for c in reference]])
+            for value, (info, entropy) in zip(values, reference.values()):
                 expected = float(params.beta * info - (before - entropy))
-                worst = max(worst, abs(coalitions.value(coalition) - expected))
+                worst = max(worst, abs(value - expected))
         assert worst <= 1e-12
 
     @pytest.fixture

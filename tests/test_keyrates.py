@@ -479,7 +479,7 @@ class TestOneShotAssistingMap:
         # one spectrum of the channel output (the builder's physicality
         # check, read again as S(sigma_0)), one for the stacked singleton
         # layer of all M trusted measurements, and one outcome model per
-        # user for every bound and I
+        # user for every bound, I and the worst-case corner
         import cvqnet.gaussian
         import cvqnet.keyrates
 
@@ -493,8 +493,16 @@ class TestOneShotAssistingMap:
             monkeypatch.setattr(module, name, counted)
         params = random_params(np.random.default_rng(44), n_users=6)
         build_channel_output_cm.cache_clear()
-        cvqnet.keyrates._outcome_snrs.cache_clear()
+        cvqnet.keyrates._outcome_models.cache_clear()
         cvqnet.keyrates._singletons.cache_clear()
+        assert len(rate_table(params)) == 3 * params.n_users
+        assert calls == {"block_spectrum": 2, "measured_outcome_model": params.n_users}
+
+        calls.update(block_spectrum=0, measured_outcome_model=0)
+        build_channel_output_cm.cache_clear()
+        cvqnet.keyrates._outcome_models.cache_clear()
+        cvqnet.keyrates._singletons.cache_clear()
+        derive_worst_case(params)
         assert len(rate_table(params)) == 3 * params.n_users
         assert calls == {"block_spectrum": 2, "measured_outcome_model": params.n_users}
 
@@ -510,7 +518,7 @@ class TestOneShotAssistingMap:
         params = random_params(np.random.default_rng(45), n_users=5)
         if cache == "cold":
             build_channel_output_cm.cache_clear()
-            cvqnet.keyrates._outcome_snrs.cache_clear()
+            cvqnet.keyrates._outcome_models.cache_clear()
             cvqnet.keyrates._singletons.cache_clear()
         else:
             rate_table(params)
@@ -826,6 +834,10 @@ class TestUserIndexGuard:
     def test_integer_likes_are_indices(self, table1):
         assert table1.check_user(np.int64(2)) == 2
         assert type(table1.check_user(np.int64(2))) is int
+        for trust in TrustModel:
+            report = key_rate(table1, trust, np.int64(2))
+            assert type(report.user) is int
+            assert report == key_rate(table1, trust, 2)
         assert mutual_information(table1, np.int64(0), [np.int64(1)]) == mutual_information(
             table1, 0, [1]
         )
