@@ -9,18 +9,19 @@ K_k = v(S + {k}) - v(S) - Delta(N), so every ordering sums to the joint rate
 v(all) - M * Delta(N) and the first user's share is its trusted rate:
 `holevo_trusted` reads chi({k}) from the same `CoalitionValues`
 (`cvqnet.keyrates`).  Gaussian conditioning commutes, so sigma_S depends on
-the set S only: `CoalitionValues` evaluates v once per coalition, keyed by
-its user bitmask, and the joint rate is the lookup of v(all).  Each table
-builds a fresh one on the channel output; it is not shared across tables,
-since a full lattice holds 2^M coalitions.  A table first collects the
-prefix coalitions of all its orderings and evaluates them one layer
-(coalition size) at a time: the whole layer is measured from the layer
-below in one stacked `measure_reference_user_blocks` step on the states' x
-blocks, its entropies come from one `block_entropies` call on X and
-P = J X J, and each coalition adds one closed-form I(A : y_S).  Then all R
-rows are one array step: the (R, M + 1) prefix coalitions index one value
-vector v, and the contributions are (v[:, 1:] - v[:, :-1]) - Delta(N).
-`decompose` is that step with R = 1.
+the set S only.
+
+A `CoalitionValues` is measured once, at construction, from its orders:
+each prefix coalition once, keyed by its user bitmask.  The layers
+(coalition sizes) are measured one at a time.  A whole layer is one stacked
+`measure_reference_user_blocks` step from the layer below, on the states' x
+blocks.  Its entropies come from one `block_entropies` call on X and
+P = J X J, and each coalition adds one closed-form I(A : y_S).  Each table
+measures a fresh one on the channel output, since a full lattice holds 2^M
+coalitions.  Then all R rows are one array step: the (R, M + 1) prefix
+coalitions index one value vector v, and the contributions are
+(v[:, 1:] - v[:, :-1]) - Delta(N).  `decompose` is the table of one order,
+and the joint rate is v(all), measured along the identity order.
 """
 
 from __future__ import annotations
@@ -47,38 +48,15 @@ class DecompositionRow:
 
 
 def decompose(
-    params: NetworkParams,
-    order: Sequence[int],
-    mode: str = "finite",
-    coalitions: CoalitionValues | None = None,
+    params: NetworkParams, order: Sequence[int], mode: str = "finite"
 ) -> DecompositionRow:
-    """Per-user contributions along one conditioning order.
+    """Per-user contributions along one conditioning order: the one row of
+    its own table.
 
     In finite mode one Delta(N) share is charged per user so the row sums to
-    the joint finite-size rate, which carries M * Delta(N).  Pass the
-    table's `coalitions`, filled with every prefix of its orderings, to read
-    the row from it; prefixes it lacks are evaluated along this order.
+    the joint finite-size rate, which carries M * Delta(N).
     """
-    order = tuple(map(params.check_user, order))
-    delta = _mode_delta(params, mode)
-    if coalitions is None:
-        coalitions = CoalitionValues(params, build_channel_output_cm(params))
-    elif coalitions.params != params:
-        raise ValidationError("coalition values belong to a different network")
-    return _rows(coalitions, [order], delta)[0]
-
-
-def _rows(coalitions: CoalitionValues, orders: list, delta: float) -> tuple[DecompositionRow, ...]:
-    """The rows of `orders`, tuples of checked user indices, in one array
-    step: v of the (R, M + 1) prefix coalitions, and (v[:, 1:] - v[:, :-1]) - delta."""
-    m = coalitions.params.n_users
-    chains = coalitions.fill(orders)
-    for order, chain in zip(orders, chains):
-        if len(chain) != m + 1:  # with distinct users in range: a permutation
-            raise ValidationError(f"ordering must be a permutation of 0..{m - 1}, got {order}")
-    values = coalitions.values(chains)
-    rows = ((values[:, 1:] - values[:, :-1]) - delta).tolist()
-    return tuple(DecompositionRow(order, tuple(row), sum(row)) for order, row in zip(orders, rows))
+    return decomposition_table(params, [order], mode).rows[0]
 
 
 @dataclass(frozen=True)
@@ -91,18 +69,29 @@ def decomposition_table(
     params: NetworkParams, orders: Iterable[Sequence[int]], mode: str = "finite"
 ) -> DecompositionTable:
     """Decomposition rows of the given orderings and the joint rate.  The rows
-    share one `CoalitionValues`, filled with every prefix coalition of the
-    orderings before the first row; v(all) is the coalition every row ends on."""
+    share one `CoalitionValues`, measured on every prefix coalition of the
+    orderings; v(all) is the coalition every row ends on."""
     return _table(params, [tuple(map(params.check_user, order)) for order in orders], mode)
 
 
 def _table(params: NetworkParams, orders: list[tuple[int, ...]], mode: str) -> DecompositionTable:
-    """`decomposition_table` of orders of checked user indices."""
+    """`decomposition_table` of orders of checked user indices.  All R rows
+    are one array step: v of the (R, M + 1) prefix coalitions, and
+    (v[:, 1:] - v[:, :-1]) - Delta(N)."""
     if not orders:
         raise ValidationError("need at least one ordering")
-    coalitions = CoalitionValues(params, build_channel_output_cm(params))
-    rows = _rows(coalitions, orders, _mode_delta(params, mode))
-    return DecompositionTable(rows, _joint_rate(coalitions, mode).rate)
+    delta = _mode_delta(params, mode)
+    coalitions = CoalitionValues(params, build_channel_output_cm(params), orders)
+    m = params.n_users
+    for order, chain in zip(orders, coalitions.chains):
+        if len(chain) != m + 1:  # with distinct users in range: a permutation
+            raise ValidationError(f"ordering must be a permutation of 0..{m - 1}, got {order}")
+    values = coalitions.values(coalitions.chains)
+    contributions = ((values[:, 1:] - values[:, :-1]) - delta).tolist()
+    rows = tuple(
+        DecompositionRow(order, tuple(row), sum(row)) for order, row in zip(orders, contributions)
+    )
+    return DecompositionTable(rows, _joint_rate(coalitions, delta).rate)
 
 
 def all_orderings(params: NetworkParams, mode: str = "finite") -> DecompositionTable:
@@ -137,13 +126,11 @@ class JointKeyRate:
     delta_total: float
 
 
-def _joint_rate(coalitions: CoalitionValues, mode: str) -> JointKeyRate:
-    """v(all) - M * Delta(N) with its parts read from the memo."""
+def _joint_rate(coalitions: CoalitionValues, delta: float) -> JointKeyRate:
+    """v(all) - M * Delta(N), with Delta(N) = `delta`, and its parts."""
     p = coalitions.params
-    delta_total = p.n_users * _mode_delta(p, mode)
+    delta_total = p.n_users * delta
     full = (1 << p.n_users) - 1
-    if full not in coalitions.terms:
-        coalitions.prefixes(range(p.n_users))
     info = coalitions.terms[full][0]
     chi = coalitions.holevo(full)
     return JointKeyRate(p.beta * info - chi - delta_total, info, chi, delta_total)
@@ -153,7 +140,10 @@ def joint_key_rate(params: NetworkParams, mode: str = "finite") -> JointKeyRate:
     """Joint rate beta * I(A:all) - chi(all:E) - M * Delta(N).
 
     chi = S(sigma_0) - S(sigma_all), the retained system conditioned on every
-    user in turn; sequential and joint Gaussian conditioning coincide, so it
-    is the value every decomposition row sums to.
+    user in turn (measured along the identity order); sequential and joint
+    Gaussian conditioning coincide, so it is the value every decomposition
+    row sums to.
     """
-    return _joint_rate(CoalitionValues(params, build_channel_output_cm(params)), mode)
+    delta = _mode_delta(params, mode)
+    identity = [tuple(range(params.n_users))]
+    return _joint_rate(CoalitionValues(params, build_channel_output_cm(params), identity), delta)

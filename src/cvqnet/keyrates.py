@@ -19,10 +19,11 @@ step on the x blocks of a stack of states (P = J X J, `quadrature_signs`, is
 formed only where a spectrum is taken), each member measuring its own mode
 behind its own receiver and keeping one ancilla.  The trusted bound of user
 k is chi({k}) = S(sigma_0) - S(sigma_{k}) of `CoalitionValues`, the
-coalition set function the decomposition reads too, keyed by user bitmask:
-per network state, one stacked step measures all M singletons from the
-channel output and one `block_entropies` call takes their entropies;
-S(sigma_0) is the spectrum the builder's physicality check already took.  The untrusted and
+coalition set function the decomposition reads too, keyed by user bitmask.
+A `CoalitionValues` is measured once, at construction, from its orders.
+Per network state, the M singleton orders are one stacked step from the
+channel output and one `block_entropies` call.  S(sigma_0) is the spectrum
+the builder's physicality check already took.  The untrusted and
 collaborative bounds are read on a two-mode state (A, Bk) with x block
 [[a, c], [c, b]], where chi is a closed form in the scalars a, b, c, eta_d
 and the receiver's added noise N = 2 - eta_d + nu_el (`_two_mode_holevo`;
@@ -54,6 +55,7 @@ from .gaussian import CovarianceMatrix, block_entropies, spectrum_entropy, von_n
 from .network import (
     NetworkParams,
     OutcomeModel,
+    ReceiverMap,
     build_channel_output_cm,
     measured_outcome_model,
     quadrature_signs,
@@ -127,12 +129,13 @@ def mutual_information(
 
 
 def measure_reference_user_blocks(
-    x: np.ndarray, index: np.ndarray, eta_d: np.ndarray, nu_el: np.ndarray
+    x: np.ndarray, index: np.ndarray, eta_d: np.ndarray, receiver: ReceiverMap
 ) -> np.ndarray:
     """X blocks retained after a reference user's measurement, for a stack of
     states with P = J X J (`quadrature_signs`): member b, held as its x block
-    x[b], heterodynes its mode index[b] behind its own trusted receiver
-    (eta_d[b], nu_el[b]) in one closed-form step.  That is the map of
+    x[b], heterodynes its mode index[b] behind its own trusted receiver of
+    efficiency eta_d[b], whose `receiver_map` is entry b of each field of
+    `receiver`, in one closed-form step.  That is the map of
     `condition_on_heterodyne(attach_trusted_detector(...))` without forming
     the extended state, less the ancilla D2, which that leaves in vacuum
     (`receiver_map`).  With the mode's entry w, its cross column C with the
@@ -150,7 +153,6 @@ def measure_reference_user_blocks(
     o = n - 1
     keep = np.arange(n) != index[:, None]  # the other modes of each member
     kept = keep[:, :, None] & keep[:, None, :]
-    receiver = receiver_map(eta_d, nu_el)
     w = x[members, index, index]
     outcome = eta_d * w + receiver.noise
     cross = x[members, :, index][keep].reshape(-1, o)
@@ -166,87 +168,78 @@ def measure_reference_user_blocks(
 
 class CoalitionValues:
     """The set function v(S) = beta * I(A : y_S) - chi(S) of one network
-    state, chi(S) = S(sigma_0) - S(sigma_S), memoised per coalition.
+    state, chi(S) = S(sigma_0) - S(sigma_S), measured once, at construction,
+    on the prefix coalitions of the orders it serves.
 
     sigma_S is the retained system (Alice, the users outside S and the
     trusted-receiver ancillae of those in S) conditioned on the outcomes y_S
     of the users in S.  S is keyed by its bitmask, bit k for user k, so a
-    prefix grows as S | 1 << k.  The trusted bound of user k is chi(1 << k);
-    the decomposition tables read the rest of the lattice.  The caller passes
-    the channel output of `params` it holds, so both paths share one state.
+    prefix grows as S | 1 << k.  The trusted bound of user k is chi(1 << k)
+    of the M singleton orders; the decomposition tables read the rest of the
+    lattice.  The caller passes the channel output of `params` it holds, so
+    both paths share one state.
 
-    `fill(orders)` evaluates every prefix coalition of the orders, one layer
-    (coalition size) at a time; only the layer being measured from is held,
-    as its (B, n, n) x blocks.  `terms` maps each coalition evaluated to
-    (I(A : y_S), S(sigma_S)), and `values` reads v of a table of coalitions
-    in one array step.
+    `terms` maps each coalition measured to (I(A : y_S), S(sigma_S)),
+    `chains` holds each order's prefix coalitions, and `values` reads v of a
+    table of coalitions in one array step.
     """
 
-    def __init__(self, params: NetworkParams, channel_output: CovarianceMatrix):
-        self.params = params
-        _, self._snrs = _outcome_models(params)
-        self._eta_d = np.full(params.n_users, params.detector_efficiency)
-        self._nu_el = np.array([params.trusted_noise(k) for k in range(params.n_users)])
-        self._root = channel_output
-        self._signs = quadrature_signs(params.n_users + 1)  # every layer keeps M + 1 modes
-        self.terms = {0: (0.0, von_neumann_entropy(channel_output))}
+    def __init__(
+        self,
+        params: NetworkParams,
+        channel_output: CovarianceMatrix,
+        orders: Iterable[Sequence[int]],
+    ):
+        """Measure every prefix coalition of `orders`, of checked user indices.
 
-    def fill(self, orders: Iterable[Sequence[int]]) -> list[list[int]]:
-        """Add the prefix coalitions of `orders`, of checked user indices,
-        that `terms` lacks; return each order's prefix chain.
-
-        If any is missing, the layers are built up from the channel output,
-        each coalition measured from the prefix it first follows; coalitions
-        already in `terms` keep their values.  A layer is one stacked step in
-        which every member measures its own mode behind its own receiver.  A
-        measured mode leaves the state and its ancilla goes last, so user k
+        The layers (coalition sizes) are built up from the channel output,
+        each coalition measured from the prefix it first follows; only the
+        layer being measured from is held, as its (B, n, n) x blocks.  A
+        layer is one stacked step in which every member measures its own
+        mode behind its own receiver, each user's receiver built once here.
+        A measured mode leaves the state and its ancilla goes last, so user k
         sits at its channel-output position k + 1 in (A, B1..BM) less the
         measured users before it.
         """
-        layers = [{} for _ in range(self.params.n_users)]  # by size - 1: S -> (parent, k)
-        chains = []
+        self.params = params
+        m = params.n_users
+        layers = [{} for _ in range(m)]  # by size - 1: S -> (parent, k)
+        self.chains = []
         for order in orders:
             parent, chain = 0, [0]
             for size, k in enumerate(order):  # a repeat raises before size reaches M
                 grown = parent | 1 << k
                 if grown == parent:
                     raise ValidationError(f"user {k} cannot join the coalition {set(order[:size])}")
-                layer = layers[size]
-                if grown not in layer:
-                    layer[grown] = (parent, k)
+                layers[size].setdefault(grown, (parent, k))
                 chain.append(grown)
                 parent = grown
-            chains.append(chain)
-        if all(grown in self.terms for layer in layers for grown in layer):
-            return chains
-        x = self._root.matrix[None, 0::2, 0::2]
+            self.chains.append(chain)
+        _, snrs = _outcome_models(params)
+        eta_d = np.full(m, params.detector_efficiency)
+        receivers = receiver_map(eta_d, np.array([params.trusted_noise(k) for k in range(m)]))
+        signs = quadrature_signs(m + 1)  # every layer keeps M + 1 modes
+        self.terms = {0: (0.0, von_neumann_entropy(channel_output))}
+        x = channel_output.matrix[None, 0::2, 0::2]
         position, summands = {0: 0}, [()]  # of the layer below: each member's row; SNRs by row
         for layer in filter(None, layers):
             parents = [position[parent] for parent, _ in layer.values()]
             joining = [k for _, k in layer.values()]
             index = [k + 1 - (parent & ((1 << k) - 1)).bit_count() for parent, k in layer.values()]
-            x = measure_reference_user_blocks(
-                x[parents], np.array(index), self._eta_d[joining], self._nu_el[joining]
-            )
-            summands = [summands[i] + (self._snrs[k],) for i, k in zip(parents, joining)]
-            entropies = block_entropies(x, x * self._signs).tolist()
-            for grown, snrs, entropy in zip(layer, summands, entropies):
-                if grown not in self.terms:
-                    self.terms[grown] = (_outcome_information(snrs), entropy)
+            receiver = receivers._make(field[joining] for field in receivers)
+            x = measure_reference_user_blocks(x[parents], np.array(index), eta_d[joining], receiver)
+            summands = [summands[i] + (snrs[k],) for i, k in zip(parents, joining)]
+            entropies = block_entropies(x, x * signs).tolist()
+            for grown, carried, entropy in zip(layer, summands, entropies):
+                self.terms[grown] = (_outcome_information(carried), entropy)
             position = {grown: i for i, grown in enumerate(layer)}
-        return chains
-
-    def prefixes(self, order: Sequence[int]) -> list[int]:
-        """Coalitions of the first 0, 1, ..., len(order) users of `order`,
-        each evaluated."""
-        return self.fill([tuple(map(self.params.check_user, order))])[0]
 
     def holevo(self, coalition: int) -> float:
         """chi(S) = S(sigma_0) - S(sigma_S)."""
         return self.terms[0][1] - self.terms[coalition][1]
 
     def values(self, coalitions: Sequence[Sequence[int]]) -> np.ndarray:
-        """v(S) = beta * I(A : y_S) - chi(S) of a table of evaluated
+        """v(S) = beta * I(A : y_S) - chi(S) of a table of measured
         coalitions, rows of one length, as one (rows, length) array."""
         position = {coalition: i for i, coalition in enumerate(self.terms)}
         info, entropy = np.array(list(self.terms.values())).T
@@ -256,13 +249,11 @@ class CoalitionValues:
 
 @functools.lru_cache(maxsize=16)
 def _singletons(params: NetworkParams, channel_output: CovarianceMatrix) -> CoalitionValues:
-    """`CoalitionValues` of one network state with every singleton {k}
-    evaluated: one stacked measurement step and one `block_entropies` call
-    for all M users.  Keyed on the state the caller holds (hashed by
-    identity), so it builds no state itself."""
-    coalitions = CoalitionValues(params, channel_output)
-    coalitions.fill([(k,) for k in range(params.n_users)])
-    return coalitions
+    """`CoalitionValues` of one network state on the M singleton orders: one
+    stacked measurement step and one `block_entropies` call for all M users.
+    Keyed on the state the caller holds (hashed by identity), so it builds
+    no state itself."""
+    return CoalitionValues(params, channel_output, [(k,) for k in range(params.n_users)])
 
 
 def _symplectic_pair(split: float, product: float) -> tuple[float, float]:

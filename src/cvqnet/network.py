@@ -29,12 +29,28 @@ ALICE_LABEL = "A"
 SPLITTER_BUDGET_SLACK = 1e-6
 
 
+def check_noise(name: str, value: float) -> None:
+    """Raise ValidationError naming `name` unless a noise variance is finite and >= 0."""
+    if not 0.0 <= value < math.inf:
+        raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+
+
 def check_receiver(detector_efficiency: float, electronic_noise: float) -> None:
     """Raise ValidationError unless eta_d is in (0, 1] and nu_el is finite and >= 0."""
     if not 0.0 < detector_efficiency <= 1.0:
         raise ValidationError("detector efficiency must be in (0, 1]")
-    if not 0.0 <= electronic_noise < math.inf:
-        raise ValidationError(f"electronic noise must be finite and >= 0, got {electronic_noise}")
+    check_noise("electronic noise", electronic_noise)
+
+
+def check_user_index(k: int, n_users: int) -> int:
+    """k as an int if it is a user index (0-based) of `n_users` users; else ValidationError."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValidationError(f"user index must be an integer, got {k!r}") from None
+    if not 0 <= k < n_users:
+        raise ValidationError(f"user index {k} out of range for {n_users} users")
+    return k
 
 
 @dataclass(frozen=True)
@@ -49,12 +65,9 @@ class UserLink:
     def __post_init__(self) -> None:
         if not 0.0 <= self.transmittance <= 1.0:
             raise ValidationError(f"transmittance must be in [0, 1], got {self.transmittance}")
-        if not 0.0 <= self.excess_noise < math.inf:
-            raise ValidationError(f"excess noise must be finite and >= 0, got {self.excess_noise}")
-        if self.trusted_noise is not None and not 0.0 <= self.trusted_noise < math.inf:
-            raise ValidationError(
-                f"trusted noise must be finite and >= 0, got {self.trusted_noise}"
-            )
+        check_noise("excess noise", self.excess_noise)
+        if self.trusted_noise is not None:
+            check_noise("trusted noise", self.trusted_noise)
 
 
 @dataclass(frozen=True)
@@ -103,13 +116,7 @@ class NetworkParams:
 
     def check_user(self, k: int) -> int:
         """k as an int if it is a user index (0-based); else ValidationError."""
-        try:
-            k = operator.index(k)
-        except TypeError:
-            raise ValidationError(f"user index must be an integer, got {k!r}") from None
-        if not 0 <= k < len(self.users):
-            raise ValidationError(f"user index {k} out of range for {len(self.users)} users")
-        return k
+        return check_user_index(k, len(self.users))
 
     def trusted_noise(self, k: int) -> float:
         """Electronic noise of user k (0-based), falling back to the shared value."""

@@ -28,7 +28,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError, CorruptInputError, ModelError, ValidationError
-from .network import NetworkParams, classical_outcome_cov, link_from_outcome_model
+from .network import NetworkParams, check_user_index, classical_outcome_cov, link_from_outcome_model
 
 MAGIC = b"CVNB"
 FORMAT_VERSION = 1
@@ -142,8 +142,7 @@ def estimate(block: SymbolBlock, k: int) -> tuple[float, float]:
     t_hat pools both quadratures: sum(s y) / sum(s^2).  sigma2_hat is the
     pooled residual variance.
     """
-    if not 0 <= k < block.n_users:
-        raise ValidationError(f"user index {k} out of range")
+    k = check_user_index(k, block.n_users)
     if block.n < MIN_ESTIMATION_SYMBOLS:
         raise ValidationError(
             f"need at least {MIN_ESTIMATION_SYMBOLS} symbols for stable estimates, got {block.n}"

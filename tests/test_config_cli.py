@@ -160,6 +160,7 @@ GOLDEN_DIR = Path(__file__).parent / "data" / "cli"
 # point; a change that moves a number rewrites them and lists the moved digits in CHANGES.md
 GOLDEN_OUTPUTS = [
     ("keyrate.json", ["--format", "json", "keyrate"]),
+    ("keyrate_worst_case.json", ["--format", "json", "keyrate", "--worst-case", "model"]),
     ("decompose_all.json", ["--format", "json", "decompose", "--orders", "all"]),
     ("decompose_sample.json", ["--format", "json", "decompose", "--orders", "sample:20",
                                "--seed", "1"]),

@@ -38,9 +38,11 @@ from oracles import (
 )
 
 
-def coalition_values(params):
-    """A fresh `CoalitionValues` on the network's channel output."""
-    return CoalitionValues(params, build_channel_output_cm(params))
+def coalition_values(params, orders):
+    """A fresh `CoalitionValues`, measured on the network's channel output
+    from `orders`, each entry checked as a user index."""
+    checked = [tuple(map(params.check_user, order)) for order in orders]
+    return CoalitionValues(params, build_channel_output_cm(params), checked)
 
 
 def mask(users):
@@ -48,10 +50,11 @@ def mask(users):
     return sum(1 << k for k in users)
 
 
-def chain_steps(coalitions, order):
-    """(information step, entropy drop) of each user joining along `order`."""
-    chain = coalitions.prefixes(order)
-    terms = [coalitions.terms[c] for c in chain]
+def chain_steps(params, order):
+    """(information step, entropy drop) of each user joining along `order`,
+    measured on a fresh `CoalitionValues` of that order alone."""
+    coalitions = coalition_values(params, [order])
+    terms = [coalitions.terms[c] for c in coalitions.chains[0]]
     return [(ia - ib, sb - sa) for (ib, sb), (ia, sa) in zip(terms, terms[1:])]
 
 
@@ -60,9 +63,8 @@ class TestChainRule:
         rng = np.random.default_rng(0)
         cases = [table1] + [random_params(rng) for _ in range(300)]
         for params in cases:
-            coalitions = coalition_values(params)
             for k in range(params.n_users):
-                (first, _), = chain_steps(coalitions, (k,))
+                (first, _), = chain_steps(params, (k,))
                 assert first == pytest.approx(_outcome_information(params, k, []), abs=1e-12)
 
     def test_chain_sums_to_joint_mi(self, table1):
@@ -71,7 +73,7 @@ class TestChainRule:
         for params in cases:
             m = params.n_users
             for order in itertools.islice(itertools.permutations(range(m)), 3):
-                total = sum(info for info, _ in chain_steps(coalition_values(params), order))
+                total = sum(info for info, _ in chain_steps(params, order))
                 assert total == pytest.approx(_joint_information(params), abs=1e-10)
 
     def test_decoupled_user_contributes_nothing(self, table1):
@@ -82,8 +84,8 @@ class TestChainRule:
             beta=table1.beta,
             block_size=table1.block_size,
         )
-        with_dec = chain_steps(coalition_values(extended), (4, 0, 1, 2, 3))
-        plain = chain_steps(coalition_values(table1), (0, 1, 2, 3))
+        with_dec = chain_steps(extended, (4, 0, 1, 2, 3))
+        plain = chain_steps(table1, (0, 1, 2, 3))
         for pos in range(1, 5):
             assert with_dec[pos][0] == pytest.approx(plain[pos - 1][0], abs=1e-10)
 
@@ -95,14 +97,14 @@ class TestTelescope:
             users=(UserLink(transmittance=0.4, excess_noise=0.01, trusted_noise=0.05),),
             detector_efficiency=0.7,
         )
-        (_, term), = chain_steps(coalition_values(params), (0,))
+        (_, term), = chain_steps(params, (0,))
         assert term == pytest.approx(holevo_untrusted(params, 0), abs=1e-12)
 
     def test_terms_sum_to_endpoints(self, table1):
         # the entropy drops along one order telescope to S(sigma_0) - S(sigma_M),
         # which joint_key_rate reaches along the identity order
         order = (1, 3, 0, 2)
-        total = sum(drop for _, drop in chain_steps(coalition_values(table1), order))
+        total = sum(drop for _, drop in chain_steps(table1, order))
         jr = joint_key_rate(table1)
         assert total == pytest.approx(jr.holevo, abs=1e-10)
 
@@ -111,7 +113,7 @@ class TestTelescope:
         cases = [table1] + [random_params(rng) for _ in range(8)]
         for params in cases:
             order = tuple(rng.permutation(params.n_users))
-            for _, drop in chain_steps(coalition_values(params), order):
+            for _, drop in chain_steps(params, order):
                 assert drop >= -1e-9
 
 
@@ -190,13 +192,14 @@ class TestOneRowPath:
     @staticmethod
     def assert_rows_are_decompose_rows(params, table, mode="finite"):
         # a coalition's value depends, in its last digits, on the prefix it
-        # is first measured from: given the table's memo, every row is
-        # read bit for bit, and alone the first row is measured the same way
-        coalitions = coalition_values(params)
-        coalitions.fill([row.order for row in table.rows])
+        # is first measured from: alone, the first row is measured the same
+        # way as in the table, bit for bit, and every row to rounding
         assert decompose(params, table.rows[0].order, mode) == table.rows[0]
         for row in table.rows:
-            assert decompose(params, row.order, mode, coalitions) == row
+            alone = decompose(params, row.order, mode)
+            assert alone.order == row.order
+            assert alone.contributions == pytest.approx(row.contributions, abs=1e-12)
+            assert alone.row_sum == pytest.approx(row.row_sum, abs=1e-12)
             assert all(type(k) is int for k in row.order)
 
     def test_all_orderings_rows(self, table1):
@@ -365,16 +368,16 @@ class TestCoalitionValues:
         rng = np.random.default_rng(43)
         cases = [table1] + [random_params(rng, max_users=6) for _ in range(6)]
         for params in cases:
-            coalitions = coalition_values(params)
             m = params.n_users
-            for size in range(m):
-                for earlier in itertools.combinations(range(m), size):
-                    for k in set(range(m)) - set(earlier):
-                        *_, before, after = coalitions.prefixes(earlier + (k,))
-                        step = coalitions.terms[after][0] - coalitions.terms[before][0]
-                        assert step == pytest.approx(
-                            _outcome_information(params, k, list(earlier)), abs=1e-12
-                        )
+            steps = [(earlier, k) for size in range(m)
+                     for earlier in itertools.combinations(range(m), size)
+                     for k in set(range(m)) - set(earlier)]
+            coalitions = coalition_values(params, [earlier + (k,) for earlier, k in steps])
+            for (earlier, k), (*_, before, after) in zip(steps, coalitions.chains):
+                step = coalitions.terms[after][0] - coalitions.terms[before][0]
+                assert step == pytest.approx(
+                    _outcome_information(params, k, list(earlier)), abs=1e-12
+                )
 
     def test_rows_match_per_order_rebuild(self, table1):
         rng = np.random.default_rng(44)
@@ -388,13 +391,12 @@ class TestCoalitionValues:
                 assert row.contributions == pytest.approx(expected, abs=1e-12)
 
     def test_values_within_1e12_of_high_precision_reference(self, table1):
-        # every v(S) of a filled memo, near and at unit detector efficiency
+        # every v(S) of the full lattice, near and at unit detector efficiency
         pytest.importorskip("mpmath")
         worst = 0.0
         for params in receiver_cases(table1, np.random.default_rng(92)):
             m = params.n_users
-            coalitions = coalition_values(params)
-            coalitions.fill(itertools.permutations(range(m)))
+            coalitions = coalition_values(params, itertools.permutations(range(m)))
             lattice = [c for size in range(m + 1) for c in itertools.combinations(range(m), size)]
             assert set(coalitions.terms) == set(map(mask, lattice)) == set(range(2**m))
             reference = precise_coalition_terms(params, lattice)
@@ -411,9 +413,9 @@ class TestCoalitionValues:
         sizes = []
         real = cvqnet.keyrates.measure_reference_user_blocks
 
-        def counting(x, index, eta_d, nu_el):
+        def counting(x, index, eta_d, receiver):
             sizes.append(len(index))
-            return real(x, index, eta_d, nu_el)
+            return real(x, index, eta_d, receiver)
 
         monkeypatch.setattr(cvqnet.keyrates, "measure_reference_user_blocks", counting)
         return sizes
@@ -431,7 +433,7 @@ class TestCoalitionValues:
         table = all_orderings(params)
         assert len(table.rows) == 120
         # one stacked step per layer, one member per non-empty coalition;
-        # the joint rate is v(all) of the memo
+        # the joint rate is v(all) of the same object
         assert layer_sizes == [math.comb(5, size) for size in range(1, 6)]
         assert sum(layer_sizes) == 2**5 - 1
 
@@ -469,12 +471,19 @@ class TestCoalitionValues:
         for row in table.rows:
             assert by_order.setdefault(row.order, row.contributions) == row.contributions
 
-    @pytest.mark.parametrize("order", [(0, 0), (4,), (-1,), (1, 2, 1)])
-    def test_prefixes_reject_bad_user(self, table1, order):
-        with pytest.raises(ValidationError):
-            coalition_values(table1).prefixes(order)
-
-    def test_engine_rejects_other_network(self, table1):
-        other = table1.with_links([(0.1, 0.004)] * 4)
-        with pytest.raises(ValidationError):
-            decompose(table1, (0, 1, 2, 3), coalitions=coalition_values(other))
+    def test_one_order_is_one_member_per_layer(self, table1, layer_sizes):
+        # decompose and joint_key_rate measure their one order: M layers of
+        # one member each; the trusted bound is one M-member singleton step
+        rng = np.random.default_rng(2301)
+        for params in [table1] + [random_params(rng, max_users=7) for _ in range(5)]:
+            m = params.n_users
+            layer_sizes.clear()
+            decompose(params, tuple(reversed(range(m))))
+            assert layer_sizes == [1] * m
+            layer_sizes.clear()
+            joint_key_rate(params, mode="asymptotic")
+            assert layer_sizes == [1] * m
+            layer_sizes.clear()
+            cvqnet.keyrates._singletons.cache_clear()
+            key_rate(params, TrustModel.TRUSTED, 0)
+            assert layer_sizes == [m]

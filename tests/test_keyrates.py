@@ -216,13 +216,14 @@ class TestStackedReferenceMeasurement:
                 eta_d, nu = np.array([receiver for _, receiver in jobs]).T
                 n = len(x)
                 stacked = measure_reference_user_blocks(
-                    np.broadcast_to(x, (len(jobs), n, n)), index, eta_d, nu
+                    np.broadcast_to(x, (len(jobs), n, n)), index, eta_d, receiver_map(eta_d, nu)
                 )
                 assert stacked.shape == (len(jobs), n, n)
                 for b, (i, receiver) in enumerate(jobs):
                     single = measure_reference_user(x, p, i, *receiver)
+                    one = slice(b, b + 1)
                     alone = measure_reference_user_blocks(
-                        x[None], index[b : b + 1], eta_d[b : b + 1], nu[b : b + 1]
+                        x[None], index[one], eta_d[one], receiver_map(eta_d[one], nu[one])
                     )
                     assert np.array_equal(stacked[b], single[0])
                     assert np.array_equal(alone[0], single[0])
@@ -235,7 +236,7 @@ class TestStackedReferenceMeasurement:
 
     def test_one_block_keeps_p_equal_j_x_j(self, table1):
         # the whole coalition lattice, one stacked step per layer as
-        # CoalitionValues.fill measures it: the step's X is the two-quadrature
+        # CoalitionValues measures it: the step's X is the two-quadrature
         # reference's x, and X * j j^T its p, bit for bit, on every state
         rng = np.random.default_rng(21)
         cases = [table1, random_params(rng, n_users=8)]
@@ -254,7 +255,10 @@ class TestStackedReferenceMeasurement:
                 eta_d = np.full(len(jobs), params.detector_efficiency)
                 nu = np.array([params.trusted_noise(k) for _, k in jobs])
                 stacked = measure_reference_user_blocks(
-                    np.array([layer[parent][0] for parent, _ in jobs]), index, eta_d, nu
+                    np.array([layer[parent][0] for parent, _ in jobs]),
+                    index,
+                    eta_d,
+                    receiver_map(eta_d, nu),
                 )
                 grown = {}
                 for b, (parent, k) in enumerate(jobs):

@@ -236,6 +236,19 @@ class TestNonFiniteInputs:
         with pytest.raises(ValidationError):
             UserLink(**values)
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda table1: UserLink(0.1, -0.01), "excess noise must be finite and >= 0, got -0.01"),
+        (lambda table1: UserLink(0.1, 0.01, float("inf")),
+         "trusted noise must be finite and >= 0, got inf"),
+        (lambda table1: dataclasses.replace(table1, electronic_noise=float("nan")),
+         "electronic noise must be finite and >= 0, got nan"),
+    ], ids=["excess", "trusted", "electronic"])
+    def test_noise_messages(self, table1, make, message):
+        # one rule for every noise variance, each message naming its quantity
+        with pytest.raises(ValidationError) as info:
+            make(table1)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize(
         "field",
         ["modulation_variance", "detector_efficiency", "electronic_noise", "beta",

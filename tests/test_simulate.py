@@ -189,6 +189,25 @@ class TestEstimate:
         assert [u.eps_hat < 0 for u in users] == [True, False]
         assert [u.negative_excess_flagged for u in users] == [True, False]
 
+    @pytest.mark.parametrize("k,message", [
+        (1.5, "user index must be an integer, got 1.5"),
+        (1.0, "user index must be an integer, got 1.0"),
+        ("1", "user index must be an integer, got '1'"),
+        (None, "user index must be an integer, got None"),
+        (4, "user index 4 out of range for 4 users"),
+        (-1, "user index -1 out of range for 4 users"),
+    ], ids=["fraction", "float", "text", "none", "too-large", "negative"])
+    def test_bad_user_index(self, table1, k, message):
+        # the rule of NetworkParams.check_user, before any array is indexed
+        block = simulate(table1, 2000, seed=5)
+        with pytest.raises(ValidationError) as info:
+            estimate(block, k)
+        assert str(info.value) == message
+
+    def test_integer_like_user_index(self, table1):
+        block = simulate(table1, 2000, seed=5)
+        assert estimate(block, np.int64(1)) == estimate(block, 1)
+
     def test_minimum_sample_guard(self, table1):
         block = simulate(table1, 500, seed=1)
         with pytest.raises(ValidationError):
