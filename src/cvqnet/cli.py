@@ -4,6 +4,8 @@ Subcommands: keyrate, decompose, sweep, simulate, estimate.  Every command is
 `_cmd_X(params, args) -> (json_payload, csv_lines)`; `main` loads the config,
 runs the command and writes its CSV lines (the canonical tabular output) or,
 with --format json, the JSON mirror of the same numbers, to stdout or --out.
+A `keyrate` JSON record is its `KeyRateReport`'s fields and a `decompose` row
+its `DecompositionRow`'s, with users 1-based and the trust model by value.
 Exit codes: 0 success, 2 config/input or file error (a corrupt block file is
 reported as an input error), 3 numerical or physicality error or running out
 of memory, 4 guard refusal.
@@ -50,19 +52,7 @@ def _cmd_keyrate(params: NetworkParams, args):
 
     reports = rate_table(params, trusts, users, args.mode, worst)
     payload = [
-        {
-            "user": r.user + 1,
-            "trust": r.trust.value,
-            "mode": args.mode,
-            "mutual_information": r.mutual_information,
-            "holevo": r.holevo,
-            "delta": r.delta,
-            "rate": r.rate,
-            "non_positive": r.non_positive,
-            "params_source": r.params_source,
-            "params_used": [list(p) for p in r.params_used],
-        }
-        for r in reports
+        {**vars(r), "user": r.user + 1, "trust": r.trust.value, "mode": args.mode} for r in reports
     ]
     lines = ["user," + ",".join(f"K_{t.value}" for t in trusts)]
     for k in users:
@@ -109,18 +99,8 @@ def _orders_table(raw: str, params: NetworkParams, args):
 def _cmd_decompose(params: NetworkParams, args):
     table = _orders_table(args.orders, params, args)
     rows, joint = table.rows, table.joint_rate
-    payload = {
-        "rows": [
-            {
-                "order": [k + 1 for k in r.order],
-                "contributions": list(r.contributions),
-                "row_sum": r.row_sum,
-            }
-            for r in rows
-        ],
-        "joint_rate": joint,
-        "mode": args.mode,
-    }
+    records = [{**vars(r), "order": [k + 1 for k in r.order]} for r in rows]
+    payload = {"rows": records, "joint_rate": joint, "mode": args.mode}
     lines = ["order," + ",".join(f"K_{i + 1}" for i in range(params.n_users)) + ",row_sum"]
     for r in rows:
         order_str = "-".join(str(k + 1) for k in r.order)

@@ -70,22 +70,24 @@ def decomposition_table(
 ) -> DecompositionTable:
     """Decomposition rows of the given orderings and the joint rate.  The rows
     share one `CoalitionValues`, measured on every prefix coalition of the
-    orderings; v(all) is the coalition every row ends on."""
-    return _table(params, [tuple(map(params.check_user, order)) for order in orders], mode)
+    orderings; v(all) is the coalition every row ends on.  A short order is
+    rejected here and a repeated user by that constructor, before any layer."""
+    m = params.n_users
+    checked = [tuple(map(params.check_user, order)) for order in orders]
+    for order in checked:
+        if len(set(order)) == len(order) != m:  # distinct users in range, too few
+            raise ValidationError(f"ordering must be a permutation of 0..{m - 1}, got {order}")
+    return _table(params, checked, mode)
 
 
 def _table(params: NetworkParams, orders: list[tuple[int, ...]], mode: str) -> DecompositionTable:
-    """`decomposition_table` of orders of checked user indices.  All R rows
-    are one array step: v of the (R, M + 1) prefix coalitions, and
-    (v[:, 1:] - v[:, :-1]) - Delta(N)."""
+    """`decomposition_table` of orders of checked user indices, each a
+    permutation or holding a repeated user.  All R rows are one array step:
+    v of the (R, M + 1) prefix coalitions, and (v[:, 1:] - v[:, :-1]) - Delta(N)."""
     if not orders:
         raise ValidationError("need at least one ordering")
     delta = _mode_delta(params, mode)
     coalitions = CoalitionValues(params, build_channel_output_cm(params), orders)
-    m = params.n_users
-    for order, chain in zip(orders, coalitions.chains):
-        if len(chain) != m + 1:  # with distinct users in range: a permutation
-            raise ValidationError(f"ordering must be a permutation of 0..{m - 1}, got {order}")
     values = coalitions.values(coalitions.chains)
     contributions = ((values[:, 1:] - values[:, :-1]) - delta).tolist()
     rows = tuple(

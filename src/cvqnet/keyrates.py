@@ -417,17 +417,17 @@ def key_rate(
     )
 
 
-def derive_worst_case(params: NetworkParams, n: float | None = None) -> NetworkParams:
+def derive_worst_case(params: NetworkParams) -> NetworkParams:
     """Model-implied confidence-region corner (eta_min, eps_max per user).
 
     Treats the outcome model of the given parameters as maximum-likelihood
-    estimates from a block of `n` symbols (default: the params' block size)
-    and returns `worst_case_params` at their regions.  Used when no measured
-    confidence region is available.
+    estimates from a block of `params.block_size` symbols and returns
+    `worst_case_params` at their regions.  Used when no measured confidence
+    region is available.
     """
-    n_eff = float(params.block_size if n is None else n)
     models, _ = _outcome_models(params)
-    return worst_case_params(params, EstimateReport.from_estimates(params, models, n_eff))
+    report = EstimateReport.from_estimates(params, models, float(params.block_size))
+    return worst_case_params(params, report)
 
 
 def rate_table(

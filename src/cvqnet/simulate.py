@@ -19,6 +19,7 @@ channel parameters, and `worst_case_params` alone turns corners into params.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import statistics
 import struct
@@ -95,8 +96,11 @@ class SymbolBlock:
 
 
 def check_seed(seed: int) -> int:
-    """`seed` as an int, if it fits the block header's unsigned 64 bits."""
-    seed = int(seed)
+    """`seed` as an int, if it is an integer that fits the header's unsigned 64 bits."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValidationError(f"seed must be an integer, got {seed!r}") from None
     if not 0 <= seed < 1 << 64:
         raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
     return seed

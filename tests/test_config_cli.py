@@ -161,6 +161,8 @@ GOLDEN_DIR = Path(__file__).parent / "data" / "cli"
 GOLDEN_OUTPUTS = [
     ("keyrate.json", ["--format", "json", "keyrate"]),
     ("keyrate_worst_case.json", ["--format", "json", "keyrate", "--worst-case", "model"]),
+    ("keyrate_asymptotic_user.json", ["--format", "json", "keyrate", "--mode", "asymptotic",
+                                      "--trust", "collaborative", "--user", "2"]),
     ("decompose_all.json", ["--format", "json", "decompose", "--orders", "all"]),
     ("decompose_sample.json", ["--format", "json", "decompose", "--orders", "sample:20",
                                "--seed", "1"]),

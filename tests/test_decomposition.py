@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -487,3 +488,11 @@ class TestCoalitionValues:
             cvqnet.keyrates._singletons.cache_clear()
             key_rate(params, TrustModel.TRUSTED, 0)
             assert layer_sizes == [m]
+
+    def test_short_order_rejected_before_measuring(self, table1, layer_sizes):
+        message = "ordering must be a permutation of 0..3, got (0, 1, 2)"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            decompose(table1, (0, 1, 2))
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            decomposition_table(table1, [(0, 1, 2, 3), (0, 1, 2)])
+        assert layer_sizes == []

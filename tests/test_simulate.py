@@ -16,6 +16,7 @@ from cvqnet import (
     key_rate,
     one_sided_quantile,
     read_block,
+    sample_orderings,
     simulate,
     worst_case_params,
     write_block,
@@ -62,6 +63,21 @@ class TestSimulate:
         assert np.array_equal(a.alice_x, b.alice_x)
         assert np.array_equal(a.y_x, b.y_x)
         assert np.array_equal(a.y_p, b.y_p)
+
+    @pytest.mark.parametrize("seed", [1.7, 1.0, "7", None], ids=["float", "integral-float",
+                                                                "string", "none"])
+    def test_non_integer_seed(self, table1, seed):
+        message = f"seed must be an integer, got {seed!r}"
+        with pytest.raises(ValidationError) as drawn:
+            simulate(table1, 100, seed)
+        with pytest.raises(ValidationError) as sampled:
+            sample_orderings(table1, 3, seed=seed)
+        assert str(drawn.value) == str(sampled.value) == message
+
+    def test_integer_like_seed(self, table1):
+        block = simulate(table1, 100, np.int64(7))
+        assert type(block.seed) is int
+        assert np.array_equal(block.columns, simulate(table1, 100, 7).columns)
 
     def test_different_seeds_differ(self, table1):
         a = simulate(table1, 1000, seed=1)
