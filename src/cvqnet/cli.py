@@ -26,6 +26,7 @@ from .errors import ConfigError, CorruptInputError, CVQNetError, GuardRefusalErr
 from .keyrates import MODES, TrustModel, derive_worst_case, rate_table
 from .network import NetworkParams, UserLink
 from .simulate import (
+    check_seed,
     estimate_report,
     read_block,
     simulate,
@@ -36,6 +37,18 @@ from .simulate import (
 
 def _fmt(x: float) -> str:
     return f"{x:.10g}"
+
+
+def _seed(raw: str) -> int:
+    """A `--seed` held to `check_seed`, so that any bad seed is an argument error (exit 2)."""
+    try:
+        seed = int(raw)
+    except ValueError:
+        seed = raw  # check_seed names it as a non-integer
+    try:
+        return check_seed(seed)
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _trusts(raw: str) -> list[TrustModel]:
@@ -263,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="chain-rule decomposition of the joint rate")
     p.add_argument("--orders", default="all", help="'all', 'sample:K', or an explicit order '1,2,3,4'")
     p.add_argument("--mode", choices=MODES, default="finite")
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled orderings")
+    p.add_argument("--seed", type=_seed, default=0, help="seed for sampled orderings")
     p.set_defaults(fn=_cmd_decompose)
 
     p = sub.add_parser("sweep", help="key-rate curves over a parameter grid")
@@ -278,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="draw a deterministic symbol block")
     p.add_argument("--symbols", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out-block", required=True, help="binary block output path")
     p.add_argument("--csv", help="also write a CSV copy for inspection")
     p.set_defaults(fn=_cmd_simulate)

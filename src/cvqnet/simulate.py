@@ -9,7 +9,9 @@ for validating estimators and the key-rate pipeline, and it is fast.
 Generation is chunked; chunk i draws from its own stream,
 SeedSequence(seed, spawn_key=(i,)), so the streams of different seeds and
 chunks never overlap, and any sharding across workers that respects chunk
-boundaries reproduces the same block bit for bit.
+boundaries reproduces the same block bit for bit.  `simulate` fills the
+chunks concurrently, one thread per CPU the process may run on: each chunk
+writes its own columns, so the block is the same whatever their number.
 
 Estimation reads only the block: `estimate` gives one user's (t_hat,
 sigma2_hat); `confidence_region` alone maps them and its corner back to
@@ -111,7 +113,11 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def simulate(params: NetworkParams, n: int, seed: int) -> SymbolBlock:
-    """Draw n symbols through the network's exact joint outcome model."""
+    """Draw n symbols through the network's exact joint outcome model.
+
+    The chunks are filled concurrently, one thread per CPU this process may
+    run on; the block does not depend on their number.
+    """
     if n < 1:
         raise ValidationError("need at least one symbol")
     seed = check_seed(seed)
@@ -121,19 +127,44 @@ def simulate(params: NetworkParams, n: int, seed: int) -> SymbolBlock:
     except np.linalg.LinAlgError as exc:
         raise ModelError("classical outcome covariance is not positive definite") from exc
     m = params.n_users
+    chunks = range((n + CHUNK - 1) // CHUNK)
+    # sched_getaffinity is missing outside Linux and a few other Unixes
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, len(chunks))
     try:
         columns = np.empty((2 + 2 * m, n))
+        # One draw and one product buffer per worker, allocated here (what
+        # worker threads allocate stays in their malloc arenas).  At most
+        # `workers` fills run at once, and each holds one pair, so `idle`
+        # never runs dry.  A pair is the size of one chunk's columns and
+        # workers <= chunks, so the buffers stay under the block plus a chunk.
+        idle = [(np.empty((min(n, CHUNK), m + 1)), np.empty((min(n, CHUNK), m + 1)))
+                for _ in range(workers)]
     except (ValueError, MemoryError):
         raise ValidationError(f"cannot allocate a block of n={n} symbols for M={m} users") from None
-    # rows of (s, y_1..y_M) per quadrature, in block-file order
-    x_rows = [0, *range(2, 2 + m)]
-    p_rows = [1, *range(2 + m, 2 + 2 * m)]
-    for chunk_index, start in enumerate(range(0, n, CHUNK)):
+
+    def fill(chunk_index: int) -> None:
+        start = chunk_index * CHUNK
         stop = min(start + CHUNK, n)
         rng = _chunk_rng(seed, chunk_index)
-        # draw order fixed: x block first, then p block
-        columns[x_rows, start:stop] = (rng.standard_normal((stop - start, m + 1)) @ chol.T).T
-        columns[p_rows, start:stop] = (rng.standard_normal((stop - start, m + 1)) @ chol.T).T
+        buffers = idle.pop()
+        z, y = (b[: stop - start] for b in buffers)
+        # draw order fixed: x block first, then p block; rows (s, y_1..y_M)
+        # of each quadrature in block-file order
+        for s_row, y_rows in ((0, slice(2, 2 + m)), (1, slice(2 + m, 2 + 2 * m))):
+            rng.standard_normal(out=z)
+            np.matmul(z, chol.T, out=y)
+            columns[s_row, start:stop] = y[:, 0]
+            columns[y_rows, start:stop] = y[:, 1:].T
+        idle.append(buffers)
+
+    if workers == 1:
+        list(map(fill, chunks))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(fill, chunks))
     return SymbolBlock(columns=columns, seed=seed)
 
 
@@ -147,16 +178,27 @@ def estimate(block: SymbolBlock, k: int) -> tuple[float, float]:
     pooled residual variance.
     """
     k = check_user_index(k, block.n_users)
+    return _estimate(block, k, _alice_power(block, k))
+
+
+def _alice_power(block: SymbolBlock, k: int) -> float:
+    """Alice's sum(s^2) over both quadratures, the denominator of every t_hat;
+    a non-finite one is reported against user k."""
     if block.n < MIN_ESTIMATION_SYMBOLS:
         raise ValidationError(
             f"need at least {MIN_ESTIMATION_SYMBOLS} symbols for stable estimates, got {block.n}"
         )
     sx, sp = block.alice_x, block.alice_p
-    yx, yp = block.y_x[:, k], block.y_p[:, k]
     denom = float(sx @ sx + sp @ sp)
     _check_finite(denom, k)
     if denom <= 0.0:
         raise ValidationError("Alice symbols have zero empirical variance")
+    return denom
+
+
+def _estimate(block: SymbolBlock, k: int, denom: float) -> tuple[float, float]:
+    sx, sp = block.alice_x, block.alice_p
+    yx, yp = block.y_x[:, k], block.y_p[:, k]
     t_hat = float((sx @ yx + sp @ yp) / denom)
     _check_finite(t_hat, k)
     rx = yx - t_hat * sx
@@ -268,7 +310,8 @@ def estimate_report(block: SymbolBlock, params: NetworkParams) -> EstimateReport
     """Estimates, intervals and worst-case corners for every user of a block drawn on `params`."""
     if block.n_users != params.n_users:
         raise ConfigError(f"block has {block.n_users} users but config describes {params.n_users}")
-    estimates = [estimate(block, k) for k in range(block.n_users)]
+    denom = _alice_power(block, 0)  # read once for all users
+    estimates = [_estimate(block, k, denom) for k in range(block.n_users)]
     return EstimateReport.from_estimates(params, estimates, block.n)
 
 

@@ -262,8 +262,10 @@ class TestCLI:
         assert main(["decompose", "--orders", orders]) == 2
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
-    def test_decompose_out_of_range_seed_exits_3(self, seed, capsys):
-        assert main(["decompose", "--orders", "sample:3", "--seed", seed]) == 3
+    def test_decompose_out_of_range_seed_exits_2(self, seed, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["decompose", "--orders", "sample:3", "--seed", seed])
+        assert exited.value.code == 2
         assert "seed must be in [0, 2**64)" in capsys.readouterr().err
 
     def test_decompose_guard_exits_4(self, tmp_path):
@@ -391,10 +393,11 @@ class TestCLI:
         assert hashlib.sha256(p1.read_bytes()).digest() == hashlib.sha256(p2.read_bytes()).digest()
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
-    def test_simulate_out_of_range_seed_exits_3(self, seed, capsys, tmp_path):
+    def test_simulate_out_of_range_seed_exits_2(self, seed, capsys, tmp_path):
         block_path = tmp_path / "block.cvnb"
-        code = main(["simulate", "--symbols", "10", "--seed", seed, "--out-block", str(block_path)])
-        assert code == 3
+        with pytest.raises(SystemExit) as exited:
+            main(["simulate", "--symbols", "10", "--seed", seed, "--out-block", str(block_path)])
+        assert exited.value.code == 2
         assert "seed must be in [0, 2**64)" in capsys.readouterr().err
         assert not block_path.exists()
 

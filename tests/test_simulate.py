@@ -1,5 +1,8 @@
 import csv
 import hashlib
+import os
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +28,7 @@ from cvqnet import (
 from cvqnet.errors import ConfigError, CorruptInputError, ValidationError
 from cvqnet.simulate import (
     _HEADER,
+    CHUNK,
     FORMAT_VERSION,
     MAGIC,
     SymbolBlock,
@@ -113,6 +117,45 @@ class TestSimulate:
         assert np.array_equal(block.alice_p, p[:, 0])
         assert np.array_equal(block.y_x, x[:, 1:])
         assert np.array_equal(block.y_p, p[:, 1:])
+
+    @pytest.mark.parametrize("users", [1, 4])
+    def test_block_independent_of_worker_count(self, table1, users, monkeypatch):
+        # three chunks, the last of one row: the default, one worker, three
+        # (the pool path even where the process has a single CPU) and
+        # os.cpu_count where os.sched_getaffinity is missing (outside Linux),
+        # switching threads often so that a shared buffer would show
+        params = replace(table1, users=table1.users[:users])
+        n = 2 * CHUNK + 1
+        default = simulate(params, n, seed=21).columns
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for cpus in ({0}, {0, 1, 2}, None):
+                if cpus is None:
+                    monkeypatch.delattr(os, "sched_getaffinity")
+                else:
+                    monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+                assert np.array_equal(simulate(params, n, seed=21).columns, default)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_peak_memory_is_block_and_worker_buffers(self, table1, monkeypatch):
+        # each of four workers fills through one draw and one product buffer
+        # of (CHUNK, M+1) float64, allocated before dispatch; nothing per chunk
+        params = replace(table1, users=table1.users[:1])
+        workers, m = 4, 1
+        n = workers * CHUNK
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+        simulate(params, CHUNK + 1, seed=3)  # first-call allocations, pool import
+        tracemalloc.start()
+        try:
+            simulate(params, n, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block_bytes = (2 + 2 * m) * n * 8
+        buffer_bytes = workers * 2 * CHUNK * (m + 1) * 8
+        assert peak <= block_bytes + buffer_bytes + (1 << 20)
 
     def test_zero_modulation(self):
         params = NetworkParams(
