@@ -202,15 +202,19 @@ def _cmd_sweep(params: NetworkParams, args):
 
 def _cmd_simulate(params: NetworkParams, args):
     block = simulate(params, args.symbols, args.seed)
-    write_block(block, args.out_block)
     written = [args.out_block]
-    if args.csv:
-        try:
+    try:
+        write_block(block, args.out_block)
+        if args.csv:
             write_block_csv(block, args.csv)
-        except OSError:
-            os.remove(args.out_block)  # a failed command leaves no output behind
-            raise
-        written.append(args.csv)
+            written.append(args.csv)
+    except OSError as exc:
+        # A failed command leaves no output behind.  An error naming the block
+        # path is write_block failing to open it: that target is not ours, and
+        # neither is a non-regular one such as /dev/null.
+        if exc.filename != args.out_block and os.path.isfile(args.out_block):
+            os.remove(args.out_block)
+        raise
     payload = {"symbols": block.n, "users": block.n_users, "seed": block.seed, "files": written}
     lines = ["symbols,users,seed,files",
              f"{block.n},{block.n_users},{block.seed}," + ";".join(written)]

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import stat
 import statistics
 import struct
 from dataclasses import dataclass
@@ -189,7 +190,7 @@ def _alice_power(block: SymbolBlock, k: int) -> float:
             f"need at least {MIN_ESTIMATION_SYMBOLS} symbols for stable estimates, got {block.n}"
         )
     sx, sp = block.alice_x, block.alice_p
-    denom = float(sx @ sx + sp @ sp)
+    denom = float(_dot(sx, sx) + _dot(sp, sp))
     _check_finite(denom, k)
     if denom <= 0.0:
         raise ValidationError("Alice symbols have zero empirical variance")
@@ -199,13 +200,19 @@ def _alice_power(block: SymbolBlock, k: int) -> float:
 def _estimate(block: SymbolBlock, k: int, denom: float) -> tuple[float, float]:
     sx, sp = block.alice_x, block.alice_p
     yx, yp = block.y_x[:, k], block.y_p[:, k]
-    t_hat = float((sx @ yx + sp @ yp) / denom)
+    t_hat = float((_dot(sx, yx) + _dot(sp, yp)) / denom)
     _check_finite(t_hat, k)
     rx = yx - t_hat * sx
     rp = yp - t_hat * sp
-    sigma2_hat = float((rx @ rx + rp @ rp) / (2 * block.n))
+    sigma2_hat = float((_dot(rx, rx) + _dot(rp, rp)) / (2 * block.n))
     _check_finite(sigma2_hat, k)
     return t_hat, sigma2_hat
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.float64:
+    """sum(a b), summed by numpy's own loop: BLAS would split a long sum
+    across its threads, so its last bits would depend on their number."""
+    return np.einsum("i,i->", a, b)
 
 
 def _check_finite(value: float, k: int) -> None:
@@ -329,9 +336,29 @@ CSV_CHUNK_ROWS = 4096
 
 
 def write_block(block: SymbolBlock, path: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, block.n, block.n_users, block.seed))
-        fh.write(np.ascontiguousarray(block.columns, dtype="<f8"))  # no copy when already <f8
+    """Write `block` to `path` in the CVNB layout (header, then its columns).
+
+    A regular file is rewritten in place, not truncated to zero first: a
+    header of zero bytes, the payload, a truncate at its end, and the real
+    header last.  So until the payload is whole the file has no magic, and
+    `read_block` rejects a file whose write stopped part-way.  Any other
+    target (a pipe, /dev/null) gets the header and payload as one stream.
+    Nothing is fsynced.
+    """
+    header = _HEADER.pack(MAGIC, FORMAT_VERSION, block.n, block.n_users, block.seed)
+    payload = np.ascontiguousarray(block.columns, dtype="<f8")  # no copy when already <f8
+    # no O_TRUNC: truncating a large file to zero makes the filesystem flush it first
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as fh:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.write(header)
+            fh.write(payload)
+            return
+        fh.write(bytes(len(header)))
+        fh.write(payload)
+        fh.truncate()
+        fh.seek(0)
+        fh.write(header)
 
 
 def read_block(path: str) -> SymbolBlock:

@@ -1,4 +1,9 @@
+import errno
+import importlib
+import io
 import json
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -476,6 +481,63 @@ class TestCLI:
         assert main(argv) == 2
         assert "file error:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_simulate_failed_block_write_leaves_no_block(self, capsys, tmp_path, monkeypatch):
+        simulate_module = importlib.import_module("cvqnet.simulate")
+
+        class FullDisk(io.BufferedWriter):
+            def write(self, data):
+                if memoryview(data).nbytes > simulate_module._HEADER.size:  # the payload
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return super().write(data)
+
+        monkeypatch.setattr(simulate_module, "open", lambda fd, mode: FullDisk(io.FileIO(fd, "w")),
+                            raising=False)
+        argv = ["simulate", "--symbols", "2000", "--seed", "1", "--out-block", str(tmp_path / "b.cvnb")]
+        assert main(argv) == 2
+        assert "file error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_simulate_directory_out_block_is_kept(self, capsys, tmp_path):
+        target = tmp_path / "blocks"
+        target.mkdir()
+        assert main(["simulate", "--symbols", "10", "--seed", "1", "--out-block", str(target)]) == 2
+        assert "file error:" in capsys.readouterr().err
+        assert target.is_dir()
+
+    def test_simulate_unopenable_block_is_kept(self, capsys, tmp_path, monkeypatch):
+        target = tmp_path / "b.cvnb"
+        target.write_bytes(b"kept")
+        real_open = os.open
+
+        def refuse(path, *args, **kwargs):
+            if path == str(target):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", refuse)
+        assert main(["simulate", "--symbols", "10", "--seed", "1", "--out-block", str(target)]) == 2
+        assert "file error:" in capsys.readouterr().err
+        assert target.read_bytes() == b"kept"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_simulate_failed_csv_keeps_non_regular_block_target(self, capsys, tmp_path):
+        fifo = tmp_path / "block.fifo"
+        os.mkfifo(fifo)
+
+        def drain():
+            with open(fifo, "rb") as fh:
+                fh.read()
+
+        reader = threading.Thread(target=drain, daemon=True)
+        reader.start()
+        argv = ["simulate", "--symbols", "10", "--seed", "1", "--out-block", str(fifo),
+                "--csv", str(tmp_path / "no-such-dir" / "x.csv")]
+        assert main(argv) == 2
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert "file error:" in capsys.readouterr().err
+        assert fifo.exists()
 
     @pytest.mark.parametrize("users", [3, 5])
     def test_estimate_block_user_count_mismatch_exits_2(self, users, capsys, tmp_path):

@@ -1,13 +1,19 @@
 import csv
 import hashlib
+import importlib
+import io
 import os
+import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cvqnet
 from cvqnet import (
     NetworkParams,
     TrustModel,
@@ -25,6 +31,7 @@ from cvqnet import (
     write_block,
     write_block_csv,
 )
+from cvqnet.cli import main
 from cvqnet.errors import ConfigError, CorruptInputError, ValidationError
 from cvqnet.simulate import (
     _HEADER,
@@ -199,6 +206,24 @@ class TestEstimate:
         assert t_hat == pytest.approx(t_true, rel=1e-12)
         assert sigma2_hat == pytest.approx(0.0, abs=1e-20)
 
+    def test_report_bits_independent_of_blas_threads(self):
+        # n is above OpenBLAS's threshold for splitting a dot product across
+        # threads, where the split moves last bits
+        script = ("from cvqnet import default_config, estimate_report, simulate\n"
+                  "params = default_config().params\n"
+                  "print(repr(estimate_report(simulate(params, 20000, 3), params)))")
+        path = os.pathsep.join(filter(None, [str(Path(cvqnet.__file__).parents[1]),
+                                             os.environ.get("PYTHONPATH")]))
+        reports = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for threads in ("1", "2")
+        }
+        assert len(reports) == 1 and "EstimateReport(" in reports.pop()
+
     @pytest.mark.parametrize("users", [5, 3])
     def test_report_rejects_block_of_another_user_count(self, table1, users):
         other = NetworkParams(modulation_variance=5.04, users=(table1.users * 2)[:users])
@@ -344,7 +369,6 @@ class TestBlockFiles:
                 assert field.base is payload
 
     def test_short_read_rejected(self, table1, tmp_path, monkeypatch):
-        import importlib
         import types
 
         path = tmp_path / "block.cvnb"
@@ -356,6 +380,62 @@ class TestBlockFiles:
         monkeypatch.setattr(importlib.import_module("cvqnet.simulate"), "os", fake_os)
         with pytest.raises(CorruptInputError, match="short read"):
             read_block(str(path))
+
+    @pytest.mark.parametrize("before", [None, 5000, 1], ids=["fresh", "over-larger", "over-smaller"])
+    def test_file_is_header_then_columns(self, before, table1, tmp_path):
+        # a rewrite in place ends byte for byte as a fresh write of the layout
+        path = tmp_path / "block.cvnb"
+        if before is not None:
+            write_block(simulate(table1, before, seed=2), str(path))
+        block = simulate(table1, 2000, seed=7)
+        write_block(block, str(path))
+        layout = _HEADER.pack(MAGIC, FORMAT_VERSION, 2000, 4, 7) + block.columns.astype("<f8").tobytes()
+        assert hashlib.sha256(path.read_bytes()).digest() == hashlib.sha256(layout).digest()
+
+    def test_dev_null_accepted(self, table1):
+        write_block(simulate(table1, 2000, seed=7), os.devnull)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_streams_the_file_bytes(self, table1, tmp_path):
+        block = simulate(table1, 20000, seed=7)  # more than a pipe buffer
+        write_block(block, str(tmp_path / "block.cvnb"))
+        read_end, write_end = os.pipe()
+        streamed = []
+
+        def drain():
+            with os.fdopen(read_end, "rb") as fh:
+                streamed.append(fh.read())
+
+        reader = threading.Thread(target=drain, daemon=True)
+        reader.start()
+        try:
+            write_block(block, f"/dev/fd/{write_end}")
+        finally:
+            os.close(write_end)
+            reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert streamed == [(tmp_path / "block.cvnb").read_bytes()]
+
+    def test_write_interrupted_before_header_has_bad_magic(self, table1, tmp_path, monkeypatch):
+        class Interrupted(Exception):
+            pass
+
+        class StopBeforeHeader(io.BufferedWriter):
+            def seek(self, *args):  # payload written and truncated; header next
+                raise Interrupted
+
+        path = tmp_path / "block.cvnb"
+        write_block(simulate(table1, 5000, seed=1), str(path))
+        module = importlib.import_module("cvqnet.simulate")
+        monkeypatch.setattr(module, "open", lambda fd, mode: StopBeforeHeader(io.FileIO(fd, "w")),
+                            raising=False)
+        with pytest.raises(Interrupted):
+            write_block(simulate(table1, 2000, seed=7), str(path))
+        monkeypatch.undo()
+        assert path.stat().st_size == _HEADER.size + 10 * 2000 * 8
+        with pytest.raises(CorruptInputError, match="bad magic"):
+            read_block(str(path))
+        assert main(["estimate", "--in", str(path)]) == 2
 
     def test_same_seed_same_file_checksum(self, table1, tmp_path):
         p1, p2 = tmp_path / "a.cvnb", tmp_path / "b.cvnb"
