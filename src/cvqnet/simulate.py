@@ -16,6 +16,9 @@ writes its own columns, so the block is the same whatever their number.
 Estimation reads only the block: `estimate` gives one user's (t_hat,
 sigma2_hat); `confidence_region` alone maps them and its corner back to
 channel parameters, and `worst_case_params` alone turns corners into params.
+The estimators make one pass over fixed TILE column ranges, the chunks again
+on one thread per CPU, and pool each tile's sums in tile order.  They sum
+with numpy's own loops, not BLAS, so their bits depend on the block alone.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .network import NetworkParams, check_user_index, classical_outcome_cov, lin
 MAGIC = b"CVNB"
 FORMAT_VERSION = 1
 CHUNK = 1 << 19
+TILE = 1 << 14
 
 # One-sided standard-normal quantile at 5e-11, i.e. the per-parameter
 # confidence level for eps_pe = 1e-10 split over two tails.  Frozen from a
@@ -113,6 +117,37 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
 
 
+def _workers(chunks: int) -> int:
+    """Threads to run `chunks` chunks on: one per CPU this process may run
+    on, at most one per chunk."""
+    # sched_getaffinity is missing outside Linux and a few other Unixes
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, chunks)
+
+
+def _map_chunks(fn, chunks: int, idle: list) -> list:
+    """[fn(0, b), ..., fn(chunks - 1, b)] on one thread per buffer of `idle`.
+
+    Each call holds one buffer b of `idle` while it runs, so no two calls
+    share one.  The caller allocates them (what worker threads allocate
+    stays in their malloc arenas), one per thread: at most len(idle) calls
+    run at once, so `idle` never runs dry.
+    """
+    def run(chunk_index: int):
+        buffers = idle.pop()
+        try:
+            return fn(chunk_index, buffers)
+        finally:
+            idle.append(buffers)
+
+    if len(idle) == 1:
+        return list(map(run, range(chunks)))
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(len(idle)) as pool:
+        return list(pool.map(run, range(chunks)))
+
+
 def simulate(params: NetworkParams, n: int, seed: int) -> SymbolBlock:
     """Draw n symbols through the network's exact joint outcome model.
 
@@ -128,44 +163,34 @@ def simulate(params: NetworkParams, n: int, seed: int) -> SymbolBlock:
     except np.linalg.LinAlgError as exc:
         raise ModelError("classical outcome covariance is not positive definite") from exc
     m = params.n_users
-    chunks = range((n + CHUNK - 1) // CHUNK)
-    # sched_getaffinity is missing outside Linux and a few other Unixes
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(cpus, len(chunks))
+    chunks = (n + CHUNK - 1) // CHUNK
     try:
         columns = np.empty((2 + 2 * m, n))
-        # One draw and one product buffer per worker, allocated here (what
-        # worker threads allocate stays in their malloc arenas).  At most
-        # `workers` fills run at once, and each holds one pair, so `idle`
-        # never runs dry.  A pair is the size of one chunk's columns and
-        # workers <= chunks, so the buffers stay under the block plus a chunk.
+        # One draw and one product buffer per worker.  A pair is the size of
+        # one chunk's columns and workers <= chunks, so the buffers stay under
+        # the block plus a chunk.
         idle = [(np.empty((min(n, CHUNK), m + 1)), np.empty((min(n, CHUNK), m + 1)))
-                for _ in range(workers)]
+                for _ in range(_workers(chunks))]
     except (ValueError, MemoryError):
         raise ValidationError(f"cannot allocate a block of n={n} symbols for M={m} users") from None
 
-    def fill(chunk_index: int) -> None:
+    def fill(chunk_index: int, buffers: tuple[np.ndarray, np.ndarray]) -> None:
         start = chunk_index * CHUNK
         stop = min(start + CHUNK, n)
         rng = _chunk_rng(seed, chunk_index)
-        buffers = idle.pop()
         z, y = (b[: stop - start] for b in buffers)
         # draw order fixed: x block first, then p block; rows (s, y_1..y_M)
         # of each quadrature in block-file order
         for s_row, y_rows in ((0, slice(2, 2 + m)), (1, slice(2 + m, 2 + 2 * m))):
             rng.standard_normal(out=z)
             np.matmul(z, chol.T, out=y)
-            columns[s_row, start:stop] = y[:, 0]
-            columns[y_rows, start:stop] = y[:, 1:].T
-        idle.append(buffers)
+            # transposed in TILE rows, which stay in cache while they are copied
+            for a in range(0, stop - start, TILE):
+                tile = y[a : a + TILE]
+                columns[s_row, start + a : start + a + len(tile)] = tile[:, 0]
+                columns[y_rows, start + a : start + a + len(tile)] = tile[:, 1:].T
 
-    if workers == 1:
-        list(map(fill, chunks))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(fill, chunks))
+    _map_chunks(fill, chunks, idle)
     return SymbolBlock(columns=columns, seed=seed)
 
 
@@ -176,37 +201,90 @@ def estimate(block: SymbolBlock, k: int) -> tuple[float, float]:
     """(t_hat, sigma2_hat) of user k's outcome model y = t s + n.
 
     t_hat pools both quadratures: sum(s y) / sum(s^2).  sigma2_hat is the
-    pooled residual variance.
+    pooled residual variance sum((y - t_hat s)^2) / (2n).  Both are pooled
+    from per-tile sums over fixed TILE column ranges (`_pool`), so their
+    bits depend on the block alone, not on the CPU or BLAS thread count,
+    and are those of `estimate_report`.
     """
     k = check_user_index(k, block.n_users)
-    return _estimate(block, k, _alice_power(block, k))
+    return _estimates(block, [k])[0]
 
 
-def _alice_power(block: SymbolBlock, k: int) -> float:
-    """Alice's sum(s^2) over both quadratures, the denominator of every t_hat;
-    a non-finite one is reported against user k."""
+def _estimates(block: SymbolBlock, users: list[int]) -> list[tuple[float, float]]:
+    """(t_hat, sigma2_hat) of each of `users`, checked in the order Alice's
+    power (reported against users[0]), then each user's t_hat and sigma2_hat."""
     if block.n < MIN_ESTIMATION_SYMBOLS:
         raise ValidationError(
             f"need at least {MIN_ESTIMATION_SYMBOLS} symbols for stable estimates, got {block.n}"
         )
-    sx, sp = block.alice_x, block.alice_p
-    denom = float(_dot(sx, sx) + _dot(sp, sp))
-    _check_finite(denom, k)
-    if denom <= 0.0:
+    power, t_hat, sigma2_hat = _pool(block)
+    _check_finite(power, users[0])
+    if power <= 0.0:
         raise ValidationError("Alice symbols have zero empirical variance")
-    return denom
+    for k in users:
+        _check_finite(t_hat[k], k)
+        _check_finite(sigma2_hat[k], k)
+    return [(t_hat[k], sigma2_hat[k]) for k in users]
 
 
-def _estimate(block: SymbolBlock, k: int, denom: float) -> tuple[float, float]:
-    sx, sp = block.alice_x, block.alice_p
-    yx, yp = block.y_x[:, k], block.y_p[:, k]
-    t_hat = float((_dot(sx, yx) + _dot(sp, yp)) / denom)
-    _check_finite(t_hat, k)
-    rx = yx - t_hat * sx
-    rp = yp - t_hat * sp
-    sigma2_hat = float((_dot(rx, rx) + _dot(rp, rp)) / (2 * block.n))
-    _check_finite(sigma2_hat, k)
-    return t_hat, sigma2_hat
+def _pool(block: SymbolBlock) -> tuple[float, list[float], list[float]]:
+    """Alice's power sum(s^2), and t_hat and sigma2_hat of every user, unchecked.
+
+    Tile c gives S_ss,c = sum(s^2), S_sy,c = sum(s y), its own slope
+    t_c = S_sy,c / S_ss,c and RSS_c = sum((y - t_c s)^2) (`_tile_sums`).
+    Pooled in tile order: t = sum S_sy,c / sum S_ss,c and
+    RSS = sum [RSS_c + (t_c - t)^2 S_ss,c], exact since sum s (y - t_c s) = 0
+    on each tile.  Unlike sum y^2 - t sum s y, that does not cancel away the
+    residual of a noiseless block.
+    """
+    n, m = block.n, block.n_users
+    chunks = (n + CHUNK - 1) // CHUNK
+    idle = [np.empty((m, min(n, TILE))) for _ in range(_workers(chunks))]
+    sums = np.concatenate(_map_chunks(lambda i, r: _tile_sums(block, i, r), chunks, idle))
+    s_ss, s_sy, t_c, rss = np.split(sums, [1, 1 + m, 1 + 2 * m], axis=1)
+    power = _in_tile_order(s_ss)[0]
+    with np.errstate(all="ignore"):  # a non-finite sample is reported by the caller
+        t_hat = _in_tile_order(s_sy) / power
+        sigma2_hat = _in_tile_order(rss + (t_c - t_hat) ** 2 * s_ss) / (2 * n)
+    return float(power), t_hat.tolist(), sigma2_hat.tolist()
+
+
+def _in_tile_order(rows: np.ndarray) -> np.ndarray:
+    """Sum of `rows` over axis 0, added one row after another (np.sum may
+    add pairwise, in an order that depends on the array's shape)."""
+    return np.add.accumulate(rows, axis=0)[-1]
+
+
+def _tile_sums(block: SymbolBlock, chunk_index: int, r: np.ndarray) -> np.ndarray:
+    """One row (S_ss, S_sy, t_c, RSS_c) per TILE of chunk `chunk_index`, the
+    last three for every user: S_sy = sum(y_x s_x + y_p s_p), and the rest
+    likewise over both quadratures.  `r` is an (M, TILE) residual buffer."""
+    columns, m = block.columns, block.n_users
+    start = chunk_index * CHUNK
+    stop = min(start + CHUNK, block.n)
+    y_x, y_p = columns[2 : 2 + m], columns[2 + m :]
+    sums = np.empty(((stop - start + TILE - 1) // TILE, 1 + 3 * m))
+    # errstate is per thread: a non-finite sample must reach the caller's
+    # check as a value, not print a RuntimeWarning (inf - inf in a residual)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for row, a in zip(sums, range(start, stop, TILE)):
+            b = min(a + TILE, stop)
+            s_x, s_p = columns[0, a:b], columns[1, a:b]
+            s_ss = _dot(s_x, s_x) + _dot(s_p, s_p)
+            s_sy = np.einsum("ij,j->i", y_x[:, a:b], s_x) + np.einsum("ij,j->i", y_p[:, a:b], s_p)
+            # a tile whose symbols are all zero adds nothing to the pooled sums, whatever its t_c
+            t_c = s_sy / s_ss if s_ss else np.zeros(m)
+            residual = r[:, : b - a]
+            rss = np.zeros(m)
+            for y, s in ((y_x, s_x), (y_p, s_p)):
+                np.multiply(t_c[:, None], s, out=residual)
+                np.subtract(y[:, a:b], residual, out=residual)
+                rss += np.einsum("ij,ij->i", residual, residual)
+            row[0] = s_ss
+            row[1 : 1 + m] = s_sy
+            row[1 + m : 1 + 2 * m] = t_c
+            row[1 + 2 * m :] = rss
+    return sums
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.float64:
@@ -317,8 +395,7 @@ def estimate_report(block: SymbolBlock, params: NetworkParams) -> EstimateReport
     """Estimates, intervals and worst-case corners for every user of a block drawn on `params`."""
     if block.n_users != params.n_users:
         raise ConfigError(f"block has {block.n_users} users but config describes {params.n_users}")
-    denom = _alice_power(block, 0)  # read once for all users
-    estimates = [_estimate(block, k, denom) for k in range(block.n_users)]
+    estimates = _estimates(block, list(range(block.n_users)))
     return EstimateReport.from_estimates(params, estimates, block.n)
 
 

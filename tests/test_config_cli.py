@@ -21,6 +21,7 @@ from cvqnet import (
 )
 from cvqnet.cli import main
 from cvqnet.errors import ConfigError
+from cvqnet.simulate import CHUNK, TILE
 
 TABLE1_TEXT = (
     "modulation_variance = 5.04 SNU\ndetector_efficiency = 0.68\nelectronic_noise = 0.06 SNU\n"
@@ -174,6 +175,8 @@ GOLDEN_OUTPUTS = [
     ("decompose_order.json", ["--format", "json", "decompose", "--orders", "4,3,2,1"]),
     ("sweep_loss_db.csv", ["sweep", "--param", "loss_db", "--from", "0", "--to", "30",
                            "--steps", "61"]),
+    # BLOCK is the file of `simulate --symbols 20000 --seed 1`
+    ("estimate.json", ["--format", "json", "estimate", "--in", "BLOCK"]),
 ]
 
 
@@ -231,8 +234,12 @@ class TestCLI:
         assert csv_from_json(json.loads(json_out)) == csv_out.splitlines()
 
     @pytest.mark.parametrize("name,argv", GOLDEN_OUTPUTS, ids=[name for name, _ in GOLDEN_OUTPUTS])
-    def test_golden_output(self, capsys, name, argv):
+    def test_golden_output(self, capsys, tmp_path, name, argv):
         # full-precision JSON floats make this a bit-level pin of the library
+        if "BLOCK" in argv:
+            block = str(tmp_path / "block.cvnb")
+            self.run(capsys, "simulate", "--symbols", "20000", "--seed", "1", "--out-block", block)
+            argv = [block if arg == "BLOCK" else arg for arg in argv]
         code, out = self.run(capsys, *argv)
         assert code == 0
         assert out == (GOLDEN_DIR / name).read_text()
@@ -436,6 +443,30 @@ class TestCLI:
         block.columns[row, 1234] = value
         write_block(block, str(block_path))
         assert main(["--format", fmt, "estimate", "--in", str(block_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: non-finite sample in the block")
+        assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning in any thread fails the test
+    @pytest.mark.parametrize(
+        "row, column, value",
+        [(0, TILE - 1, np.nan), (4, CHUNK, np.nan), (3, CHUNK + TILE + 99, np.inf),
+         (1, CHUNK + TILE + 99, -np.inf)],
+        ids=["alice-nan-tile-end", "user-nan-chunk-start", "user-inf-last-tile",
+             "alice-minus-inf-last-tile"],
+    )
+    def test_estimate_non_finite_on_tile_edges_exits_2(self, row, column, value, capsys, tmp_path,
+                                                       monkeypatch):
+        # two chunks on two threads, the second ending in a 100-symbol tile: the
+        # residual of a non-finite sample (inf - inf) is formed in a worker thread,
+        # whose numpy error state is its own
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        block_path = tmp_path / "block.cvnb"
+        block = simulate(default_config().params, CHUNK + TILE + 100, seed=3)
+        block.columns[row, column] = value
+        write_block(block, str(block_path))
+        assert main(["estimate", "--in", str(block_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("input error: non-finite sample in the block")

@@ -38,6 +38,7 @@ from cvqnet.simulate import (
     CHUNK,
     FORMAT_VERSION,
     MAGIC,
+    TILE,
     SymbolBlock,
     Z_EPS_PE_1E10,
     _chunk_rng,
@@ -196,15 +197,60 @@ class TestSimulate:
 
 class TestEstimate:
     def test_exact_regression_on_noiseless_data(self, table1):
-        n = 5000
-        rng = np.random.default_rng(0)
-        s_x = rng.normal(0, np.sqrt(table1.modulation_variance), n)
-        s_p = rng.normal(0, np.sqrt(table1.modulation_variance), n)
-        t_true = 0.21
-        block = SymbolBlock(columns=np.vstack([s_x, s_p, t_true * s_x, t_true * s_p]), seed=0)
-        t_hat, sigma2_hat = estimate(block, 0)
-        assert t_hat == pytest.approx(t_true, rel=1e-12)
-        assert sigma2_hat == pytest.approx(0.0, abs=1e-20)
+        # one tile, and three plus a partial fourth: pooled from per-tile
+        # residuals, sigma2 stays at rounding level, far below the cancellation
+        # error of sum(y^2) - t sum(s y)
+        for n in (5000, 3 * TILE + 17):
+            rng = np.random.default_rng(0)
+            s_x = rng.normal(0, np.sqrt(table1.modulation_variance), n)
+            s_p = rng.normal(0, np.sqrt(table1.modulation_variance), n)
+            t_true = 0.21
+            block = SymbolBlock(columns=np.vstack([s_x, s_p, t_true * s_x, t_true * s_p]), seed=0)
+            t_hat, sigma2_hat = estimate(block, 0)
+            assert t_hat == pytest.approx(t_true, rel=1e-12)
+            assert sigma2_hat == pytest.approx(0.0, abs=1e-20)
+
+    @pytest.mark.parametrize("n,zero_tile", [(1000, False), (TILE - 1, False), (TILE + 1, False),
+                                             (2 * CHUNK + 17, False), (3 * TILE + 5, True)],
+                             ids=["1000", "tile-1", "tile+1", "2chunks+17", "zero-tile"])
+    def test_agrees_with_full_length_residuals(self, table1, n, zero_tile):
+        # the estimators as one sum over all n symbols, then a residual pass;
+        # the tiles only regroup the sums.  A tile whose symbols are all zero
+        # has no slope of its own and adds nothing to the pooled sums.
+        block = simulate(table1, n, seed=8)
+        if zero_tile:
+            block.columns[:2, TILE : 2 * TILE] = 0.0
+        dot = lambda a, b: np.einsum("i,i->", a, b)
+        s_x, s_p = block.alice_x, block.alice_p
+        report = estimate_report(block, table1)
+        for k, u in enumerate(report.users):
+            y_x, y_p = block.y_x[:, k], block.y_p[:, k]
+            t = (dot(s_x, y_x) + dot(s_p, y_p)) / (dot(s_x, s_x) + dot(s_p, s_p))
+            r_x, r_p = y_x - t * s_x, y_p - t * s_p
+            sigma2 = (dot(r_x, r_x) + dot(r_p, r_p)) / (2 * n)
+            assert u.t_hat == pytest.approx(t, rel=1e-13, abs=0)
+            assert u.sigma2_hat == pytest.approx(sigma2, rel=1e-13, abs=0)
+            assert estimate(block, k) == (u.t_hat, u.sigma2_hat)
+
+    def test_report_bits_independent_of_worker_count(self, table1, monkeypatch):
+        # three chunks, the last of one symbol: the default, one worker, three
+        # and os.cpu_count where os.sched_getaffinity is missing, switching
+        # threads often so that a shared residual buffer would show
+        n = 2 * CHUNK + 1
+        block = simulate(table1, n, seed=22)
+        default = repr(estimate_report(block, table1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for cpus in ({0}, {0, 1, 2}, None):
+                if cpus is None:
+                    monkeypatch.delattr(os, "sched_getaffinity")
+                else:
+                    monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                                        raising=False)
+                assert repr(estimate_report(block, table1)) == default
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_report_bits_independent_of_blas_threads(self):
         # n is above OpenBLAS's threshold for splitting a dot product across
