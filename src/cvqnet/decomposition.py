@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import GuardRefusalError, ValidationError
 from .keyrates import CoalitionValues, _mode_delta
-from .network import NetworkParams, build_channel_output_cm
+from .network import NetworkParams, build_channel_output_cm, check_integer
 from .simulate import check_seed
 
 MAX_ENUMERATED_USERS = 8
@@ -116,6 +116,7 @@ def sample_orderings(
 ) -> DecompositionTable:
     """Decomposition over `count` random orderings (fixed-seed sampling)."""
     rng = np.random.default_rng(check_seed(seed))
+    count = check_integer("count", count)
     orders = [tuple(rng.permutation(params.n_users).tolist()) for _ in range(count)]
     return _table(params, orders, mode)
 

@@ -384,6 +384,8 @@ def key_rate(
     already-chosen security evaluation point).  mode "asymptotic": Delta = 0
     and the given params are used directly (maximum-likelihood reading).
     """
+    if not isinstance(trust, TrustModel):
+        raise ValidationError(f"trust must be a TrustModel, got {trust!r}")
     delta = _mode_delta(params, mode)
     if mode == "asymptotic":
         eval_params = params

@@ -42,12 +42,17 @@ def check_receiver(detector_efficiency: float, electronic_noise: float) -> None:
     check_noise("electronic noise", electronic_noise)
 
 
+def check_integer(name: str, value: int) -> int:
+    """`value` as an int if it is an integer (`operator.index`); else ValidationError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_user_index(k: int, n_users: int) -> int:
     """k as an int if it is a user index (0-based) of `n_users` users; else ValidationError."""
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ValidationError(f"user index must be an integer, got {k!r}") from None
+    k = check_integer("user index", k)
     if not 0 <= k < n_users:
         raise ValidationError(f"user index {k} out of range for {n_users} users")
     return k

@@ -9,22 +9,22 @@ for validating estimators and the key-rate pipeline, and it is fast.
 Generation is chunked; chunk i draws from its own stream,
 SeedSequence(seed, spawn_key=(i,)), so the streams of different seeds and
 chunks never overlap, and any sharding across workers that respects chunk
-boundaries reproduces the same block bit for bit.  `simulate` fills the
-chunks concurrently, one thread per CPU the process may run on: each chunk
-writes its own columns, so the block is the same whatever their number.
+boundaries reproduces the same block bit for bit.  `simulate` alone uses
+threads: W = one per CPU the process may run on, at most one per chunk, and
+chunk i goes to worker i mod W.  Each chunk writes its own columns, so the
+block is the same whatever W.
 
 Estimation reads only the block: `estimate` gives one user's (t_hat,
 sigma2_hat); `confidence_region` alone maps them and its corner back to
 channel parameters, and `worst_case_params` alone turns corners into params.
-The estimators make one pass over fixed TILE column ranges, the chunks again
-on one thread per CPU, and pool each tile's sums in tile order.  They sum
-with numpy's own loops, not BLAS, so their bits depend on the block alone.
+The estimators make one pass over fixed TILE column ranges on the calling
+thread and pool each tile's sums in tile order.  They sum with numpy's own
+loops, not BLAS, so their bits depend on the block alone.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import os
 import stat
 import statistics
@@ -35,7 +35,13 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError, CorruptInputError, ModelError, ValidationError
-from .network import NetworkParams, check_user_index, classical_outcome_cov, link_from_outcome_model
+from .network import (
+    NetworkParams,
+    check_integer,
+    check_user_index,
+    classical_outcome_cov,
+    link_from_outcome_model,
+)
 
 MAGIC = b"CVNB"
 FORMAT_VERSION = 1
@@ -104,10 +110,7 @@ class SymbolBlock:
 
 def check_seed(seed: int) -> int:
     """`seed` as an int, if it is an integer that fits the header's unsigned 64 bits."""
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise ValidationError(f"seed must be an integer, got {seed!r}") from None
+    seed = check_integer("seed", seed)
     if not 0 <= seed < 1 << 64:
         raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
     return seed
@@ -125,35 +128,13 @@ def _workers(chunks: int) -> int:
     return min(cpus, chunks)
 
 
-def _map_chunks(fn, chunks: int, idle: list) -> list:
-    """[fn(0, b), ..., fn(chunks - 1, b)] on one thread per buffer of `idle`.
-
-    Each call holds one buffer b of `idle` while it runs, so no two calls
-    share one.  The caller allocates them (what worker threads allocate
-    stays in their malloc arenas), one per thread: at most len(idle) calls
-    run at once, so `idle` never runs dry.
-    """
-    def run(chunk_index: int):
-        buffers = idle.pop()
-        try:
-            return fn(chunk_index, buffers)
-        finally:
-            idle.append(buffers)
-
-    if len(idle) == 1:
-        return list(map(run, range(chunks)))
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(len(idle)) as pool:
-        return list(pool.map(run, range(chunks)))
-
-
 def simulate(params: NetworkParams, n: int, seed: int) -> SymbolBlock:
     """Draw n symbols through the network's exact joint outcome model.
 
-    The chunks are filled concurrently, one thread per CPU this process may
-    run on; the block does not depend on their number.
+    Worker w of W fills chunks w, w + W, w + 2W, ...: one thread per CPU this
+    process may run on, at most one per chunk.  The block does not depend on W.
     """
+    n = check_integer("n", n)
     if n < 1:
         raise ValidationError("need at least one symbol")
     seed = check_seed(seed)
@@ -164,33 +145,42 @@ def simulate(params: NetworkParams, n: int, seed: int) -> SymbolBlock:
         raise ModelError("classical outcome covariance is not positive definite") from exc
     m = params.n_users
     chunks = (n + CHUNK - 1) // CHUNK
+    workers = _workers(chunks)
     try:
         columns = np.empty((2 + 2 * m, n))
-        # One draw and one product buffer per worker.  A pair is the size of
+        # One draw and one product buffer per worker, allocated here (what worker
+        # threads allocate stays in their malloc arenas).  A pair is the size of
         # one chunk's columns and workers <= chunks, so the buffers stay under
         # the block plus a chunk.
-        idle = [(np.empty((min(n, CHUNK), m + 1)), np.empty((min(n, CHUNK), m + 1)))
-                for _ in range(_workers(chunks))]
+        buffers = [(np.empty((min(n, CHUNK), m + 1)), np.empty((min(n, CHUNK), m + 1)))
+                   for _ in range(workers)]
     except (ValueError, MemoryError):
         raise ValidationError(f"cannot allocate a block of n={n} symbols for M={m} users") from None
 
-    def fill(chunk_index: int, buffers: tuple[np.ndarray, np.ndarray]) -> None:
-        start = chunk_index * CHUNK
-        stop = min(start + CHUNK, n)
-        rng = _chunk_rng(seed, chunk_index)
-        z, y = (b[: stop - start] for b in buffers)
-        # draw order fixed: x block first, then p block; rows (s, y_1..y_M)
-        # of each quadrature in block-file order
-        for s_row, y_rows in ((0, slice(2, 2 + m)), (1, slice(2 + m, 2 + 2 * m))):
-            rng.standard_normal(out=z)
-            np.matmul(z, chol.T, out=y)
-            # transposed in TILE rows, which stay in cache while they are copied
-            for a in range(0, stop - start, TILE):
-                tile = y[a : a + TILE]
-                columns[s_row, start + a : start + a + len(tile)] = tile[:, 0]
-                columns[y_rows, start + a : start + a + len(tile)] = tile[:, 1:].T
+    def fill(worker: int) -> None:
+        for chunk_index in range(worker, chunks, workers):
+            start = chunk_index * CHUNK
+            stop = min(start + CHUNK, n)
+            rng = _chunk_rng(seed, chunk_index)
+            z, y = (b[: stop - start] for b in buffers[worker])
+            # draw order fixed: x block first, then p block; rows (s, y_1..y_M)
+            # of each quadrature in block-file order
+            for s_row, y_rows in ((0, slice(2, 2 + m)), (1, slice(2 + m, 2 + 2 * m))):
+                rng.standard_normal(out=z)
+                np.matmul(z, chol.T, out=y)
+                # transposed in TILE rows, which stay in cache while they are copied
+                for a in range(0, stop - start, TILE):
+                    tile = y[a : a + TILE]
+                    columns[s_row, start + a : start + a + len(tile)] = tile[:, 0]
+                    columns[y_rows, start + a : start + a + len(tile)] = tile[:, 1:].T
 
-    _map_chunks(fill, chunks, idle)
+    if workers == 1:
+        fill(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(fill, range(workers)))  # list() re-raises a worker's exception
     return SymbolBlock(columns=columns, seed=seed)
 
 
@@ -238,12 +228,9 @@ def _pool(block: SymbolBlock) -> tuple[float, list[float], list[float]]:
     residual of a noiseless block.
     """
     n, m = block.n, block.n_users
-    chunks = (n + CHUNK - 1) // CHUNK
-    idle = [np.empty((m, min(n, TILE))) for _ in range(_workers(chunks))]
-    sums = np.concatenate(_map_chunks(lambda i, r: _tile_sums(block, i, r), chunks, idle))
-    s_ss, s_sy, t_c, rss = np.split(sums, [1, 1 + m, 1 + 2 * m], axis=1)
-    power = _in_tile_order(s_ss)[0]
     with np.errstate(all="ignore"):  # a non-finite sample is reported by the caller
+        s_ss, s_sy, t_c, rss = np.split(_tile_sums(block), [1, 1 + m, 1 + 2 * m], axis=1)
+        power = _in_tile_order(s_ss)[0]
         t_hat = _in_tile_order(s_sy) / power
         sigma2_hat = _in_tile_order(rss + (t_c - t_hat) ** 2 * s_ss) / (2 * n)
     return float(power), t_hat.tolist(), sigma2_hat.tolist()
@@ -255,35 +242,31 @@ def _in_tile_order(rows: np.ndarray) -> np.ndarray:
     return np.add.accumulate(rows, axis=0)[-1]
 
 
-def _tile_sums(block: SymbolBlock, chunk_index: int, r: np.ndarray) -> np.ndarray:
-    """One row (S_ss, S_sy, t_c, RSS_c) per TILE of chunk `chunk_index`, the
-    last three for every user: S_sy = sum(y_x s_x + y_p s_p), and the rest
-    likewise over both quadratures.  `r` is an (M, TILE) residual buffer."""
-    columns, m = block.columns, block.n_users
-    start = chunk_index * CHUNK
-    stop = min(start + CHUNK, block.n)
+def _tile_sums(block: SymbolBlock) -> np.ndarray:
+    """One row (S_ss, S_sy, t_c, RSS_c) per TILE of the block, the last three
+    for every user: S_sy = sum(y_x s_x + y_p s_p), and the rest likewise over
+    both quadratures."""
+    columns, n, m = block.columns, block.n, block.n_users
     y_x, y_p = columns[2 : 2 + m], columns[2 + m :]
-    sums = np.empty(((stop - start + TILE - 1) // TILE, 1 + 3 * m))
-    # errstate is per thread: a non-finite sample must reach the caller's
-    # check as a value, not print a RuntimeWarning (inf - inf in a residual)
-    with np.errstate(invalid="ignore", over="ignore"):
-        for row, a in zip(sums, range(start, stop, TILE)):
-            b = min(a + TILE, stop)
-            s_x, s_p = columns[0, a:b], columns[1, a:b]
-            s_ss = _dot(s_x, s_x) + _dot(s_p, s_p)
-            s_sy = np.einsum("ij,j->i", y_x[:, a:b], s_x) + np.einsum("ij,j->i", y_p[:, a:b], s_p)
-            # a tile whose symbols are all zero adds nothing to the pooled sums, whatever its t_c
-            t_c = s_sy / s_ss if s_ss else np.zeros(m)
-            residual = r[:, : b - a]
-            rss = np.zeros(m)
-            for y, s in ((y_x, s_x), (y_p, s_p)):
-                np.multiply(t_c[:, None], s, out=residual)
-                np.subtract(y[:, a:b], residual, out=residual)
-                rss += np.einsum("ij,ij->i", residual, residual)
-            row[0] = s_ss
-            row[1 : 1 + m] = s_sy
-            row[1 + m : 1 + 2 * m] = t_c
-            row[1 + 2 * m :] = rss
+    r = np.empty((m, min(n, TILE)))  # residual buffer, reused by every tile
+    sums = np.empty(((n + TILE - 1) // TILE, 1 + 3 * m))
+    for row, a in zip(sums, range(0, n, TILE)):
+        b = min(a + TILE, n)
+        s_x, s_p = columns[0, a:b], columns[1, a:b]
+        s_ss = _dot(s_x, s_x) + _dot(s_p, s_p)
+        s_sy = np.einsum("ij,j->i", y_x[:, a:b], s_x) + np.einsum("ij,j->i", y_p[:, a:b], s_p)
+        # a tile whose symbols are all zero adds nothing to the pooled sums, whatever its t_c
+        t_c = s_sy / s_ss if s_ss else np.zeros(m)
+        residual = r[:, : b - a]
+        rss = np.zeros(m)
+        for y, s in ((y_x, s_x), (y_p, s_p)):
+            np.multiply(t_c[:, None], s, out=residual)
+            np.subtract(y[:, a:b], residual, out=residual)
+            rss += np.einsum("ij,ij->i", residual, residual)
+        row[0] = s_ss
+        row[1 : 1 + m] = s_sy
+        row[1 + m : 1 + 2 * m] = t_c
+        row[1 + 2 * m :] = rss
     return sums
 
 

@@ -458,9 +458,9 @@ class TestCLI:
     )
     def test_estimate_non_finite_on_tile_edges_exits_2(self, row, column, value, capsys, tmp_path,
                                                        monkeypatch):
-        # two chunks on two threads, the second ending in a 100-symbol tile: the
-        # residual of a non-finite sample (inf - inf) is formed in a worker thread,
-        # whose numpy error state is its own
+        # two chunks, simulated on two threads, the second ending in a
+        # 100-symbol tile: the residual of a non-finite sample (inf - inf) must
+        # reach the check as a value, with no RuntimeWarning
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         block_path = tmp_path / "block.cvnb"
         block = simulate(default_config().params, CHUNK + TILE + 100, seed=3)

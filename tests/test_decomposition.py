@@ -258,6 +258,17 @@ class TestAllOrderings:
         with pytest.raises(GuardRefusalError):
             all_orderings(params)
 
+    @pytest.mark.parametrize("count", [2.5, 2.0, "2", None], ids=["float", "integral-float",
+                                                                 "string", "none"])
+    def test_sampled_orderings_non_integer_count(self, table1, count):
+        with pytest.raises(ValidationError, match=f"^count must be an integer, got {count!r}$"):
+            sample_orderings(table1, count)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_sampled_orderings_need_one(self, table1, count):
+        with pytest.raises(ValidationError, match="need at least one ordering"):
+            sample_orderings(table1, count)
+
     def test_sampled_orderings_deterministic(self, table1):
         a = sample_orderings(table1, 5, seed=7)
         b = sample_orderings(table1, 5, seed=7)

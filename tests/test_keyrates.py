@@ -785,6 +785,15 @@ class TestKeyRate:
         with pytest.raises(ValidationError):
             key_rate(table1, TrustModel.TRUSTED, 0, mode="fast")
 
+    @pytest.mark.parametrize("trust", ["trusted", None, 0])
+    def test_trust_not_a_trust_model(self, table1, trust):
+        # a member's value is not coerced to the member
+        message = f"trust must be a TrustModel, got {trust!r}"
+        with pytest.raises(ValidationError, match=message):
+            key_rate(table1, trust, 0)
+        with pytest.raises(ValidationError, match=message):
+            rate_table(table1, trusts=[TrustModel.TRUSTED, trust])
+
 
 BAD_USERS = pytest.mark.parametrize("k", [4, -1], ids=["M", "minus_1"])  # table1 has M = 4
 

@@ -86,6 +86,13 @@ class TestSimulate:
             sample_orderings(table1, 3, seed=seed)
         assert str(drawn.value) == str(sampled.value) == message
 
+    @pytest.mark.parametrize("n", [1000.0, 2.5, "1000", None], ids=["integral-float", "float",
+                                                                  "string", "none"])
+    def test_non_integer_symbol_count(self, table1, n):
+        with pytest.raises(ValidationError) as drawn:
+            simulate(table1, n, 1)
+        assert str(drawn.value) == f"n must be an integer, got {n!r}"
+
     def test_integer_like_seed(self, table1):
         block = simulate(table1, 100, np.int64(7))
         assert type(block.seed) is int
@@ -128,17 +135,18 @@ class TestSimulate:
 
     @pytest.mark.parametrize("users", [1, 4])
     def test_block_independent_of_worker_count(self, table1, users, monkeypatch):
-        # three chunks, the last of one row: the default, one worker, three
-        # (the pool path even where the process has a single CPU) and
-        # os.cpu_count where os.sched_getaffinity is missing (outside Linux),
-        # switching threads often so that a shared buffer would show
+        # three chunks, the last of one row: the default, one worker, two (one
+        # of them fills chunks 0 and 2 through the same buffers), three (the
+        # pool path even where the process has a single CPU) and os.cpu_count
+        # where os.sched_getaffinity is missing (outside Linux), switching
+        # threads often so that a shared buffer would show
         params = replace(table1, users=table1.users[:users])
         n = 2 * CHUNK + 1
         default = simulate(params, n, seed=21).columns
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            for cpus in ({0}, {0, 1, 2}, None):
+            for cpus in ({0}, {0, 1}, {0, 1, 2}, None):
                 if cpus is None:
                     monkeypatch.delattr(os, "sched_getaffinity")
                 else:
@@ -233,9 +241,9 @@ class TestEstimate:
             assert estimate(block, k) == (u.t_hat, u.sigma2_hat)
 
     def test_report_bits_independent_of_worker_count(self, table1, monkeypatch):
-        # three chunks, the last of one symbol: the default, one worker, three
-        # and os.cpu_count where os.sched_getaffinity is missing, switching
-        # threads often so that a shared residual buffer would show
+        # three chunks, the last of one symbol, under every CPU count that
+        # `simulate` would split them by: the estimators run on the calling
+        # thread, so none of it may move a bit
         n = 2 * CHUNK + 1
         block = simulate(table1, n, seed=22)
         default = repr(estimate_report(block, table1))
