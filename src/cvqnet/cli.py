@@ -4,11 +4,14 @@ Subcommands: keyrate, decompose, sweep, simulate, estimate.  Every command is
 `_cmd_X(params, args) -> (json_payload, csv_lines)`; `main` loads the config,
 runs the command and writes its CSV lines (the canonical tabular output) or,
 with --format json, the JSON mirror of the same numbers, to stdout or --out.
-A `keyrate` JSON record is its `KeyRateReport`'s fields and a `decompose` row
-its `DecompositionRow`'s, with users 1-based and the trust model by value.
+Every JSON record is its API dataclass's fields, with users 1-based: a
+`keyrate` record is its `KeyRateReport`'s, with the trust model by value and
+the command's `mode`; a `sweep` record is a keyrate record plus `param` and
+`value`; a `decompose` row is its `DecompositionRow`'s; an `estimate` is its
+`EstimateReport` with each `ConfidenceRegion`, the excess noises in mSNU.
 Exit codes: 0 success, 2 config/input or file error (a corrupt block file is
-reported as an input error), 3 numerical or physicality error or running out
-of memory, 4 guard refusal.
+reported as an input error), 3 numerical or physicality error (a bad sweep
+grid or --symbols included) or running out of memory, 4 guard refusal.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ from dataclasses import replace
 from .config import default_config, load_config
 from .decomposition import all_orderings, decomposition_table, sample_orderings
 from .errors import ConfigError, CorruptInputError, CVQNetError, GuardRefusalError, ValidationError
-from .keyrates import MODES, TrustModel, derive_worst_case, rate_table
+from .keyrates import MODES, KeyRateReport, TrustModel, derive_worst_case, rate_table
 from .network import NetworkParams, UserLink
 from .simulate import (
+    ConfidenceRegion,
     check_seed,
     estimate_report,
     read_block,
@@ -64,13 +68,15 @@ def _cmd_keyrate(params: NetworkParams, args):
     worst = derive_worst_case(params) if args.worst_case == "model" and args.mode == "finite" else None
 
     reports = rate_table(params, trusts, users, args.mode, worst)
-    payload = [
-        {**vars(r), "user": r.user + 1, "trust": r.trust.value, "mode": args.mode} for r in reports
-    ]
+    payload = [_rate_record(r, args.mode) for r in reports]
     lines = ["user," + ",".join(f"K_{t.value}" for t in trusts)]
     for k in users:
         lines.append(f"{k + 1}," + ",".join(_fmt(r.rate) for r in reports if r.user == k))
     return payload, lines
+
+
+def _rate_record(report: KeyRateReport, mode: str) -> dict:
+    return {**vars(report), "user": report.user + 1, "trust": report.trust.value, "mode": mode}
 
 
 def _user_index(raw: str, params: NetworkParams) -> int:
@@ -185,11 +191,7 @@ def _cmd_sweep(params: NetworkParams, args):
         for r in rate_table(_apply_sweep_value(params, args.param, value, n_users), trusts,
                             mode=args.mode)
     ]
-    payload = [
-        {"param": args.param, "value": v, "user": r.user + 1, "trust": r.trust.value,
-         "rate": r.rate}
-        for (v, r) in results
-    ]
+    payload = [{**_rate_record(r, args.mode), "param": args.param, "value": v} for (v, r) in results]
     lines = ["param,value,user,trust,mode,rate"] + [
         f"{args.param},{_fmt(v)},{r.user + 1},{r.trust.value},{args.mode},{_fmt(r.rate)}"
         for (v, r) in results
@@ -221,27 +223,16 @@ def _cmd_simulate(params: NetworkParams, args):
     return payload, lines
 
 
+def _region_record(k: int, region: ConfidenceRegion) -> dict:
+    record = {**vars(region), "user": k, "negative_excess_flagged": region.negative_excess_flagged}
+    record["eps_hat_msnu"] = record.pop("eps_hat") * 1e3
+    record["eps_max_msnu"] = record.pop("eps_max") * 1e3
+    return record
+
+
 def _cmd_estimate(params: NetworkParams, args):
     report = estimate_report(read_block(args.in_block), params)
-    payload = {
-        "n": report.n,
-        "eps_pe": report.eps_pe,
-        "users": [
-            {
-                "user": k,
-                "t_hat": u.t_hat,
-                "sigma2_hat": u.sigma2_hat,
-                "eta_hat": u.eta_hat,
-                "eps_hat_msnu": u.eps_hat * 1e3,
-                "delta_t": u.delta_t,
-                "delta_sigma2": u.delta_sigma2,
-                "eta_min": u.eta_min,
-                "eps_max_msnu": u.eps_max * 1e3,
-                "negative_excess_flagged": u.negative_excess_flagged,
-            }
-            for k, u in enumerate(report.users, start=1)
-        ],
-    }
+    payload = {**vars(report), "users": [_region_record(k, u) for k, u in enumerate(report.users, 1)]}
     lines = ["user,eta_hat,eps_hat_msnu,eta_min,eps_max_msnu,flagged"] + [
         f"{k},{_fmt(u.eta_hat)},{_fmt(u.eps_hat * 1e3)},{_fmt(u.eta_min)},{_fmt(u.eps_max * 1e3)},"
         f"{'yes' if u.negative_excess_flagged else 'no'}"

@@ -167,7 +167,7 @@ def build_channel_output_cm(params: NetworkParams) -> CovarianceMatrix:
     The x and p blocks are uncoupled, P = J X J (`quadrature_signs`) as in
     every state measured from it.  Memoised per `NetworkParams` value: the
     state is read-only, and each new state passes the physicality check; a
-    failing one, positive definite or not, raises ModelError naming its params.
+    failing one, even non-finite or indefinite, raises ModelError naming its params.
     """
     v_mod = params.modulation_variance
     v = v_mod + 1.0
@@ -183,10 +183,10 @@ def build_channel_output_cm(params: NetworkParams) -> CovarianceMatrix:
     gamma[0::2, 0::2] = x
     gamma[1::2, 1::2] = x * quadrature_signs(m + 1)
     labels = (ALICE_LABEL,) + tuple(user_label(k) for k in range(m))
-    cm = CovarianceMatrix(gamma, labels)
     try:
+        cm = CovarianceMatrix(gamma, labels)
         detail = None if check_physicality(cm) else f"min nu = {symplectic_eigenvalues(cm)[-1]}"
-    except ValidationError as exc:  # not positive definite: Gamma + i Omega >= 0 fails too
+    except ValidationError as exc:  # non-finite, or not positive definite: Gamma + i Omega >= 0 fails
         detail = str(exc)
     if detail is not None:
         raise ModelError(

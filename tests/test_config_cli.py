@@ -4,6 +4,7 @@ import io
 import json
 import os
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,8 @@ from cvqnet import (
     default_config,
     format_config,
     parse_config,
+    rate_table,
+    read_block,
     simulate,
     write_block,
 )
@@ -148,7 +151,7 @@ def _decompose_csv(payload):
 
 def _sweep_csv(payload):
     return ["param,value,user,trust,mode,rate"] + [
-        f"{e['param']},{_g(e['value'])},{e['user']},{e['trust']},finite,{_g(e['rate'])}"
+        f"{e['param']},{_g(e['value'])},{e['user']},{e['trust']},{e['mode']},{_g(e['rate'])}"
         for e in payload
     ]
 
@@ -175,6 +178,8 @@ GOLDEN_OUTPUTS = [
     ("decompose_order.json", ["--format", "json", "decompose", "--orders", "4,3,2,1"]),
     ("sweep_loss_db.csv", ["sweep", "--param", "loss_db", "--from", "0", "--to", "30",
                            "--steps", "61"]),
+    ("sweep_n_asymptotic.json", ["--format", "json", "sweep", "--param", "N", "--from", "1e6",
+                                 "--to", "1e10", "--steps", "3", "--mode", "asymptotic"]),
     # BLOCK is the file of `simulate --symbols 20000 --seed 1`
     ("estimate.json", ["--format", "json", "estimate", "--in", "BLOCK"]),
 ]
@@ -218,9 +223,11 @@ class TestCLI:
             (["keyrate"], _keyrate_csv),
             (["decompose", "--orders", "all"], _decompose_csv),
             (["sweep", "--param", "loss_db", "--from", "7", "--to", "9", "--steps", "3"], _sweep_csv),
+            (["sweep", "--param", "N", "--from", "1e6", "--to", "1e8", "--steps", "2",
+              "--mode", "asymptotic"], _sweep_csv),
             (["estimate", "--in", "b.cvnb"], _estimate_csv),
         ],
-        ids=["keyrate", "decompose", "sweep", "estimate"],
+        ids=["keyrate", "decompose", "sweep", "sweep-asymptotic", "estimate"],
     )
     def test_json_mirrors_csv(self, argv, csv_from_json, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -265,6 +272,39 @@ class TestCLI:
         lines = out.strip().splitlines()
         assert len(lines) == 3
         assert lines[1].startswith("1-2-3-4,")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["keyrate", "--user", "abc"], "--user must be an index or 'all', got 'abc'"),
+            (["decompose", "--orders", "sample:x"],
+             "--orders sample:K needs an integer K, got 'sample:x'"),
+            (["decompose", "--orders", "a,b"],
+             "--orders must be 'all', 'sample:K' or '1,2,...', got 'a,b'"),
+        ],
+        ids=["user-abc", "orders-sample-x", "orders-a-b"],
+    )
+    def test_malformed_argument_exits_2(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["decompose", "--orders", "sample:3"],
+         ["simulate", "--symbols", "10", "--out-block", "b.cvnb"]],
+        ids=["decompose", "simulate"],
+    )
+    def test_non_integer_seed_exits_2_at_parsing(self, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exited:
+            main(argv + ["--seed", "1.7"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith("argument --seed: seed must be an integer, got '1.7'")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_decompose_bad_order_exits_2(self):
         assert main(["decompose", "--orders", "1,2,2,4"]) == 2
@@ -348,6 +388,62 @@ class TestCLI:
         assert main(argv) == 2
         assert "--users applies only to --param loss_db" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["sweep", "--param", "loss_db", "--from", "0", "--to", "10", "--steps", "0"],
+             "--steps must be >= 1"),
+            (["sweep", "--param", "loss_db", "--from", "0", "--steps", "3"],
+             "--to is required when --steps > 1"),
+            (["sweep", "--param", "N", "--from", "0", "--to", "1e6", "--steps", "3"],
+             "N sweep needs positive endpoints"),
+            (["sweep", "--param", "loss_db", "--from", "-1", "--to", "10", "--steps", "3"],
+             "channel loss must be >= 0 dB, got -1.0"),
+            (["simulate", "--symbols", "0", "--seed", "1", "--out-block", "b.cvnb"],
+             "need at least one symbol"),
+        ],
+        ids=["steps-0", "steps-3-without-to", "n-from-0", "loss-from-minus-1", "symbols-0"],
+    )
+    def test_bad_grid_or_symbol_count_exits_3(self, argv, message, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_overflowing_modulation_exits_3_naming_params(self, capsys):
+        # V^2 overflows, so the network covariance has infinite entries
+        argv = ["sweep", "--param", "V_M", "--from", "1e308", "--to", "1.7e308", "--steps", "2"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: network covariance unphysical (covariance matrix has "
+                              "non-finite entries); params: V_mod=1e+308, users=(")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv,apply",
+        [
+            (["--param", "V_M", "--from", "3", "--to", "7", "--steps", "3"],
+             lambda params, v: replace(params, modulation_variance=v)),
+            (["--param", "epsilon", "--from", "1", "--to", "10", "--steps", "4"],
+             lambda params, v: replace(
+                 params, users=tuple(replace(u, excess_noise=v * 1e-3) for u in params.users))),
+        ],
+        ids=["V_M", "epsilon-msnu"],
+    )
+    def test_sweep_point_is_rate_table_of_swept_params(self, argv, apply, capsys):
+        code, out = self.run(capsys, "--format", "json", "sweep", *argv)
+        assert code == 0
+        records = json.loads(out)
+        table1 = default_config().params
+        values = sorted({e["value"] for e in records})
+        assert len(values) == int(argv[-1]) and len(records) == len(values) * 4 * 3
+        for v in values:
+            rates = {(r.user + 1, r.trust.value): r.rate for r in rate_table(apply(table1, v))}
+            got = {(e["user"], e["trust"]): e["rate"] for e in records if e["value"] == v}
+            assert got == rates
+
     def test_sweep_non_monotone_range_exits_3(self):
         assert main(
             ["sweep", "--param", "loss_db", "--from", "20", "--to", "10", "--steps", "5"]
@@ -422,6 +518,40 @@ class TestCLI:
         assert f"n={10**18}" in err and "M=4" in err
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_simulate_csv_lists_both_files_and_holds_the_columns(self, capsys, tmp_path):
+        block_path, csv_path = tmp_path / "b.cvnb", tmp_path / "b.csv"
+        code, out = self.run(capsys, "simulate", "--symbols", "3000", "--seed", "6",
+                             "--out-block", str(block_path), "--csv", str(csv_path))
+        assert code == 0
+        assert out == f"symbols,users,seed,files\n3000,4,6,{block_path};{csv_path}\n"
+        with open(csv_path, newline="") as fh:
+            header, *rows = fh.read().split("\r\n")[:-1]
+        assert header == "alice_x,alice_p,y_x_1,y_x_2,y_x_3,y_x_4,y_p_1,y_p_2,y_p_3,y_p_4"
+        parsed = np.array([[float(cell) for cell in row.split(",")] for row in rows])
+        assert np.array_equal(parsed, read_block(str(block_path)).columns.T)
+
+    def test_estimate_unsupported_version_exits_2(self, capsys, tmp_path):
+        from cvqnet.simulate import _HEADER, MAGIC
+
+        block_path = tmp_path / "v2.cvnb"
+        block = simulate(default_config().params, 2000, seed=1)
+        header = _HEADER.pack(MAGIC, 2, block.n, block.n_users, block.seed)
+        block_path.write_bytes(header + block.columns.astype("<f8").tobytes())
+        assert main(["estimate", "--in", str(block_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {block_path}: unsupported version 2\n"
+
+    def test_estimate_zero_alice_symbols_exits_3(self, capsys, tmp_path):
+        block_path = tmp_path / "b.cvnb"
+        block = simulate(default_config().params, 2000, seed=1)
+        block.columns[:2] = 0.0
+        write_block(block, str(block_path))
+        assert main(["estimate", "--in", str(block_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Alice symbols have zero empirical variance\n"
 
     def test_estimate_truncated_exits_2(self, capsys, tmp_path):
         block_path = tmp_path / "block.cvnb"
@@ -624,6 +754,46 @@ class TestCLI:
     def test_sweep_non_finite_endpoint_exits_3(self, start, stop, capsys):
         assert main(["sweep", "--param", "N", "--from", start, "--to", stop, "--steps", "3"]) == 3
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("beta = 0.95", "beta = high", "line 4: not a number: 'high'"),
+            ("beta = 0.95", "beta = 0.95\nsplitter_budget = yes",
+             "line 5: splitter_budget must be 'on' or 'off', got 'yes'"),
+            ("detector_efficiency = 0.68", "detector_efficiency = 0.68 SNU",
+             "line 2: detector_efficiency takes a bare number, got '0.68 SNU'"),
+            ("[user 1]", "[users 1]", "line 6: unknown section '[users 1]'"),
+            ("beta = 0.95", "beta 0.95", "line 4: expected 'key = value', got 'beta 0.95'"),
+            ("beta = 0.95\n", "", "{cfg}: missing required key 'beta'"),
+            ("[user 1]\ntransmittance = 0.1\nexcess_noise = 4.17 mSNU\n"
+             "[user 2]\ntransmittance = 0.12\nexcess_noise = 4.17 mSNU\n", "",
+             "{cfg}: at least one [user N] section is required"),
+            ("excess_noise = 4.17 mSNU\n[user 2]", "[user 2]",
+             "{cfg}: [user 1] is missing 'excess_noise'"),
+            ("block_size = 1.25e9", "block_size = 1.5",
+             "{cfg}: block_size must be a positive integer, got 1.5"),
+        ],
+        ids=["not-a-number", "bad-flag", "unit-on-bare-number", "unknown-section", "no-equals",
+             "missing-key", "no-user-section", "user-missing-key", "fractional-block-size"],
+    )
+    def test_malformed_config_exits_2(self, old, new, message, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        text = two_user_config("0.1")
+        assert old in text
+        cfg.write_text(text.replace(old, new, 1))
+        assert main(["--config", str(cfg), "keyrate"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message.format(cfg=cfg)}\n"
+
+    def test_unreadable_config_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "no-such.cfg"
+        assert main(["--config", str(cfg), "keyrate"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: cannot read config {cfg}: ")
+        assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
         "transmittance,excess_noise", [("-0.1", "4.17 mSNU"), ("0.1", "-4 mSNU")]

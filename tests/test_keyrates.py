@@ -720,6 +720,12 @@ class TestKeyRate:
         lower_beta = dataclasses.replace(table1, beta=0.90)
         assert key_rate(lower_beta, TrustModel.TRUSTED, 0, mode="asymptotic").rate < base
 
+    def test_worst_case_of_other_users_rejected(self, table1):
+        other = dataclasses.replace(table1, users=table1.users[:3])
+        for trust in TrustModel:
+            with pytest.raises(ValidationError, match="same users"):
+                key_rate(table1, trust, 0, worst_case=derive_worst_case(other))
+
     def test_worst_case_derivation_direction(self, table1):
         corner = derive_worst_case(table1)
         for u_wc, u in zip(corner.users, table1.users):

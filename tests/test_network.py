@@ -208,6 +208,17 @@ class TestBuilderMemo:
                 with pytest.raises(ModelError, match="V_mod=5.0"):
                     build_channel_output_cm(params)
 
+    def test_non_finite_output_raises_model_error(self, table1):
+        # V^2 overflows to inf, so the covariance has non-finite entries
+        params = dataclasses.replace(table1, modulation_variance=1e200)
+        with pytest.raises(ModelError, match=r"non-finite entries\); params: V_mod=1e\+200, users="):
+            build_channel_output_cm(params)
+
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_with_links_needs_one_pair_per_user(self, table1, count):
+        with pytest.raises(ValidationError, match="need one"):
+            table1.with_links([(0.1, 0.004)] * count)
+
     def test_matches_block_by_block_reference(self, table1):
         rng = np.random.default_rng(41)
         for params in [table1] + [random_params(rng, max_users=8) for _ in range(20)]:

@@ -62,6 +62,13 @@ class TestQuantile:
         # lower-tail evaluation: forming 1 - 5e-11 first would shed ~8 digits
         assert -scipy_special.ndtri(5e-11) == pytest.approx(Z_ORACLE, rel=1e-12)
 
+    @pytest.mark.parametrize("eps_pe", [0.2, 1e-3, 1e-6, 1e-12, 0.4999])
+    def test_runtime_quantile_matches_scipy(self, eps_pe):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        assert one_sided_quantile(eps_pe) == pytest.approx(
+            scipy_stats.norm.isf(eps_pe / 2.0), rel=1e-14
+        )
+
     @pytest.mark.parametrize("bad", [0.0, -1e-3, 0.5, 0.7])
     def test_domain(self, bad):
         with pytest.raises(ValidationError):
@@ -390,6 +397,17 @@ class TestConfidenceRegion:
         assert corner.users[0].transmittance == 0.0
         for trust in TrustModel:
             assert key_rate(q, trust, 0, worst_case=corner).rate == 0.0
+
+    @pytest.mark.parametrize(
+        "n,sigma2_hat,message",
+        [(1.0, 1.0, "n >= 2"), (1e6, 0.0, "must be positive"), (1e6, -0.5, "must be positive")],
+        ids=["n-1", "sigma2-0", "sigma2-negative"],
+    )
+    def test_sample_domain(self, n, sigma2_hat, message):
+        with pytest.raises(ValidationError, match=message):
+            confidence_region(
+                0.2, sigma2_hat, n, 5.0, 1e-10, detector_efficiency=0.68, electronic_noise=0.0
+            )
 
     def test_eps_pe_domain(self):
         with pytest.raises(ValidationError):
