@@ -160,7 +160,7 @@ def g_function(x: float) -> float:
 
     g(0) = 0 by the convention 0 * log2(0) = 0.
     """
-    if x < 0:
+    if not x >= 0:
         raise ValidationError(f"g is defined for x >= 0, got {x}")
     if x == 0.0:
         return 0.0

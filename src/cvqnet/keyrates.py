@@ -32,8 +32,9 @@ users' outcomes is rank one, so the collaborative pair is
 (a - (a + 1) f, b - V_mod eta_k f, c (1 - f)) with f = Sigma_O / (1 + Sigma_O),
 Sigma_O their outcome SNR sum.  Mutual information is log2(1 + sum_k snr_k),
 snr_k = V_mod g_k^2 / N_k, of the classical outcome model; the M models
-and their SNRs are taken once per network, and `derive_worst_case` reads
-the same models.
+and their SNRs are taken once per network, in the `network._outcome_models`
+memo, which `derive_worst_case` and the simulator's `classical_outcome_cov`
+read too.
 
 `derive_worst_case` places the model-implied corner with the same
 `worst_case_params` as block estimates.  A zero-transmittance link carries
@@ -54,10 +55,10 @@ from .errors import ValidationError
 from .gaussian import CovarianceMatrix, block_entropies, spectrum_entropy, von_neumann_entropy
 from .network import (
     NetworkParams,
-    OutcomeModel,
     ReceiverMap,
+    _outcome_models,
     build_channel_output_cm,
-    measured_outcome_model,
+    check_block_size,
     quadrature_signs,
     receiver_map,
     receiver_noise,
@@ -79,8 +80,7 @@ def delta_fs(block_size: float) -> float:
     amplification term is negligible at the block sizes considered and
     is omitted.
     """
-    if block_size < 1:
-        raise ValidationError(f"block size must be >= 1, got {block_size}")
+    check_block_size(block_size)
     return 7.0 * math.sqrt(math.log2(2e10) / block_size)
 
 
@@ -92,14 +92,6 @@ def _mode_delta(params: NetworkParams, mode: str) -> float:
     if mode not in MODES:
         raise ValidationError(f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
     return delta_fs(params.block_size) if mode == "finite" else 0.0
-
-
-@functools.lru_cache(maxsize=16)
-def _outcome_models(params: NetworkParams) -> tuple[tuple[OutcomeModel, ...], tuple[float, ...]]:
-    """The outcome models y_k = g_k s + n_k of the users, in user order, and
-    their SNRs V_mod g_k^2 / N_k.  Memoised per `NetworkParams`, as the builder is."""
-    models = tuple(measured_outcome_model(params, k) for k in range(params.n_users))
-    return models, tuple(params.modulation_variance * m.gain**2 / m.noise_variance for m in models)
 
 
 def _outcome_information(snrs: Iterable[float]) -> float:

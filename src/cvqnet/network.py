@@ -42,6 +42,18 @@ def check_receiver(detector_efficiency: float, electronic_noise: float) -> None:
     check_noise("electronic noise", electronic_noise)
 
 
+def check_eps_pe(eps_pe: float) -> None:
+    """Raise ValidationError unless the parameter-estimation error eps_pe is in (0, 0.5)."""
+    if not 0.0 < eps_pe < 0.5:
+        raise ValidationError(f"eps_pe must be in (0, 0.5), got {eps_pe}")
+
+
+def check_block_size(block_size: float) -> None:
+    """Raise ValidationError unless a block size is finite and >= 1."""
+    if not 1 <= block_size < math.inf:
+        raise ValidationError(f"block size must be finite and >= 1, got {block_size}")
+
+
 def check_integer(name: str, value: int) -> int:
     """`value` as an int if it is an integer (`operator.index`); else ValidationError."""
     try:
@@ -100,10 +112,8 @@ class NetworkParams:
         check_receiver(self.detector_efficiency, self.electronic_noise)
         if not 0.0 < self.beta <= 1.0:
             raise ValidationError("reconciliation efficiency must be in (0, 1]")
-        if not 1 <= self.block_size < math.inf:
-            raise ValidationError(f"block size must be finite and >= 1, got {self.block_size}")
-        if not 0.0 < self.eps_pe < 0.5:
-            raise ValidationError("eps_pe must be in (0, 0.5)")
+        check_block_size(self.block_size)
+        check_eps_pe(self.eps_pe)
         total = sum(u.transmittance for u in self.users)
         if self.enforce_splitter_budget and total > 1.0 + SPLITTER_BUDGET_SLACK:
             raise ValidationError(
@@ -302,17 +312,24 @@ def measured_outcome_model(params: NetworkParams, k: int) -> OutcomeModel:
     return OutcomeModel(float(gain), float((eta_d * (1.0 + user.excess_noise) + added) / 2.0))
 
 
-def link_from_outcome_model(
-    gain: float, noise_variance: float, detector_efficiency: float, electronic_noise: float
-) -> tuple[float, float]:
-    """(transmittance, excess noise) of the channel behind an outcome model.
+@functools.lru_cache(maxsize=16)
+def _outcome_models(params: NetworkParams) -> tuple[tuple[OutcomeModel, ...], tuple[float, ...]]:
+    """The outcome models y_k = g_k s + n_k of the users, in user order, and
+    their SNRs V_mod g_k^2 / N_k.  Memoised per `NetworkParams`, as the builder
+    is: the key rates, `derive_worst_case` and `classical_outcome_cov` read it."""
+    models = tuple(measured_outcome_model(params, k) for k in range(params.n_users))
+    return models, tuple(params.modulation_variance * m.gain**2 / m.noise_variance for m in models)
 
-    The inverse of `measured_outcome_model` for a receiver of known
-    efficiency eta_d and electronic noise nu_el.
-    """
-    eta_d = detector_efficiency
+
+def link_from_outcome_model(
+    params: NetworkParams, k: int, gain: float, noise_variance: float
+) -> tuple[float, float]:
+    """(transmittance, excess noise) of user k's channel behind an outcome
+    model: the inverse of `measured_outcome_model`, read with user k's
+    receiver in `params`."""
+    eta_d = params.detector_efficiency
     transmittance = 2.0 * gain * gain / eta_d
-    added = receiver_noise(eta_d, electronic_noise)
+    added = receiver_noise(eta_d, params.trusted_noise(params.check_user(k)))
     excess_noise = (2.0 * noise_variance - added) / eta_d - 1.0
     return float(transmittance), float(excess_noise)
 
@@ -325,7 +342,7 @@ def classical_outcome_cov(params: NetworkParams) -> np.ndarray:
     vacua anti-correlate exactly with the shared signal shot noise.  Both
     quadratures have the same classical covariance.
     """
-    models = [measured_outcome_model(params, k) for k in range(params.n_users)]
+    models, _ = _outcome_models(params)
     g = np.array([1.0] + [model.gain for model in models])
     noise = np.array([0.0] + [model.noise_variance for model in models])
     return params.modulation_variance * np.outer(g, g) + np.diag(noise)

@@ -15,8 +15,10 @@ chunk i goes to worker i mod W.  Each chunk writes its own columns, so the
 block is the same whatever W.
 
 Estimation reads only the block: `estimate` gives one user's (t_hat,
-sigma2_hat); `confidence_region` alone maps them and its corner back to
-channel parameters, and `worst_case_params` alone turns corners into params.
+sigma2_hat); `confidence_region(params, k, ...)` alone maps them and its
+corner back to channel parameters with user k's receiver, and
+`worst_case_params` alone turns corners into params.  `simulate` draws from
+the network's memoised outcome models.
 The estimators make one pass over fixed TILE column ranges on the calling
 thread and pool each tile's sums in tile order.  They sum with numpy's own
 loops, not BLAS, so their bits depend on the block alone.
@@ -37,6 +39,7 @@ import numpy as np
 from .errors import ConfigError, CorruptInputError, ModelError, ValidationError
 from .network import (
     NetworkParams,
+    check_eps_pe,
     check_integer,
     check_user_index,
     classical_outcome_cov,
@@ -62,8 +65,7 @@ def one_sided_quantile(eps_pe: float) -> float:
     At the default 1e-10 it returns the frozen Z_EPS_PE_1E10; inv_cdf is
     1 ulp below it there.
     """
-    if not 0.0 < eps_pe < 0.5:
-        raise ValidationError(f"eps_pe must be in (0, 0.5), got {eps_pe}")
+    check_eps_pe(eps_pe)
     if eps_pe == 1e-10:
         return Z_EPS_PE_1E10
     return -statistics.NormalDist().inv_cdf(eps_pe / 2.0)
@@ -303,35 +305,31 @@ class ConfidenceRegion:
 
 
 def confidence_region(
-    t_hat: float,
-    sigma2_hat: float,
-    n: float,
-    modulation_variance: float,
-    eps_pe: float,
-    *,
-    detector_efficiency: float,
-    electronic_noise: float,
+    params: NetworkParams, k: int, t_hat: float, sigma2_hat: float, n: float
 ) -> ConfidenceRegion:
-    """Gaussian confidence region for (t, sigma^2) and its worst-case corner.
+    """Gaussian confidence region for user k's (t, sigma^2), estimated from
+    n symbols, and its worst-case corner, read with the modulation, eps_pe
+    and user k's receiver of `params`.
 
     Half-widths: delta_t = z sqrt(sigma2 / (n V_mod)) and
     delta_sigma2 = z sigma2 sqrt(2 / n), with z the one-sided normal
     quantile at eps_pe / 2 per parameter.  The estimates and the corner
     (t - delta_t, sigma2 + delta_sigma2) map back through the inverse
     outcome model to (eta_hat, eps_hat) and (eta_min, eps_max), the least
-    favorable channel within the region.
+    favorable channel within the region.  A NaN input raises.
     """
-    if n < 2:
+    if not n >= 2:
         raise ValidationError("need n >= 2 for a confidence region")
-    if sigma2_hat <= 0:
+    if not sigma2_hat > 0:
         raise ValidationError("residual variance must be positive")
-    z = one_sided_quantile(eps_pe)
-    delta_t = z * np.sqrt(sigma2_hat / (n * modulation_variance))
+    if not math.isfinite(t_hat):
+        raise ValidationError(f"gain estimate must be finite, got {t_hat}")
+    z = one_sided_quantile(params.eps_pe)
+    delta_t = z * np.sqrt(sigma2_hat / (n * params.modulation_variance))
     delta_sigma2 = z * sigma2_hat * np.sqrt(2.0 / n)
-    receiver = (detector_efficiency, electronic_noise)
-    eta_hat, eps_hat = link_from_outcome_model(t_hat, sigma2_hat, *receiver)
+    eta_hat, eps_hat = link_from_outcome_model(params, k, t_hat, sigma2_hat)
     eta_min, eps_max = link_from_outcome_model(
-        max(t_hat - delta_t, 0.0), sigma2_hat + delta_sigma2, *receiver
+        params, k, max(t_hat - delta_t, 0.0), sigma2_hat + delta_sigma2
     )
     return ConfidenceRegion(
         t_hat=float(t_hat),
@@ -359,18 +357,7 @@ class EstimateReport:
     ) -> "EstimateReport":
         """Regions of per-user (t_hat, sigma2_hat) pairs, read with the
         modulation, eps_pe and receivers of `params`."""
-        regions = tuple(
-            confidence_region(
-                t_hat,
-                sigma2_hat,
-                n,
-                params.modulation_variance,
-                params.eps_pe,
-                detector_efficiency=params.detector_efficiency,
-                electronic_noise=params.trusted_noise(k),
-            )
-            for k, (t_hat, sigma2_hat) in enumerate(estimates)
-        )
+        regions = tuple(confidence_region(params, k, *pair, n) for k, pair in enumerate(estimates))
         return cls(n=n, eps_pe=params.eps_pe, users=regions)
 
 

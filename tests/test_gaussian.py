@@ -271,6 +271,10 @@ class TestGFunction:
         with pytest.raises(ValidationError):
             g_function(-1e-12)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValidationError, match="got nan"):
+            g_function(float("nan"))
+
     @given(st.floats(min_value=1e-6, max_value=1e3))
     def test_monotone_increasing(self, x):
         assert g_function(x * 1.01) > g_function(x)

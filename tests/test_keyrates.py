@@ -19,6 +19,7 @@ from cvqnet import (
     measured_outcome_model,
     mutual_information,
     rate_table,
+    simulate,
 )
 from cvqnet.errors import ModelError, UnphysicalStateError, ValidationError
 from cvqnet.gaussian import (
@@ -303,8 +304,9 @@ class TestDelta:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_zero_rejected(self):
-        with pytest.raises(ValidationError):
-            delta_fs(0)
+        for bad in (0, float("nan"), math.inf):
+            with pytest.raises(ValidationError, match="block size must be finite and >= 1"):
+                delta_fs(bad)
 
 
 class TestHolevoBounds:
@@ -486,10 +488,11 @@ class TestOneShotAssistingMap:
         # user for every bound, I and the worst-case corner
         import cvqnet.gaussian
         import cvqnet.keyrates
+        import cvqnet.network
 
         calls = {"block_spectrum": 0, "measured_outcome_model": 0}
         for module, name in ((cvqnet.gaussian, "block_spectrum"),
-                             (cvqnet.keyrates, "measured_outcome_model")):
+                             (cvqnet.network, "measured_outcome_model")):
             def counted(*args, _fn=getattr(module, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
@@ -497,18 +500,41 @@ class TestOneShotAssistingMap:
             monkeypatch.setattr(module, name, counted)
         params = random_params(np.random.default_rng(44), n_users=6)
         build_channel_output_cm.cache_clear()
-        cvqnet.keyrates._outcome_models.cache_clear()
+        cvqnet.network._outcome_models.cache_clear()
         cvqnet.keyrates._singletons.cache_clear()
         assert len(rate_table(params)) == 3 * params.n_users
         assert calls == {"block_spectrum": 2, "measured_outcome_model": params.n_users}
 
         calls.update(block_spectrum=0, measured_outcome_model=0)
         build_channel_output_cm.cache_clear()
-        cvqnet.keyrates._outcome_models.cache_clear()
+        cvqnet.network._outcome_models.cache_clear()
         cvqnet.keyrates._singletons.cache_clear()
         derive_worst_case(params)
         assert len(rate_table(params)) == 3 * params.n_users
         assert calls == {"block_spectrum": 2, "measured_outcome_model": params.n_users}
+
+    def test_simulator_and_rate_table_share_one_outcome_model_memo(self, monkeypatch):
+        # the simulator's outcome covariance and the key rates read the same
+        # M models, counted through every module binding of the model
+        import cvqnet.keyrates
+        import cvqnet.network
+
+        calls = []
+        model = cvqnet.network.measured_outcome_model
+
+        def counted(*args):
+            calls.append(args[1])
+            return model(*args)
+
+        for module in (cvqnet.network, cvqnet.keyrates):
+            monkeypatch.setattr(module, "measured_outcome_model", counted, raising=False)
+        params = random_params(np.random.default_rng(46), n_users=5)
+        build_channel_output_cm.cache_clear()
+        cvqnet.network._outcome_models.cache_clear()
+        cvqnet.keyrates._singletons.cache_clear()
+        simulate(params, 1000, 0)
+        rate_table(params)
+        assert sorted(calls) == list(range(params.n_users))
 
     @pytest.mark.parametrize("cache", ["cold", "warm"])
     def test_rate_table_builds_the_state_once_per_bound(self, monkeypatch, cache):
@@ -522,7 +548,7 @@ class TestOneShotAssistingMap:
         params = random_params(np.random.default_rng(45), n_users=5)
         if cache == "cold":
             build_channel_output_cm.cache_clear()
-            cvqnet.keyrates._outcome_models.cache_clear()
+            cvqnet.network._outcome_models.cache_clear()
             cvqnet.keyrates._singletons.cache_clear()
         else:
             rate_table(params)

@@ -10,9 +10,11 @@ from cvqnet import (
     build_channel_output_cm,
     check_physicality,
     classical_outcome_cov,
+    delta_fs,
     link_from_outcome_model,
     format_config,
     measured_outcome_model,
+    one_sided_quantile,
     parse_config,
 )
 from cvqnet.errors import ModelError, ValidationError
@@ -270,6 +272,20 @@ class TestNonFiniteInputs:
         with pytest.raises(ValidationError):
             dataclasses.replace(table1, **{field: bad})
 
+    @pytest.mark.parametrize(
+        "field,bad,check,message",
+        [("eps_pe", 0.9, one_sided_quantile, "eps_pe must be in (0, 0.5), got 0.9"),
+         ("block_size", 0.5, delta_fs, "block size must be finite and >= 1, got 0.5")],
+        ids=["eps_pe", "block_size"],
+    )
+    def test_rule_stated_once(self, table1, field, bad, check, message):
+        # the network and the function that reads the value raise one message
+        with pytest.raises(ValidationError) as built:
+            dataclasses.replace(table1, **{field: bad})
+        with pytest.raises(ValidationError) as read:
+            check(bad)
+        assert str(built.value) == str(read.value) == message
+
 
 class TestOutcomeModel:
     def test_clean_channel_values(self):
@@ -291,13 +307,14 @@ class TestOutcomeModel:
         rng = np.random.default_rng(8)
         for params in [table1] + [random_params(rng) for _ in range(50)]:
             for k, user in enumerate(params.users):
-                eta, eps = link_from_outcome_model(
-                    *measured_outcome_model(params, k),
-                    params.detector_efficiency,
-                    params.trusted_noise(k),
-                )
+                eta, eps = link_from_outcome_model(params, k, *measured_outcome_model(params, k))
                 assert eta == pytest.approx(user.transmittance, abs=1e-12)
                 assert eps == pytest.approx(user.excess_noise, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [-1, 4])
+    def test_inverse_map_rejects_user_out_of_range(self, table1, k):
+        with pytest.raises(ValidationError, match="out of range"):
+            link_from_outcome_model(table1, k, 0.3, 1.0)
 
     def test_classical_cov_consistent_with_outcome_model(self, table1):
         cov = classical_outcome_cov(table1)

@@ -44,7 +44,19 @@ from cvqnet.simulate import (
     _chunk_rng,
 )
 
+NAN = float("nan")
 Z_ORACLE = 6.46695108724051617  # high-precision inverse-normal evaluation at 5e-11
+
+
+def region_network(electronic_noise: float) -> NetworkParams:
+    """One user behind a receiver of eta_d = 0.68, at V_mod = 5 and eps_pe = 1e-10."""
+    return NetworkParams(
+        modulation_variance=5.0,
+        users=(UserLink(transmittance=0.5, excess_noise=0.0),),
+        detector_efficiency=0.68,
+        electronic_noise=electronic_noise,
+        eps_pe=1e-10,
+    )
 
 
 class TestQuantile:
@@ -361,20 +373,14 @@ class TestEstimate:
 
 class TestConfidenceRegion:
     def test_corner_inside_intervals(self):
-        region = confidence_region(
-            0.2, 1.0, 1e6, 5.0, 1e-10, detector_efficiency=0.68, electronic_noise=0.05
-        )
+        region = confidence_region(region_network(0.05), 0, 0.2, 1.0, 1e6)
         assert region.eta_min < region.eta_hat
         assert region.eps_max > region.eps_hat
         assert region.delta_t == pytest.approx(Z_ORACLE * np.sqrt(1.0 / (1e6 * 5.0)), rel=1e-9)
 
     def test_corner_approaches_ml_for_large_n(self):
-        small = confidence_region(
-            0.2, 1.0, 1e4, 5.0, 1e-10, detector_efficiency=0.68, electronic_noise=0.05
-        )
-        large = confidence_region(
-            0.2, 1.0, 1e14, 5.0, 1e-10, detector_efficiency=0.68, electronic_noise=0.05
-        )
+        small = confidence_region(region_network(0.05), 0, 0.2, 1.0, 1e4)
+        large = confidence_region(region_network(0.05), 0, 0.2, 1.0, 1e14)
         assert abs(large.eta_min - large.eta_hat) < abs(small.eta_min - small.eta_hat) * 1e-3
         assert abs(large.eps_max - large.eps_hat) < 1e-5
 
@@ -399,21 +405,21 @@ class TestConfidenceRegion:
             assert key_rate(q, trust, 0, worst_case=corner).rate == 0.0
 
     @pytest.mark.parametrize(
-        "n,sigma2_hat,message",
-        [(1.0, 1.0, "n >= 2"), (1e6, 0.0, "must be positive"), (1e6, -0.5, "must be positive")],
-        ids=["n-1", "sigma2-0", "sigma2-negative"],
+        "t_hat,n,sigma2_hat,message",
+        [(0.2, 1.0, 1.0, "n >= 2"), (0.2, 1e6, 0.0, "must be positive"),
+         (0.2, 1e6, -0.5, "must be positive"), (0.2, NAN, 1.0, "n >= 2"),
+         (0.2, 1e6, NAN, "must be positive"), (NAN, 1e6, 1.0, "must be finite"),
+         (np.inf, 1e6, 1.0, "must be finite")],
+        ids=["n-1", "sigma2-0", "sigma2-negative", "n-nan", "sigma2-nan", "t-nan", "t-inf"],
     )
-    def test_sample_domain(self, n, sigma2_hat, message):
+    def test_sample_domain(self, t_hat, n, sigma2_hat, message):
         with pytest.raises(ValidationError, match=message):
-            confidence_region(
-                0.2, sigma2_hat, n, 5.0, 1e-10, detector_efficiency=0.68, electronic_noise=0.0
-            )
+            confidence_region(region_network(0.0), 0, t_hat, sigma2_hat, n)
 
     def test_eps_pe_domain(self):
+        # a region reads eps_pe from the network, which rejects 0.9
         with pytest.raises(ValidationError):
-            confidence_region(
-                0.2, 1.0, 1e6, 5.0, 0.9, detector_efficiency=0.68, electronic_noise=0.0
-            )
+            confidence_region(replace(region_network(0.0), eps_pe=0.9), 0, 0.2, 1.0, 1e6)
 
 
 class TestBlockFiles:
