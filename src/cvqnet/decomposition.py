@@ -22,11 +22,16 @@ coalitions.  Then all R rows are one array step: the (R, M + 1) prefix
 coalitions index one value vector v, and the contributions are
 (v[:, 1:] - v[:, :-1]) - Delta(N).  `decompose` is the table of one order,
 and the joint rate is v(all), measured along the identity order.
+
+Every table holds at most 8! = 40,320 rows, the orderings of
+MAX_ENUMERATED_USERS users: the orders are drawn lazily, and the one more
+that would exceed the cap raises GuardRefusalError before any is measured.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -73,17 +78,30 @@ def decomposition_table(
     orderings; v(all) is the coalition every row ends on.  A short order is
     rejected here and a repeated user by that constructor, before any layer."""
     m = params.n_users
-    checked = [tuple(map(params.check_user, order)) for order in orders]
-    for order in checked:
+
+    def checked(order):
+        order = tuple(map(params.check_user, order))
         if len(set(order)) == len(order) != m:  # distinct users in range, too few
             raise ValidationError(f"ordering must be a permutation of 0..{m - 1}, got {order}")
-    return _table(params, checked, mode)
+        return order
+
+    return _table(params, map(checked, orders), mode)
 
 
-def _table(params: NetworkParams, orders: list[tuple[int, ...]], mode: str) -> DecompositionTable:
+def _table(params: NetworkParams, orders: Iterable[tuple[int, ...]], mode: str) -> DecompositionTable:
     """`decomposition_table` of orders of checked user indices, each a
-    permutation or holding a repeated user.  All R rows are one array step:
-    v of the (R, M + 1) prefix coalitions, and (v[:, 1:] - v[:, :-1]) - Delta(N)."""
+    permutation or holding a repeated user.  More than MAX_ENUMERATED_USERS!
+    orders raise GuardRefusalError; at most one more is drawn.  All R rows are
+    one array step: v of the (R, M + 1) prefix coalitions, and
+    (v[:, 1:] - v[:, :-1]) - Delta(N)."""
+    cap = math.factorial(MAX_ENUMERATED_USERS)
+    orders = list(itertools.islice(orders, cap + 1))
+    if len(orders) > cap:
+        raise GuardRefusalError(
+            f"a decomposition table holds at most {cap:,} rows, the orderings of "
+            f"{MAX_ENUMERATED_USERS} users; sample at most {cap:,} orderings "
+            "(sample_orderings, or --orders sample:K)"
+        )
     if not orders:
         raise ValidationError("need at least one ordering")
     delta = _mode_delta(params, mode)
@@ -99,25 +117,23 @@ def _table(params: NetworkParams, orders: list[tuple[int, ...]], mode: str) -> D
 def all_orderings(params: NetworkParams, mode: str = "finite") -> DecompositionTable:
     """Decomposition rows for every permutation (lexicographic order).
 
-    Refuses above MAX_ENUMERATED_USERS users (factorial blow-up); sample
-    orderings with `sample_orderings` instead.
+    Above MAX_ENUMERATED_USERS users the M! rows exceed the table cap and
+    raise GuardRefusalError; sample orderings with `sample_orderings` instead.
     """
-    m = params.n_users
-    if m > MAX_ENUMERATED_USERS:
-        raise GuardRefusalError(
-            f"{m}! orderings is too many to enumerate (cap {MAX_ENUMERATED_USERS}); "
-            "sample orderings instead (sample_orderings, or --orders sample:K)"
-        )
-    return _table(params, list(itertools.permutations(range(m))), mode)
+    return _table(params, itertools.permutations(range(params.n_users)), mode)
 
 
 def sample_orderings(
     params: NetworkParams, count: int, seed: int = 0, mode: str = "finite"
 ) -> DecompositionTable:
-    """Decomposition over `count` random orderings (fixed-seed sampling)."""
+    """Decomposition over `count` random orderings (fixed-seed sampling).
+
+    A `count` above the table cap, MAX_ENUMERATED_USERS! = 40,320, raises
+    GuardRefusalError once one more ordering than that has been drawn.
+    """
     rng = np.random.default_rng(check_seed(seed))
     count = check_integer("count", count)
-    orders = [tuple(rng.permutation(params.n_users).tolist()) for _ in range(count)]
+    orders = (tuple(rng.permutation(params.n_users).tolist()) for _ in range(count))
     return _table(params, orders, mode)
 
 

@@ -1,7 +1,9 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto exit codes: config/input problems -> 2,
-numerical or physicality problems -> 3, guard refusals -> 4.
+numerical or physicality problems (a singular heterodyne conditioning
+among them) -> 3, guard refusals (a decomposition table over its row cap)
+-> 4.
 """
 
 
@@ -18,11 +20,7 @@ class UnphysicalStateError(ValidationError):
 
 
 class NumericalError(CVQNetError):
-    """Numerical routine failed (e.g. eigensolver non-convergence)."""
-
-
-class ConditioningError(CVQNetError):
-    """Gaussian measurement conditioning could not be carried out."""
+    """Numerical routine failed (eigensolver non-convergence, singular conditioning)."""
 
 
 class ModelError(CVQNetError):

@@ -30,12 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConditioningError,
-    NumericalError,
-    UnphysicalStateError,
-    ValidationError,
-)
+from .errors import NumericalError, UnphysicalStateError, ValidationError
 
 SYMMETRY_RTOL = 1e-12
 PHYSICALITY_TOL = 1e-9
@@ -81,15 +76,10 @@ class CovarianceMatrix:
     def dim_modes(self) -> int:
         return len(self.mode_labels)
 
-    @functools.cached_property
-    def _index(self) -> dict[str, int]:
-        """Mode position of each label, built on first lookup."""
-        return {label: i for i, label in enumerate(self.mode_labels)}
-
     def mode_index(self, label: str) -> int:
         try:
-            return self._index[label]
-        except KeyError:
+            return self.mode_labels.index(label)
+        except ValueError:
             raise ValidationError(f"unknown mode label {label!r}; have {self.mode_labels}") from None
 
     def _rows(self, labels: Sequence[str]) -> np.ndarray:
@@ -230,9 +220,7 @@ def condition_on_heterodyne(cm: CovarianceMatrix, measured: Iterable[str]) -> Co
     try:
         correction = sigma @ np.linalg.solve(gamma_m + np.eye(gamma_m.shape[0]), sigma.T)
     except np.linalg.LinAlgError as exc:
-        raise ConditioningError(
-            f"(Gamma_M + I) singular while conditioning on {measured}"
-        ) from exc
+        raise NumericalError(f"(Gamma_M + I) singular while conditioning on {measured}") from exc
     cond = gamma_r - correction
     cond = (cond + cond.T) / 2.0
     return CovarianceMatrix(cond, tuple(retained))

@@ -112,12 +112,13 @@ def mutual_information(
 ) -> float:
     """I(A : y_k | y_cond) = I(A : y_cond + {k}) - I(A : y_cond), bits per use."""
     k = params.check_user(k)
-    cond = sorted({params.check_user(j) for j in conditioned_on})
+    cond = {params.check_user(j) for j in conditioned_on}
     if k in cond:
         raise ValidationError(f"user {k} cannot condition on itself")
     _, snrs = _outcome_models(params)
-    info = _outcome_information(snrs[j] for j in cond + [k])
-    return info - _outcome_information(snrs[j] for j in cond) if cond else info
+    # I(A : no users) = log2 1 = 0, and fsum is exactly rounded in any order
+    joint = _outcome_information(snrs[j] for j in cond | {k})
+    return joint - _outcome_information(snrs[j] for j in cond)
 
 
 def measure_reference_user_blocks(

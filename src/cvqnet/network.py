@@ -208,8 +208,8 @@ def build_channel_output_cm(params: NetworkParams) -> CovarianceMatrix:
 
 class ReceiverMap(NamedTuple):
     """A trusted receiver as the bounded coefficients of its map on the
-    measured mode; each field is a float, or an array with one entry per
-    member (see `receiver_map`)."""
+    measured mode; each coefficient is a NumPy float64, or an array with one
+    entry per member, and `noise` is of its inputs' type (see `receiver_map`)."""
 
     t: float  # sqrt(eta_d)
     ru: float  # sqrt(1 - eta_d + nu_el / 2)
@@ -244,13 +244,12 @@ def receiver_map(detector_efficiency, electronic_noise) -> ReceiverMap:
     uncorrelated with the rest: D2 - (rw/s) y is V2 and the heterodyne
     noise only.  So the measurement keeps one ancilla, D1.
     """
-    sqrt = np.sqrt if isinstance(detector_efficiency, np.ndarray) else math.sqrt
     eta_d, nu_el = detector_efficiency, electronic_noise
     return ReceiverMap(
-        sqrt(eta_d),
-        sqrt(1.0 - eta_d + nu_el / 2.0),
-        sqrt(nu_el / 2.0),
-        sqrt(1.0 + nu_el / 2.0),
+        np.sqrt(eta_d),
+        np.sqrt(1.0 - eta_d + nu_el / 2.0),
+        np.sqrt(nu_el / 2.0),
+        np.sqrt(1.0 + nu_el / 2.0),
         receiver_noise(eta_d, nu_el),
     )
 

@@ -47,6 +47,15 @@ def random_params(
     )
 
 
+def single_user(eta=1.0, eps=0.0, eta_d=1.0, nu=0.0, v_mod=5.0, **kw):
+    return NetworkParams(
+        modulation_variance=v_mod,
+        users=(UserLink(transmittance=eta, excess_noise=eps, trusted_noise=nu),),
+        detector_efficiency=eta_d,
+        **kw,
+    )
+
+
 def unphysical_pair() -> NetworkParams:
     """Two users over the splitter budget: Gamma is positive definite but its
     smallest symplectic eigenvalue is 0.5."""

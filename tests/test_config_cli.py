@@ -334,6 +334,12 @@ class TestCLI:
         cfg.write_text("\n".join(lines) + "\n")
         assert main(["--config", str(cfg), "decompose", "--orders", "all"]) == 4
 
+    def test_decompose_sample_over_cap_exits_4(self, capsys):
+        assert main(["decompose", "--orders", "sample:40321"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("refused: ") and "sample at most 40,320 orderings" in err
+
     @staticmethod
     def table1_config(tmp_path, detector_efficiency: str) -> str:
         """The bundled calibration at another detector efficiency, as a file."""

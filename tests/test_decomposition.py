@@ -258,6 +258,24 @@ class TestAllOrderings:
         with pytest.raises(GuardRefusalError):
             all_orderings(params)
 
+    def test_sampled_orderings_row_cap(self, table1):
+        assert len(sample_orderings(table1, 40_320).rows) == 40_320
+        with pytest.raises(GuardRefusalError, match="sample at most 40,320 orderings"):
+            sample_orderings(table1, 40_321)
+
+    def test_table_draws_at_most_one_order_over_cap(self, table1):
+        drawn = 0
+
+        def orders():
+            nonlocal drawn
+            for _ in range(80_640):
+                drawn += 1
+                yield (0, 1, 2, 3)
+
+        with pytest.raises(GuardRefusalError, match="at most 40,320 rows"):
+            decomposition_table(table1, orders())
+        assert drawn <= 40_321
+
     @pytest.mark.parametrize("count", [2.5, 2.0, "2", None], ids=["float", "integral-float",
                                                                  "string", "none"])
     def test_sampled_orderings_non_integer_count(self, table1, count):

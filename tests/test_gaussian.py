@@ -473,6 +473,11 @@ class TestHeterodyneConditioning:
         with pytest.raises(ValidationError):
             condition_on_heterodyne(cm(np.eye(4), "ab"), ["z"])
 
+    def test_singular_measured_block_is_a_numerical_error(self):
+        # Gamma_M = -I makes (Gamma_M + I) the zero matrix
+        with pytest.raises(NumericalError, match=r"singular while conditioning on \('b',\)"):
+            condition_on_heterodyne(cm(np.diag([1.0, 1.0, -1.0, -1.0]), "ab"), ["b"])
+
 
 class TestPhysicality:
     def test_vacuum_physical(self):
@@ -510,6 +515,10 @@ class TestCovarianceMatrixType:
     def test_labels_unique(self):
         with pytest.raises(ValidationError):
             cm(np.eye(4), "aa")
+
+    def test_unhashable_label_is_unknown(self):
+        with pytest.raises(ValidationError, match=r"unknown mode label \['A'\]"):
+            cm(np.eye(4), "AB").mode_index(["A"])
 
     def test_immutable(self):
         gamma = cm(np.eye(2), "a")

@@ -32,7 +32,7 @@ from cvqnet.gaussian import (
 from cvqnet.keyrates import _two_mode_holevo, measure_reference_user_blocks
 from cvqnet.network import ALICE_LABEL, quadrature_signs, receiver_map, user_label
 
-from conftest import random_params, receiver_cases, unphysical_pair
+from conftest import random_params, receiver_cases, single_user, unphysical_pair
 from oracles import (
     _entropy,
     _heterodyne,
@@ -52,14 +52,6 @@ LOG2_3P5 = np.log2(3.5)
 def with_first_transmittance(params, eta):
     first = dataclasses.replace(params.users[0], transmittance=eta)
     return dataclasses.replace(params, users=(first, *params.users[1:]))
-
-
-def single_user(eta=1.0, eps=0.0, eta_d=1.0, nu=0.0, v_mod=5.0):
-    return NetworkParams(
-        modulation_variance=v_mod,
-        users=(UserLink(transmittance=eta, excess_noise=eps, trusted_noise=nu),),
-        detector_efficiency=eta_d,
-    )
 
 
 class TestMutualInformation:

@@ -19,17 +19,8 @@ from cvqnet import (
 )
 from cvqnet.errors import ModelError, ValidationError
 
-from conftest import random_params, unphysical_pair
+from conftest import random_params, single_user, unphysical_pair
 from oracles import brute_force_network_cm, epr_cm
-
-
-def single_user(eta=1.0, eps=0.0, eta_d=1.0, nu=0.0, v_mod=5.0, **kw):
-    return NetworkParams(
-        modulation_variance=v_mod,
-        users=(UserLink(transmittance=eta, excess_noise=eps, trusted_noise=nu),),
-        detector_efficiency=eta_d,
-        **kw,
-    )
 
 
 class TestBuilder:
