@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: keyrate, decompose, sweep, simulate, estimate.  Every command is
-`_cmd_X(params, args) -> (json_payload, csv_lines)`; `main` loads the config,
-runs the command and writes its CSV lines (the canonical tabular output) or,
-with --format json, the JSON mirror of the same numbers, to stdout or --out.
+`_cmd_X(params, args)`, which builds only the output --format asks for: its
+CSV lines (the canonical tabular output) or, with --format json, the JSON
+mirror of the same numbers.  `main` loads the config, runs the command and
+writes that output to stdout or --out.
 Every JSON record is its API dataclass's fields, with users 1-based: a
 `keyrate` record is its `KeyRateReport`'s, with the trust model by value and
 the command's `mode`; a `sweep` record is a keyrate record plus `param` and
@@ -68,11 +69,12 @@ def _cmd_keyrate(params: NetworkParams, args):
     worst = derive_worst_case(params) if args.worst_case == "model" and args.mode == "finite" else None
 
     reports = rate_table(params, trusts, users, args.mode, worst)
-    payload = [_rate_record(r, args.mode) for r in reports]
+    if args.format == "json":
+        return [_rate_record(r, args.mode) for r in reports]
     lines = ["user," + ",".join(f"K_{t.value}" for t in trusts)]
     for k in users:
         lines.append(f"{k + 1}," + ",".join(_fmt(r.rate) for r in reports if r.user == k))
-    return payload, lines
+    return lines
 
 
 def _rate_record(report: KeyRateReport, mode: str) -> dict:
@@ -118,8 +120,9 @@ def _orders_table(raw: str, params: NetworkParams, args):
 def _cmd_decompose(params: NetworkParams, args):
     table = _orders_table(args.orders, params, args)
     rows, joint = table.rows, table.joint_rate
-    records = [{**vars(r), "order": [k + 1 for k in r.order]} for r in rows]
-    payload = {"rows": records, "joint_rate": joint, "mode": args.mode}
+    if args.format == "json":
+        records = [{**vars(r), "order": [k + 1 for k in r.order]} for r in rows]
+        return {"rows": records, "joint_rate": joint, "mode": args.mode}
     lines = ["order," + ",".join(f"K_{i + 1}" for i in range(params.n_users)) + ",row_sum"]
     for r in rows:
         order_str = "-".join(str(k + 1) for k in r.order)
@@ -127,7 +130,7 @@ def _cmd_decompose(params: NetworkParams, args):
             f"{order_str}," + ",".join(_fmt(c) for c in r.contributions) + f",{_fmt(r.row_sum)}"
         )
     lines.append(f"# joint_rate={_fmt(joint)} rows={len(rows)}")
-    return payload, lines
+    return lines
 
 
 # ------------------------------------------------------------------ sweep
@@ -190,12 +193,13 @@ def _cmd_sweep(params: NetworkParams, args):
         for r in rate_table(_apply_sweep_value(params, args.param, value, n_users), trusts,
                             mode=args.mode)
     ]
-    payload = [{**_rate_record(r, args.mode), "param": args.param, "value": v} for (v, r) in results]
-    lines = ["param,value,user,trust,mode,rate"] + [
+    if args.format == "json":
+        return [{**_rate_record(r, args.mode), "param": args.param, "value": v}
+                for (v, r) in results]
+    return ["param,value,user,trust,mode,rate"] + [
         f"{args.param},{_fmt(v)},{r.user + 1},{r.trust.value},{args.mode},{_fmt(r.rate)}"
         for (v, r) in results
     ]
-    return payload, lines
 
 
 # ------------------------------------------------------- simulate / estimate
@@ -216,10 +220,10 @@ def _cmd_simulate(params: NetworkParams, args):
         if exc.filename != args.out_block and os.path.isfile(args.out_block):
             os.remove(args.out_block)
         raise
-    payload = {"symbols": block.n, "users": block.n_users, "seed": block.seed, "files": written}
-    lines = ["symbols,users,seed,files",
-             f"{block.n},{block.n_users},{block.seed}," + ";".join(written)]
-    return payload, lines
+    if args.format == "json":
+        return {"symbols": block.n, "users": block.n_users, "seed": block.seed, "files": written}
+    return ["symbols,users,seed,files",
+            f"{block.n},{block.n_users},{block.seed}," + ";".join(written)]
 
 
 def _region_record(k: int, region: ConfidenceRegion) -> dict:
@@ -231,13 +235,14 @@ def _region_record(k: int, region: ConfidenceRegion) -> dict:
 
 def _cmd_estimate(params: NetworkParams, args):
     report = estimate_report(read_block(args.in_block), params)
-    payload = {**vars(report), "users": [_region_record(k, u) for k, u in enumerate(report.users, 1)]}
-    lines = ["user,eta_hat,eps_hat_msnu,eta_min,eps_max_msnu,flagged"] + [
+    if args.format == "json":
+        regions = [_region_record(k, u) for k, u in enumerate(report.users, 1)]
+        return {**vars(report), "users": regions}
+    return ["user,eta_hat,eps_hat_msnu,eta_min,eps_max_msnu,flagged"] + [
         f"{k},{_fmt(u.eta_hat)},{_fmt(u.eps_hat * 1e3)},{_fmt(u.eta_min)},{_fmt(u.eps_max * 1e3)},"
         f"{'yes' if u.negative_excess_flagged else 'no'}"
         for k, u in enumerate(report.users, start=1)
     ]
-    return payload, lines
 
 
 # ------------------------------------------------------------------- main
@@ -301,11 +306,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         params = (load_config(args.config) if args.config else default_config()).params
-        payload, lines = args.fn(params, args)
+        output = args.fn(params, args)
         if args.format == "json":
-            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            text = json.dumps(output, indent=2, sort_keys=True) + "\n"
         else:
-            text = "\n".join(lines) + "\n"
+            text = "\n".join(output) + "\n"
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text)

@@ -195,8 +195,9 @@ def block_entropies(x: np.ndarray, p: np.ndarray) -> np.ndarray:
         )
     g = (np.maximum(nu, 1.0) - 1.0) / 2.0
     # g(0) = 0: x log2 x is taken as 0 where x = 0
-    x_log_x = g * np.log2(g, out=np.zeros_like(g), where=g > 0.0)
-    return ((g + 1.0) * np.log2(g + 1.0) - x_log_x).sum(axis=1)
+    x_log_x = g * np.log2(g, out=np.zeros(g.shape), where=g > 0.0)
+    g1 = g + 1.0
+    return (g1 * np.log2(g1) - x_log_x).sum(axis=1)
 
 
 def condition_on_heterodyne(cm: CovarianceMatrix, measured: Iterable[str]) -> CovarianceMatrix:

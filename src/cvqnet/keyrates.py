@@ -27,14 +27,19 @@ the builder's physicality check already took.  The untrusted and
 collaborative bounds are read on a two-mode state (A, Bk) with x block
 [[a, c], [c, b]], where chi is a closed form in the scalars a, b, c, eta_d
 and the receiver's added noise N = 2 - eta_d + nu_el (`_two_mode_holevo`;
-Lodewyck et al., PRA 76, 042305 (2007)).  Conditioning (A, Bk) on the other
-users' outcomes is rank one, so the collaborative pair is
+Lodewyck et al., PRA 76, 042305 (2007)), with a, b and c read as floats
+from the builder's state, the one place that states the X entries.
+Conditioning (A, Bk) on the other users' outcomes is rank one, so the
+collaborative pair is
 (a - (a + 1) f, b - V_mod eta_k f, c (1 - f)) with f = Sigma_O / (1 + Sigma_O),
 Sigma_O their outcome SNR sum.  Mutual information is log2(1 + sum_k snr_k),
 snr_k = V_mod g_k^2 / N_k, of the classical outcome model; the M models
 and their SNRs are taken once per network, in the `network._outcome_models`
 memo, which `derive_worst_case` and the simulator's `classical_outcome_cov`
-read too.
+read too.  `key_rate` reads I through `_conditional_information`, the one
+formula behind `mutual_information`, with each user index checked once per
+public call, and reports as `params_used` the `links` its evaluated
+`NetworkParams` took at construction.
 
 `derive_worst_case` places the model-implied corner with the same
 `worst_case_params` as block estimates.  A zero-transmittance link carries
@@ -115,20 +120,26 @@ def mutual_information(
     cond = {params.check_user(j) for j in conditioned_on}
     if k in cond:
         raise ValidationError(f"user {k} cannot condition on itself")
-    _, snrs = _outcome_models(params)
+    return _conditional_information(_outcome_models(params)[1], k, cond)
+
+
+def _conditional_information(snrs: Sequence[float], k: int, cond: Iterable[int]) -> float:
+    """`mutual_information` from the users' SNRs, for checked user indices:
+    k, and the distinct users `cond`, none of them k."""
     # I(A : no users) = log2 1 = 0, and fsum is exactly rounded in any order
-    joint = _outcome_information(snrs[j] for j in cond | {k})
-    return joint - _outcome_information(snrs[j] for j in cond)
+    conditioned = [snrs[j] for j in cond]
+    return _outcome_information(conditioned + [snrs[k]]) - _outcome_information(conditioned)
 
 
 def measure_reference_user_blocks(
-    x: np.ndarray, index: np.ndarray, eta_d: np.ndarray, receiver: ReceiverMap
+    x: np.ndarray, index: np.ndarray, eta_d: float | np.ndarray, receiver: ReceiverMap
 ) -> np.ndarray:
     """X blocks retained after a reference user's measurement, for a stack of
     states with P = J X J (`quadrature_signs`): member b, held as its x block
     x[b], heterodynes its mode index[b] behind its own trusted receiver of
     efficiency eta_d[b], whose `receiver_map` is entry b of each field of
-    `receiver`, in one closed-form step.  That is the map of
+    `receiver` (a scalar eta_d or field serves every member), in one
+    closed-form step.  That is the map of
     `condition_on_heterodyne(attach_trusted_detector(...))` without forming
     the extended state, less the ancilla D2, which that leaves in vacuum
     (`receiver_map`).  With the mode's entry w, its cross column C with the
@@ -209,7 +220,7 @@ class CoalitionValues:
                 parent = grown
             self.chains.append(chain)
         _, snrs = _outcome_models(params)
-        eta_d = np.full(m, params.detector_efficiency)
+        eta_d = params.detector_efficiency  # shared, so its t = sqrt(eta_d) is one scalar
         receivers = receiver_map(eta_d, np.array([params.trusted_noise(k) for k in range(m)]))
         signs = quadrature_signs(m + 1)  # every layer keeps M + 1 modes
         self.terms = {0: (0.0, von_neumann_entropy(channel_output))}
@@ -219,8 +230,8 @@ class CoalitionValues:
             parents = [position[parent] for parent, _ in layer.values()]
             joining = [k for _, k in layer.values()]
             index = [k + 1 - (parent & ((1 << k) - 1)).bit_count() for parent, k in layer.values()]
-            receiver = receivers._make(field[joining] for field in receivers)
-            x = measure_reference_user_blocks(x[parents], np.array(index), eta_d[joining], receiver)
+            receiver = ReceiverMap(receivers.t, *(field[joining] for field in receivers[1:]))
+            x = measure_reference_user_blocks(x[parents], np.array(index), eta_d, receiver)
             summands = [summands[i] + (snrs[k],) for i, k in zip(parents, joining)]
             entropies = block_entropies(x, x * signs).tolist()
             for grown, carried, entropy in zip(layer, summands, entropies):
@@ -293,10 +304,14 @@ def _conditioned_pair_holevo(params: NetworkParams, k: int, f: float) -> float:
     gamma = build_channel_output_cm(params).matrix
     i = 2 * (k + 1)
     eta_d = params.detector_efficiency
-    noise = receiver_noise(eta_d, params.trusted_noise(k))
-    a, c = gamma[0, [0, i]].tolist()
-    b = gamma[i, i].item() - params.modulation_variance * params.users[k].transmittance * f
-    return _two_mode_holevo(a - (a + 1.0) * f, b, c * (1.0 - f), eta_d, noise)
+    a, b, c = gamma.item(0, 0), gamma.item(i, i), gamma.item(0, i)
+    return _two_mode_holevo(
+        a - (a + 1.0) * f,
+        b - params.modulation_variance * params.users[k].transmittance * f,
+        c * (1.0 - f),
+        eta_d,
+        receiver_noise(eta_d, params.trusted_noise(k)),
+    )
 
 
 def holevo_untrusted(params: NetworkParams, k: int) -> float:
@@ -312,7 +327,7 @@ def holevo_trusted(params: NetworkParams, k: int) -> float:
     (A, B1..BM) loses when user k alone measures behind its trusted
     receiver.  Read from the singleton layer of `CoalitionValues`, which is
     evaluated once per network state for all M users."""
-    params.check_user(k)
+    k = params.check_user(k)
     return _singletons(params, build_channel_output_cm(params)).holevo(1 << k)
 
 
@@ -336,7 +351,7 @@ def holevo_collaborative(params: NetworkParams, k: int) -> float:
     unconditioned pair become (a - (a + 1) f, b - V_mod eta_k f, c (1 - f)),
     and f = 0, the untrusted bound, when no other user sees the signal.
     """
-    others = math.fsum(snr for j, snr in enumerate(_outcome_models(params)[1]) if j != k)
+    others = math.fsum([snr for j, snr in enumerate(_outcome_models(params)[1]) if j != k])
     return _conditioned_pair_holevo(params, k, others / (1.0 + others))
 
 
@@ -396,19 +411,12 @@ def key_rate(
         conditioned = [j for j in range(eval_params.n_users) if j != k]
     else:
         conditioned = []
-    info = mutual_information(eval_params, k, conditioned)
+    info = _conditional_information(_outcome_models(eval_params)[1], k, conditioned)
     chi = _HOLEVO[trust](eval_params, k)
     raw = params.beta * info - chi - delta
+    # positional, in field order: keyword arguments add 40% to the construction
     return KeyRateReport(
-        user=k,
-        trust=trust,
-        mutual_information=info,
-        holevo=chi,
-        delta=delta,
-        rate=max(0.0, raw),
-        non_positive=raw <= 0.0,
-        params_used=tuple((u.transmittance, u.excess_noise) for u in eval_params.users),
-        params_source=source,
+        k, trust, info, chi, delta, max(0.0, raw), raw <= 0.0, eval_params.links, source
     )
 
 
@@ -435,7 +443,7 @@ def rate_table(
     """Key-rate reports over a (user x trust-model) grid, row-major by user."""
     users = list(range(params.n_users)) if users is None else list(users)
     return [
-        key_rate(params, trust, k, mode=mode, worst_case=worst_case)
+        key_rate(params, trust, k, mode, worst_case)
         for k in users
         for trust in trusts
     ]

@@ -7,6 +7,12 @@ described by its calibrated efficiency eta_d and electronic noise nu_el
 alone.  Both are trusted: `receiver_map` states the receiver once, as a
 symplectic map of the measured mode and two vacuum ancillae with bounded
 coefficients, so eta_d = 1 is an exact case.
+
+A `NetworkParams` is hashed, and its per-user (transmittance, excess noise)
+pairs `links` are read, once, at construction: `build_channel_output_cm`
+states the X entries from them, and every key rate reports them as its
+`params_used`.  The builder's memoised state is the one place the X entries
+are stated; the two-mode Holevo bounds read theirs from it as floats.
 """
 
 from __future__ import annotations
@@ -90,7 +96,9 @@ class UserLink:
 @dataclass(frozen=True)
 class NetworkParams:
     """Physical inputs for the whole network evaluation.  Hashed once, at
-    construction: the value keys the per-network memos."""
+    construction: the value keys the per-network memos.  `links`, the
+    per-user (transmittance, excess noise) pairs a key rate reports as its
+    `params_used`, is read once at construction too."""
 
     modulation_variance: float
     users: tuple[UserLink, ...]
@@ -121,6 +129,8 @@ class NetworkParams:
                 "set enforce_splitter_budget=False for non-broadcast what-if scans"
             )
         object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
+        links = tuple((u.transmittance, u.excess_noise) for u in self.users)
+        object.__setattr__(self, "links", links)
 
     def __hash__(self) -> int:
         return self._hash
@@ -182,12 +192,11 @@ def build_channel_output_cm(params: NetworkParams) -> CovarianceMatrix:
     v_mod = params.modulation_variance
     v = v_mod + 1.0
     m = params.n_users
-    eta = np.array([user.transmittance for user in params.users])
-    eps = np.array([user.excess_noise for user in params.users])
+    eta, eps = np.array(params.links).T
     x = np.empty((m + 1, m + 1))
     x[0, 0] = v
-    x[1:, 1:] = np.sqrt(np.outer(eta, eta)) * v_mod
-    x[1:, 1:][np.diag_indices(m)] = eta * v_mod + 1.0 + eps
+    x[1:, 1:] = np.sqrt(eta[:, None] * eta) * v_mod
+    x.reshape(-1)[m + 2 :: m + 2] = eta * v_mod + 1.0 + eps  # the diagonal of the Bk block
     x[0, 1:] = x[1:, 0] = np.sqrt(eta * (v * v - 1.0))
     gamma = np.zeros((2 * (m + 1), 2 * (m + 1)))
     gamma[0::2, 0::2] = x
@@ -245,11 +254,12 @@ def receiver_map(detector_efficiency, electronic_noise) -> ReceiverMap:
     noise only.  So the measurement keeps one ancilla, D1.
     """
     eta_d, nu_el = detector_efficiency, electronic_noise
+    half = nu_el / 2.0
     return ReceiverMap(
         np.sqrt(eta_d),
-        np.sqrt(1.0 - eta_d + nu_el / 2.0),
-        np.sqrt(nu_el / 2.0),
-        np.sqrt(1.0 + nu_el / 2.0),
+        np.sqrt(1.0 - eta_d + half),
+        np.sqrt(half),
+        np.sqrt(1.0 + half),
         receiver_noise(eta_d, nu_el),
     )
 

@@ -325,8 +325,8 @@ def confidence_region(
     if not math.isfinite(t_hat):
         raise ValidationError(f"gain estimate must be finite, got {t_hat}")
     z = one_sided_quantile(params.eps_pe)
-    delta_t = z * np.sqrt(sigma2_hat / (n * params.modulation_variance))
-    delta_sigma2 = z * sigma2_hat * np.sqrt(2.0 / n)
+    delta_t = z * math.sqrt(sigma2_hat / (n * params.modulation_variance))
+    delta_sigma2 = z * sigma2_hat * math.sqrt(2.0 / n)
     eta_hat, eps_hat = link_from_outcome_model(params, k, t_hat, sigma2_hat)
     eta_min, eps_max = link_from_outcome_model(
         params, k, max(t_hat - delta_t, 0.0), sigma2_hat + delta_sigma2

@@ -22,6 +22,7 @@ from cvqnet import (
     simulate,
     write_block,
 )
+from cvqnet import cli
 from cvqnet.cli import main
 from cvqnet.errors import ConfigError
 from cvqnet.simulate import CHUNK, TILE
@@ -250,6 +251,24 @@ class TestCLI:
         code, out = self.run(capsys, *argv)
         assert code == 0
         assert out == (GOLDEN_DIR / name).read_text()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["keyrate"], ["keyrate", "--worst-case", "model"],
+         ["sweep", "--param", "loss_db", "--from", "0", "--to", "30", "--steps", "61"]],
+        ids=["keyrate", "keyrate-worst-case", "sweep"],
+    )
+    def test_csv_builds_no_json_record(self, argv, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a JSON record was built for CSV output")
+
+        monkeypatch.setattr(cli, "_rate_record", refuse)
+        code, out = self.run(capsys, *argv)
+        assert code == 0
+        if argv[0] == "sweep":
+            assert out == (GOLDEN_DIR / "sweep_loss_db.csv").read_text()
+        else:
+            assert out.splitlines()[0] == "user,K_untrusted,K_collaborative,K_trusted"
 
     def test_keyrate_deterministic_output(self, capsys):
         _, first = self.run(capsys, "keyrate")

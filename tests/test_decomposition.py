@@ -137,13 +137,15 @@ class TestDecompose:
     def test_first_position_is_the_trusted_rate_exactly(self, table1):
         # criterion 4 as an identity: the trusted bound and the table read
         # chi({k}) from a singleton layer of the same kernel, whatever else
-        # the layer stacks
+        # the layer stacks (one member for `decompose`, all M for the bound)
         rng = np.random.default_rng(48)
-        cases = [table1] + [random_params(rng, max_users=6) for _ in range(20)]
+        cases = [table1] + [random_params(rng, max_users=6) for _ in range(60)]
         unclamped = 0
         for params in cases:
             sampled = sample_orderings(params, 2, seed=1).rows
-            for row in all_orderings(params).rows + sampled:
+            users = range(params.n_users)
+            alone = [decompose(params, [k, *(j for j in users if j != k)]) for k in users]
+            for row in all_orderings(params).rows + sampled + tuple(alone):
                 trusted = key_rate(params, TrustModel.TRUSTED, row.order[0])
                 raw = params.beta * trusted.mutual_information - trusted.holevo - trusted.delta
                 assert row.contributions[0] == raw

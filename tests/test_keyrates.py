@@ -30,7 +30,7 @@ from cvqnet.gaussian import (
     von_neumann_entropy,
 )
 from cvqnet.keyrates import _two_mode_holevo, measure_reference_user_blocks
-from cvqnet.network import ALICE_LABEL, quadrature_signs, receiver_map, user_label
+from cvqnet.network import ALICE_LABEL, quadrature_signs, receiver_map, receiver_noise, user_label
 
 from conftest import random_params, receiver_cases, single_user, unphysical_pair
 from oracles import (
@@ -574,6 +574,39 @@ class TestTwoModeClosedForm:
             if params.n_users > 1:
                 x = collaborative_blocks(params, k)[0]
                 yield k, TrustModel.COLLABORATIVE, (x[0, 0], x[1, 1], x[0, 1])
+
+    def test_bounds_read_the_builders_entries_exactly(self, table1):
+        # the untrusted and collaborative bounds are the closed form on the
+        # (A, Bk) entries of the builder's state, conditioned with
+        # f = Sigma_O / (1 + Sigma_O), and every report names the links it evaluated
+        import cvqnet.network
+
+        rng = np.random.default_rng(84)
+        for params in [table1] + [random_params(rng) for _ in range(60)]:
+            state = build_channel_output_cm(params)
+            corner = derive_worst_case(params)
+            snrs = cvqnet.network._outcome_models(params)[1]
+            eta_d = params.detector_efficiency
+            for k in range(params.n_users):
+                modes = [ALICE_LABEL, user_label(k)]
+                x = state.block(modes, modes)[0::2, 0::2]
+                a, b, c = float(x[0, 0]), float(x[1, 1]), float(x[0, 1])
+                noise = receiver_noise(eta_d, params.trusted_noise(k))
+                assert holevo_untrusted(params, k) == _two_mode_holevo(a, b, c, eta_d, noise)
+                others = math.fsum([snr for j, snr in enumerate(snrs) if j != k])
+                f = others / (1.0 + others)
+                b_f = b - params.modulation_variance * params.users[k].transmittance * f
+                assert holevo_collaborative(params, k) == _two_mode_holevo(
+                    a - (a + 1.0) * f, b_f, c * (1.0 - f), eta_d, noise
+                )
+                for trust in TrustModel:
+                    for evaluated, report in (
+                        (params, key_rate(params, trust, k)),
+                        (params, key_rate(params, trust, k, "asymptotic", corner)),
+                        (corner, key_rate(params, trust, k, worst_case=corner)),
+                    ):
+                        links = tuple((u.transmittance, u.excess_noise) for u in evaluated.users)
+                        assert report.params_used == links
 
     def test_matches_50_digit_reference(self, table1):
         mpmath = pytest.importorskip("mpmath")
