@@ -11,8 +11,10 @@ the command's `mode`; a `sweep` record is a keyrate record plus `param` and
 `value`; a `decompose` row is its `DecompositionRow`'s; an `estimate` is its
 `EstimateReport` with each `ConfidenceRegion`, the excess noises in mSNU.
 Exit codes: 0 success, 2 config/input or file error (a corrupt block file is
-reported as an input error), 3 numerical or physicality error (a bad sweep
-grid or --symbols included) or running out of memory, 4 guard refusal.
+reported as an input error; two of --out, --out-block, --csv and --in naming
+the same regular file are a config error, and nothing is written), 3
+numerical or physicality error (a bad sweep grid or --symbols included) or
+running out of memory, 4 guard refusal.
 """
 
 from __future__ import annotations
@@ -248,6 +250,24 @@ def _cmd_estimate(params: NetworkParams, args):
 # ------------------------------------------------------------------- main
 
 
+FILE_ARGUMENTS = {"--out": "out", "--out-block": "out_block", "--csv": "csv", "--in": "in_block"}
+
+
+def _check_distinct_files(args) -> None:
+    """Raise ConfigError if two file arguments resolve to the same path, so
+    that no command overwrites its input or one output with another.  An
+    existing target that is not a regular file, such as /dev/null, is exempt."""
+    seen = {}
+    for flag, dest in FILE_ARGUMENTS.items():
+        path = getattr(args, dest, None)
+        if not path or (os.path.exists(path) and not os.path.isfile(path)):
+            continue
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"{seen[real]} and {flag} name the same file {path!r}")
+        seen[real] = flag
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvqnet",
@@ -305,6 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_distinct_files(args)
         params = (load_config(args.config) if args.config else default_config()).params
         output = args.fn(params, args)
         if args.format == "json":

@@ -34,12 +34,13 @@ collaborative pair is
 (a - (a + 1) f, b - V_mod eta_k f, c (1 - f)) with f = Sigma_O / (1 + Sigma_O),
 Sigma_O their outcome SNR sum.  Mutual information is log2(1 + sum_k snr_k),
 snr_k = V_mod g_k^2 / N_k, of the classical outcome model; the M models
-and their SNRs are taken once per network, in the `network._outcome_models`
-memo, which `derive_worst_case` and the simulator's `classical_outcome_cov`
-read too.  `key_rate` reads I through `_conditional_information`, the one
-formula behind `mutual_information`, with each user index checked once per
-public call, and reports as `params_used` the `links` its evaluated
-`NetworkParams` took at construction.
+and their SNRs are `NetworkParams.outcome_models` and `.snrs`, taken at
+construction, which `derive_worst_case` and the simulator's
+`classical_outcome_cov` read too.  `key_rate` reads I through
+`_conditional_information`, the one formula behind `mutual_information`,
+with each user index checked once per public call, and reports as
+`params_used` the `links` its evaluated `NetworkParams` took at
+construction.
 
 `derive_worst_case` places the model-implied corner with the same
 `worst_case_params` as block estimates.  A zero-transmittance link carries
@@ -61,7 +62,6 @@ from .gaussian import CovarianceMatrix, block_entropies, spectrum_entropy, von_n
 from .network import (
     NetworkParams,
     ReceiverMap,
-    _outcome_models,
     build_channel_output_cm,
     check_block_size,
     quadrature_signs,
@@ -120,7 +120,7 @@ def mutual_information(
     cond = {params.check_user(j) for j in conditioned_on}
     if k in cond:
         raise ValidationError(f"user {k} cannot condition on itself")
-    return _conditional_information(_outcome_models(params)[1], k, cond)
+    return _conditional_information(params.snrs, k, cond)
 
 
 def _conditional_information(snrs: Sequence[float], k: int, cond: Iterable[int]) -> float:
@@ -219,7 +219,6 @@ class CoalitionValues:
                 chain.append(grown)
                 parent = grown
             self.chains.append(chain)
-        _, snrs = _outcome_models(params)
         eta_d = params.detector_efficiency  # shared, so its t = sqrt(eta_d) is one scalar
         receivers = receiver_map(eta_d, np.array([params.trusted_noise(k) for k in range(m)]))
         signs = quadrature_signs(m + 1)  # every layer keeps M + 1 modes
@@ -232,7 +231,7 @@ class CoalitionValues:
             index = [k + 1 - (parent & ((1 << k) - 1)).bit_count() for parent, k in layer.values()]
             receiver = ReceiverMap(receivers.t, *(field[joining] for field in receivers[1:]))
             x = measure_reference_user_blocks(x[parents], np.array(index), eta_d, receiver)
-            summands = [summands[i] + (snrs[k],) for i, k in zip(parents, joining)]
+            summands = [summands[i] + (params.snrs[k],) for i, k in zip(parents, joining)]
             entropies = block_entropies(x, x * signs).tolist()
             for grown, carried, entropy in zip(layer, summands, entropies):
                 self.terms[grown] = (_outcome_information(carried), entropy)
@@ -351,7 +350,7 @@ def holevo_collaborative(params: NetworkParams, k: int) -> float:
     unconditioned pair become (a - (a + 1) f, b - V_mod eta_k f, c (1 - f)),
     and f = 0, the untrusted bound, when no other user sees the signal.
     """
-    others = math.fsum([snr for j, snr in enumerate(_outcome_models(params)[1]) if j != k])
+    others = math.fsum([snr for j, snr in enumerate(params.snrs) if j != k])
     return _conditioned_pair_holevo(params, k, others / (1.0 + others))
 
 
@@ -411,7 +410,7 @@ def key_rate(
         conditioned = [j for j in range(eval_params.n_users) if j != k]
     else:
         conditioned = []
-    info = _conditional_information(_outcome_models(eval_params)[1], k, conditioned)
+    info = _conditional_information(eval_params.snrs, k, conditioned)
     chi = _HOLEVO[trust](eval_params, k)
     raw = params.beta * info - chi - delta
     # positional, in field order: keyword arguments add 40% to the construction
@@ -428,8 +427,7 @@ def derive_worst_case(params: NetworkParams) -> NetworkParams:
     `worst_case_params` at their regions.  Used when no measured confidence
     region is available.
     """
-    models, _ = _outcome_models(params)
-    report = EstimateReport.from_estimates(params, models, float(params.block_size))
+    report = EstimateReport.from_estimates(params, params.outcome_models, float(params.block_size))
     return worst_case_params(params, report)
 
 

@@ -9,8 +9,11 @@ symplectic map of the measured mode and two vacuum ancillae with bounded
 coefficients, so eta_d = 1 is an exact case.
 
 A `NetworkParams` is hashed, and its per-user (transmittance, excess noise)
-pairs `links` are read, once, at construction: `build_channel_output_cm`
-states the X entries from them, and every key rate reports them as its
+pairs `links`, outcome models `outcome_models` and SNRs `snrs` are read,
+once, at construction: what follows from a network's fields alone and
+cannot fail is taken on the object; only states that cost spectra or can
+raise `ModelError` are memoised.  `build_channel_output_cm` states the X
+entries from `links`, and every key rate reports them as its
 `params_used`.  The builder's memoised state is the one place the X entries
 are stated; the two-mode Holevo bounds read theirs from it as floats.
 """
@@ -96,9 +99,11 @@ class UserLink:
 @dataclass(frozen=True)
 class NetworkParams:
     """Physical inputs for the whole network evaluation.  Hashed once, at
-    construction: the value keys the per-network memos.  `links`, the
-    per-user (transmittance, excess noise) pairs a key rate reports as its
-    `params_used`, is read once at construction too."""
+    construction: the value keys the per-network memos.  Also taken once at
+    construction, none of them a field: `links`, the per-user (transmittance,
+    excess noise) pairs a key rate reports as its `params_used`, and each
+    user's `measured_outcome_model` and SNR V_mod g_k^2 / N_k, in user order,
+    as `outcome_models` and `snrs`."""
 
     modulation_variance: float
     users: tuple[UserLink, ...]
@@ -131,6 +136,10 @@ class NetworkParams:
         object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
         links = tuple((u.transmittance, u.excess_noise) for u in self.users)
         object.__setattr__(self, "links", links)
+        models = tuple(measured_outcome_model(self, k) for k in range(self.n_users))
+        object.__setattr__(self, "outcome_models", models)
+        snrs = tuple(self.modulation_variance * m.gain**2 / m.noise_variance for m in models)
+        object.__setattr__(self, "snrs", snrs)
 
     def __hash__(self) -> int:
         return self._hash
@@ -321,15 +330,6 @@ def measured_outcome_model(params: NetworkParams, k: int) -> OutcomeModel:
     return OutcomeModel(float(gain), float((eta_d * (1.0 + user.excess_noise) + added) / 2.0))
 
 
-@functools.lru_cache(maxsize=16)
-def _outcome_models(params: NetworkParams) -> tuple[tuple[OutcomeModel, ...], tuple[float, ...]]:
-    """The outcome models y_k = g_k s + n_k of the users, in user order, and
-    their SNRs V_mod g_k^2 / N_k.  Memoised per `NetworkParams`, as the builder
-    is: the key rates, `derive_worst_case` and `classical_outcome_cov` read it."""
-    models = tuple(measured_outcome_model(params, k) for k in range(params.n_users))
-    return models, tuple(params.modulation_variance * m.gain**2 / m.noise_variance for m in models)
-
-
 def link_from_outcome_model(
     params: NetworkParams, k: int, gain: float, noise_variance: float
 ) -> tuple[float, float]:
@@ -351,7 +351,6 @@ def classical_outcome_cov(params: NetworkParams) -> np.ndarray:
     vacua anti-correlate exactly with the shared signal shot noise.  Both
     quadratures have the same classical covariance.
     """
-    models, _ = _outcome_models(params)
-    g = np.array([1.0] + [model.gain for model in models])
-    noise = np.array([0.0] + [model.noise_variance for model in models])
+    g = np.array([1.0] + [model.gain for model in params.outcome_models])
+    noise = np.array([0.0] + [model.noise_variance for model in params.outcome_models])
     return params.modulation_variance * np.outer(g, g) + np.diag(noise)

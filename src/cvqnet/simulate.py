@@ -18,7 +18,7 @@ Estimation reads only the block: `estimate` gives one user's (t_hat,
 sigma2_hat); `confidence_region(params, k, ...)` alone maps them and its
 corner back to channel parameters with user k's receiver, and
 `worst_case_params` alone turns corners into params.  `simulate` draws from
-the network's memoised outcome models.
+the outcome models `NetworkParams.outcome_models` took at construction.
 The estimators make one pass over fixed TILE column ranges on the calling
 thread and pool each tile's sums in tile order.  They sum with numpy's own
 loops, not BLAS, so their bits depend on the block alone.

@@ -725,6 +725,39 @@ class TestCLI:
         assert "file error:" in capsys.readouterr().err
         assert fifo.exists()
 
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["simulate", "--symbols", "2000", "--seed", "1", "--out-block", "{block}",
+              "--csv", "{alias}"], "--out-block and --csv"),
+            (["--out", "{block}", "simulate", "--symbols", "2000", "--seed", "1",
+              "--out-block", "{alias}"], "--out and --out-block"),
+            (["--out", "{alias}", "estimate", "--in", "{block}"], "--out and --in"),
+        ],
+        ids=["simulate-csv", "simulate-out", "estimate-out"],
+    )
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing-block"])
+    def test_same_file_twice_exits_2_and_writes_nothing(self, argv, flags, existing, capsys,
+                                                          tmp_path):
+        # the second name of the file goes through "." so only its real path matches
+        block = tmp_path / "b.cvnb"
+        if existing:
+            assert main(["simulate", "--symbols", "2000", "--seed", "7", "--out-block", str(block)]) == 0
+            capsys.readouterr()
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        paths = {"block": str(block), "alias": f"{tmp_path}{os.sep}.{os.sep}b.cvnb"}
+        assert main([a.format(**paths) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: ") and flags in err
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_same_non_regular_target_twice_exits_0(self, capsys):
+        argv = ["--out", os.devnull, "simulate", "--symbols", "2000", "--seed", "1",
+                "--out-block", os.devnull]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("users", [3, 5])
     def test_estimate_block_user_count_mismatch_exits_2(self, users, capsys, tmp_path):
         block_path = tmp_path / "b.cvnb"

@@ -1,17 +1,23 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import cvqnet.gaussian
+import cvqnet.keyrates
+import cvqnet.network
 from cvqnet import (
     NetworkParams,
     TrustModel,
     UserLink,
+    all_orderings,
     attach_trusted_detector,
     build_channel_output_cm,
     delta_fs,
     derive_worst_case,
+    estimate_report,
     holevo_collaborative,
     holevo_trusted,
     holevo_untrusted,
@@ -20,6 +26,7 @@ from cvqnet import (
     mutual_information,
     rate_table,
     simulate,
+    worst_case_params,
 )
 from cvqnet.errors import ModelError, UnphysicalStateError, ValidationError
 from cvqnet.gaussian import (
@@ -473,60 +480,77 @@ class TestOneShotAssistingMap:
         assert len(reports) == 3 * params.n_users
         assert len(calls) == 1
 
-    def test_rate_table_takes_each_spectrum_and_outcome_model_once(self, monkeypatch):
-        # one spectrum of the channel output (the builder's physicality
-        # check, read again as S(sigma_0)), one for the stacked singleton
-        # layer of all M trusted measurements, and one outcome model per
-        # user for every bound, I and the worst-case corner
-        import cvqnet.gaussian
-        import cvqnet.keyrates
-        import cvqnet.network
-
-        calls = {"block_spectrum": 0, "measured_outcome_model": 0}
-        for module, name in ((cvqnet.gaussian, "block_spectrum"),
-                             (cvqnet.network, "measured_outcome_model")):
-            def counted(*args, _fn=getattr(module, name), _name=name):
-                calls[_name] += 1
-                return _fn(*args)
-
-            monkeypatch.setattr(module, name, counted)
-        params = random_params(np.random.default_rng(44), n_users=6)
-        build_channel_output_cm.cache_clear()
-        cvqnet.network._outcome_models.cache_clear()
-        cvqnet.keyrates._singletons.cache_clear()
-        assert len(rate_table(params)) == 3 * params.n_users
-        assert calls == {"block_spectrum": 2, "measured_outcome_model": params.n_users}
-
-        calls.update(block_spectrum=0, measured_outcome_model=0)
-        build_channel_output_cm.cache_clear()
-        cvqnet.network._outcome_models.cache_clear()
-        cvqnet.keyrates._singletons.cache_clear()
-        derive_worst_case(params)
-        assert len(rate_table(params)) == 3 * params.n_users
-        assert calls == {"block_spectrum": 2, "measured_outcome_model": params.n_users}
-
-    def test_simulator_and_rate_table_share_one_outcome_model_memo(self, monkeypatch):
-        # the simulator's outcome covariance and the key rates read the same
-        # M models, counted through every module binding of the model
-        import cvqnet.keyrates
-        import cvqnet.network
-
+    @staticmethod
+    def count_model_calls(monkeypatch):
+        """The user indices of every `measured_outcome_model` call, counted
+        through each `cvqnet` module that binds the name."""
         calls = []
         model = cvqnet.network.measured_outcome_model
 
-        def counted(*args):
-            calls.append(args[1])
-            return model(*args)
+        def counted(params, k):
+            calls.append(k)
+            return model(params, k)
 
-        for module in (cvqnet.network, cvqnet.keyrates):
-            monkeypatch.setattr(module, "measured_outcome_model", counted, raising=False)
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "cvqnet" and hasattr(module, "measured_outcome_model"):
+                monkeypatch.setattr(module, "measured_outcome_model", counted)
+        return calls
+
+    def test_rate_table_takes_each_spectrum_and_outcome_model_once(self, monkeypatch):
+        # one spectrum of the channel output (the builder's physicality
+        # check, read again as S(sigma_0)) and one for the stacked singleton
+        # layer of all M trusted measurements per cold table; the outcome
+        # models are taken once, when a NetworkParams is built, so a table
+        # takes none, as given or at the worst-case corner
+        spectra = []
+        spectrum = cvqnet.gaussian.block_spectrum
+
+        def counted(*args):
+            spectra.append(args)
+            return spectrum(*args)
+
+        monkeypatch.setattr(cvqnet.gaussian, "block_spectrum", counted)
+        models = self.count_model_calls(monkeypatch)
+        params = random_params(np.random.default_rng(44), n_users=6)
+        assert (len(spectra), models) == (0, list(range(params.n_users)))
+        corner = derive_worst_case(params)
+        for worst_case in (None, corner):
+            spectra.clear()
+            models.clear()
+            build_channel_output_cm.cache_clear()
+            cvqnet.keyrates._singletons.cache_clear()
+            assert len(rate_table(params, worst_case=worst_case)) == 3 * params.n_users
+            assert (len(spectra), models) == (2, [])
+
+    def test_simulator_and_rate_table_share_one_outcome_model_memo(self, monkeypatch):
+        # the M outcome models are attributes of the network, taken at its
+        # construction and nowhere else: building one, a replaced copy or a
+        # worst-case corner takes M; the simulator, the estimator, the rate
+        # tables and the decomposition read them and take none
+        models = self.count_model_calls(monkeypatch)
         params = random_params(np.random.default_rng(46), n_users=5)
+        everyone = list(range(params.n_users))
+        assert models == everyone
+        assert params.outcome_models == tuple(measured_outcome_model(params, k) for k in everyone)
         build_channel_output_cm.cache_clear()
-        cvqnet.network._outcome_models.cache_clear()
         cvqnet.keyrates._singletons.cache_clear()
-        simulate(params, 1000, 0)
-        rate_table(params)
-        assert sorted(calls) == list(range(params.n_users))
+
+        def taken(fn, *args, **kwargs):
+            """fn's result and the user indices of the outcome models it took."""
+            models.clear()
+            return fn(*args, **kwargs), list(models)
+
+        assert taken(dataclasses.replace, params, beta=0.9)[1] == everyone
+        corner, calls = taken(derive_worst_case, params)
+        assert calls == everyone
+        block, calls = taken(simulate, params, 1000, 0)
+        assert calls == []
+        report, calls = taken(estimate_report, block, params)
+        assert calls == []
+        assert taken(worst_case_params, params, report)[1] == everyone
+        assert taken(rate_table, params)[1] == []
+        assert taken(rate_table, params, worst_case=corner)[1] == []
+        assert taken(all_orderings, params)[1] == []
 
     @pytest.mark.parametrize("cache", ["cold", "warm"])
     def test_rate_table_builds_the_state_once_per_bound(self, monkeypatch, cache):
@@ -540,7 +564,6 @@ class TestOneShotAssistingMap:
         params = random_params(np.random.default_rng(45), n_users=5)
         if cache == "cold":
             build_channel_output_cm.cache_clear()
-            cvqnet.network._outcome_models.cache_clear()
             cvqnet.keyrates._singletons.cache_clear()
         else:
             rate_table(params)
@@ -579,13 +602,11 @@ class TestTwoModeClosedForm:
         # the untrusted and collaborative bounds are the closed form on the
         # (A, Bk) entries of the builder's state, conditioned with
         # f = Sigma_O / (1 + Sigma_O), and every report names the links it evaluated
-        import cvqnet.network
-
         rng = np.random.default_rng(84)
         for params in [table1] + [random_params(rng) for _ in range(60)]:
             state = build_channel_output_cm(params)
             corner = derive_worst_case(params)
-            snrs = cvqnet.network._outcome_models(params)[1]
+            snrs = params.snrs
             eta_d = params.detector_efficiency
             for k in range(params.n_users):
                 modes = [ALICE_LABEL, user_label(k)]

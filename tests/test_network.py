@@ -334,6 +334,23 @@ class TestOutcomeModel:
                     table1.detector_efficiency * cross / 2.0, rel=1e-12
                 )
 
+    def test_models_and_snrs_are_taken_at_construction_and_are_not_fields(self, table1):
+        # each copy takes its own; equality, hashing, repr and the config
+        # text read the eight fields alone
+        names = [f.name for f in dataclasses.fields(NetworkParams)]
+        assert "outcome_models" not in names and "snrs" not in names and len(names) == 8
+        models = tuple(measured_outcome_model(table1, k) for k in range(table1.n_users))
+        assert table1.outcome_models == models
+        v_mod = table1.modulation_variance
+        assert table1.snrs == tuple(v_mod * m.gain**2 / m.noise_variance for m in models)
+        louder = dataclasses.replace(table1, modulation_variance=2 * v_mod)
+        assert louder.outcome_models == models
+        assert louder.snrs == tuple(2 * snr for snr in table1.snrs)
+        copy = dataclasses.replace(table1)
+        assert copy == table1 and hash(copy) == hash(table1) and repr(copy) == repr(table1)
+        assert "snrs" not in repr(table1) and "outcome_models" not in repr(table1)
+        assert parse_config(format_config(table1)).params == table1
+
     def test_classical_cov_positive_definite_random(self):
         rng = np.random.default_rng(21)
         for _ in range(30):
